@@ -184,6 +184,9 @@ class DirectiveStream(WordStream):
         self._state.extend_to(n)
         self._buf = self._state.buf
 
+    def exact_horizon(self, k: int) -> int:
+        return exact_horizon(self.directive, k)
+
     def palindromic_prefix_lengths(self, up_to: int) -> list[int]:
         """Lengths of the palindromic prefixes not exceeding ``up_to``."""
         with self._lock:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .engine import as_directive, exact_horizon
 from .words import AlphabetError, LengthError, LexOrder, Word, WordStream
 
 __all__ = [
@@ -91,56 +90,41 @@ def _min_position(seq: Sequence[int], rank: Sequence[int], k: int) -> int:
     return minimal_window_positions(seq, rank, k)[-1][0]
 
 
-def _stream_exactness(w: WordStream, k: int, order: LexOrder, horizon: int, rank: Sequence[int]) -> Exactness:
-    directive = as_directive(w)
-    if directive is not None:
-        return Exactness.EXACT if horizon >= exact_horizon(directive, k) else Exactness.HORIZON_LIMITED
-    # Unstructured kinds: accept the scan as complete only if doubling the
-    # horizon does not change the answer.
-    seq = w.raw(horizon)
-    seq2 = w.raw(2 * horizon)
-    p1 = _min_position(seq, rank, k)
-    p2 = _min_position(seq2, rank, k)
-    same = seq[p1 : p1 + k] == seq2[p2 : p2 + k]
-    return Exactness.EXACT if same else Exactness.HORIZON_LIMITED
-
-
 def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, invert: bool) -> ExtremalResult:
-    if isinstance(w, Word):
-        if k > len(w):
-            raise LengthError(f"factor length {k} exceeds word length {len(w)}")
-        seq: Sequence[int] = w.indices
-        horizon = len(w)
-        exactness = Exactness.EXACT
-        alphabet = w.alphabet
-    else:
-        if horizon is None:
-            raise ValueError("streams need an explicit horizon")
-        if horizon < k:
-            raise LengthError(f"horizon {horizon} is smaller than factor length {k}")
-        seq = w.raw(horizon)
-        alphabet = w.alphabet
-        exactness = None  # filled below
-    if alphabet != order.alphabet:
+    if k < 0:
+        raise ValueError("factor length must be >= 0")
+    if w.alphabet != order.alphabet:
         raise AlphabetError("order alphabet does not match the word alphabet")
-    rank: Sequence[int] = order.ranks
-    if invert:
-        top = alphabet.size - 1
-        rank = [top - r for r in order.ranks]
+    bound = w.exact_horizon(k)
+    if horizon is None:
+        if bound is None:
+            raise ValueError(f"a {w.kind} stream states no exact horizon; pass one")
+        horizon = bound
+    if horizon < k:
+        raise LengthError(f"horizon {horizon} is smaller than factor length {k}")
+    seq = w.raw(horizon)
     if k == 0:
         return ExtremalResult(
-            word=Word(alphabet, ()), k=0, order=order, horizon=horizon, exactness=Exactness.EXACT
+            word=Word(w.alphabet, ()), k=0, order=order, horizon=horizon, exactness=Exactness.EXACT
         )
+    rank = (order.reversed() if invert else order).ranks
     p = _min_position(seq, rank, k)
-    word = Word(alphabet, tuple(seq[p : p + k]))
-    if exactness is None:
-        assert isinstance(w, WordStream)
-        exactness = _stream_exactness(w, k, order, horizon, rank)
-    return ExtremalResult(word=word, k=k, order=order, horizon=horizon, exactness=exactness)
+    exact = bound is not None and horizon >= bound
+    return ExtremalResult(
+        word=Word(w.alphabet, tuple(seq[p : p + k])),
+        k=k,
+        order=order,
+        horizon=horizon,
+        exactness=Exactness.EXACT if exact else Exactness.HORIZON_LIMITED,
+    )
 
 
 def min_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None = None) -> ExtremalResult:
-    """The lexicographically least length-``k`` factor seen within the horizon."""
+    """The lexicographically least length-``k`` factor seen within the horizon.
+
+    The result is exact when the horizon reaches ``w.exact_horizon(k)``, which
+    is also the default horizon: a finite word is scanned whole.
+    """
     return _extremal(w, k, order, horizon, invert=False)
 
 
@@ -153,30 +137,10 @@ def _limit_word(w: WordStream, order: LexOrder, horizon: int, invert: bool) -> W
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     k = max(1, horizon // 2)
-    rank: Sequence[int] = order.ranks
-    if invert:
-        top = order.alphabet.size - 1
-        rank = [top - r for r in order.ranks]
-    directive = as_directive(w)
-    if directive is not None:
-        scan = max(horizon, exact_horizon(directive, k))
-        seq = w.raw(scan)
-        p = _min_position(seq, rank, k)
-        return Word(w.alphabet, tuple(seq[p : p + k]))
-    # No structural bound: deepen the scan until the answer stops moving.
-    scan = max(horizon, 2 * k)
-    seq = w.raw(scan)
-    p = _min_position(seq, rank, k)
-    word = seq[p : p + k]
-    for _ in range(6):
-        scan *= 2
-        seq = w.raw(scan)
-        p = _min_position(seq, rank, k)
-        nxt = seq[p : p + k]
-        if nxt == word:
-            break
-        word = nxt
-    return Word(w.alphabet, tuple(word))
+    bound = w.exact_horizon(k)
+    seq = w.raw(horizon if bound is None else max(horizon, bound))
+    p = _min_position(seq, (order.reversed() if invert else order).ranks, k)
+    return Word(w.alphabet, tuple(seq[p : p + k]))
 
 
 def min_stream(w: WordStream, order: LexOrder, horizon: int) -> Word:
@@ -184,9 +148,8 @@ def min_stream(w: WordStream, order: LexOrder, horizon: int) -> Word:
 
     The chain of minima extends letter by letter, so its element at length
     ``horizon // 2`` is that prefix.  The internal scan is deepened past the
-    horizon until the answer is stable (structurally for directive-backed
-    streams, by doubling otherwise); the horizon only bounds the returned
-    length.
+    horizon to the stream's exact horizon when its kind states one; the
+    horizon only bounds the returned length.
     """
     return _limit_word(w, order, horizon, invert=False)
 

@@ -18,7 +18,6 @@ from typing import Sequence
 from .engine import (
     DirectiveWord,
     InternalConsistencyError,
-    exact_horizon,
     infer_eventually_periodic,
     recover_directive_letters,
     standard_word,
@@ -236,10 +235,8 @@ def common_s(t: WordStream, depth: int, horizon: int) -> Word | None:
     present = _present_tokens(t, seq)
     if len(present) == 2:
         s_ref = list(verdict.s_prefix.indices)
-        top = t.alphabet.size - 1
         for order in all_orders(t.alphabet, subset=present):
-            inverted = [top - r for r in order.ranks]
-            chain = minimal_window_positions(seq, inverted, depth)
+            chain = minimal_window_positions(seq, order.reversed().ranks, depth)
             b_idx = max((i for i in set(seq)), key=lambda i: order.ranks[i])
             for k in range(1, min(depth, len(chain)) + 1):
                 p = chain[k - 1][0]
@@ -299,7 +296,7 @@ def _classify_directive(
     directive: DirectiveWord, depth: int, horizon: int | None
 ) -> FinenessVerdict:
     stream = standard_word(directive)
-    h = max(horizon or 0, exact_horizon(directive, depth), 2 * depth)
+    h = max(horizon or 0, stream.exact_horizon(depth), 2 * depth)
     emp = is_fine_empirical(stream, depth, h)
     report = strictness(directive)
     if report.strict:
@@ -330,12 +327,7 @@ def _classify_directive(
 def _classify_skew(spec: SkewSpec, depth: int, horizon: int | None) -> FinenessVerdict:
     spec.validate()
     stream = construct_skew(spec)
-    composed = DirectiveWord(
-        spec.alphabet,
-        spec.morphism.letters + spec.directive.preperiod,
-        spec.directive.period,
-    )
-    h = max(horizon or 0, spec.suffix_len + exact_horizon(composed, depth) + depth, 2 * depth)
+    h = max(horizon or 0, stream.exact_horizon(depth), 2 * depth)
     emp = is_fine_empirical(stream, depth, h)
     if not emp.fine_to_depth:
         raise InternalConsistencyError(
@@ -357,6 +349,7 @@ def _classify_skew(spec: SkewSpec, depth: int, horizon: int | None) -> FinenessV
 def _classify_literal(
     stream: LiteralPeriodicStream, depth: int, horizon: int | None
 ) -> FinenessVerdict:
+    # Not an exactness bound: enough letters for reconstruct_skew to peel.
     h = max(
         horizon or 0,
         2 * depth,
@@ -454,7 +447,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     """
     seq = t.raw(horizon)
     if depth > 0:
-        gate = is_fine_empirical(t, depth, max(horizon, 2 * depth))
+        gate = is_fine_empirical(t, depth, max(horizon, 2 * depth, t.exact_horizon(depth) or 0))
         if not gate.fine_to_depth:
             raise NotSkewForm(f"not fine within depth {depth}: {gate.witness}")
     alphabet = t.alphabet

@@ -127,10 +127,6 @@ def psi(alphabet: Alphabet, letter: str) -> PureEpistandardMorphism:
     return PureEpistandardMorphism(alphabet, (alphabet.index(letter),))
 
 
-def morphism_from_tokens(alphabet: Alphabet, tokens: Iterable[str]) -> PureEpistandardMorphism:
-    return PureEpistandardMorphism(alphabet, tuple(alphabet.index(t) for t in tokens))
-
-
 class MorphicImageStream(WordStream):
     """Image of a stream under a morphism, generated image block by image block."""
 
@@ -154,6 +150,12 @@ class MorphicImageStream(WordStream):
             for c in letters:
                 self._buf.extend(self.morphism.image_of(c))
             self._consumed += len(letters)
+
+    def exact_horizon(self, k: int) -> int | None:
+        from .engine import as_directive, exact_horizon  # engine imports this module
+
+        directive = as_directive(self)
+        return None if directive is None else exact_horizon(directive, k)
 
 
 @dataclass(frozen=True)

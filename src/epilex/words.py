@@ -3,8 +3,8 @@
 Letters are interned as small integers against an :class:`Alphabet`; a
 :class:`Word` is an immutable sequence of letter indices.  Infinite words are
 deterministic prefix generators (:class:`WordStream`): every question about an
-infinite word is answered relative to an explicit horizon, and callers that
-need a guarantee of completeness must pick the horizon themselves.
+infinite word is answered relative to a horizon, and each stream kind states
+through ``exact_horizon(k)`` how long a prefix holds all its length-k factors.
 """
 
 from __future__ import annotations
@@ -159,6 +159,16 @@ class Word:
     def reversal(self) -> "Word":
         return Word(self.alphabet, self.indices[::-1])
 
+    def raw(self, n: int) -> list[int]:
+        """The first ``n`` letter indices, as a fresh list."""
+        if not 0 <= n <= len(self.indices):
+            raise LengthError(f"prefix length {n} out of range for a word of length {len(self.indices)}")
+        return list(self.indices[:n])
+
+    def exact_horizon(self, k: int) -> int:
+        """A finite word holds all its factors: the bound is its length."""
+        return len(self.indices)
+
     def is_palindrome(self) -> bool:
         return self.indices == self.indices[::-1]
 
@@ -286,6 +296,14 @@ class WordStream:
     def prefix(self, n: int) -> Word:
         return Word(self.alphabet, tuple(self.raw(n)))
 
+    def exact_horizon(self, k: int) -> int | None:
+        """A prefix length by which every length-``k`` factor has occurred.
+
+        ``None`` when the kind cannot say; results scanned from such a stream
+        are horizon-limited.
+        """
+        return None
+
 
 def prefix(stream: WordStream, n: int) -> Word:
     """The first ``n`` letters of a stream."""
@@ -314,6 +332,10 @@ class LiteralPeriodicStream(WordStream):
         while len(buf) < n:
             buf.extend(cyc)
 
+    def exact_horizon(self, k: int) -> int:
+        # Every factor starts at some position before the end of the first cycle.
+        return len(self.head) + len(self.cycle) + k - 1
+
 
 class ConcatStream(WordStream):
     """A finite word followed by another stream."""
@@ -336,6 +358,10 @@ class ConcatStream(WordStream):
             body = self.tail.raw(max(need, 0))
             del buf[len(self.head.indices):]
             buf.extend(body)
+
+    def exact_horizon(self, k: int) -> int | None:
+        tail = self.tail.exact_horizon(k)
+        return None if tail is None else len(self.head) + tail
 
 
 class CallbackStream(WordStream):

@@ -121,6 +121,26 @@ def test_verify_skew_round_trip(capsys):
     assert data["checks"][0]["recovered"]["p"] == 4
 
 
+def test_negative_k_exits_one(capsys):
+    code, _, err = run(
+        capsys, "min", "--alphabet", "a,b", "--directive", "(ab)", "--order", "a<b", "--k", "-1", "--horizon", "20"
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_verify_skew_round_trip_on_a_short_horizon(capsys):
+    code, out, _ = run(
+        capsys,
+        "verify", "--alphabet", "a,b,c",
+        "--skew", "skew v=(ab) x=c p=4 mu=psi:c suffix=full",
+        "--horizon", "50",
+    )
+    assert code == 0
+    assert out.strip() == "check=skew-round-trip ok=True"
+
+
 def test_env_horizon_override(capsys, monkeypatch):
     monkeypatch.setenv("ETK_HORIZON", "64")
     code, out, _ = run(

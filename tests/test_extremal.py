@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from epilex import (
     Alphabet,
+    CallbackStream,
     ConcatStream,
     Exactness,
     LengthError,
@@ -119,18 +121,55 @@ def test_exactness_labels_for_directive_streams():
 def test_exactness_stability_for_literal_streams():
     order = LexOrder.default(AB)
     # b(ba)^...: the first "ab" only shows up at position 2; a horizon of 3
-    # sees {bb, ba} while doubling reveals the true minimum
+    # sees {bb, ba}, short of the bound |u| + |v| + k - 1 = 4
     t = LiteralPeriodicStream(AB.word("b"), AB.word("ba"))
     res = min_factor(t, 2, order, 3)
     assert res.exactness is Exactness.HORIZON_LIMITED
     res = min_factor(t, 2, order, 12)
     assert res.exactness is Exactness.EXACT
     assert str(res.word) == "ab"
+    # b^50(a)^...: doubling a horizon of 20 still sees only b
+    t = LiteralPeriodicStream(AB.word("b" * 50), AB.word("a"))
+    assert min_factor(t, 1, order, 20).exactness is Exactness.HORIZON_LIMITED
+    res = min_factor(t, 1, order, 51)
+    assert res.exactness is Exactness.EXACT
+    assert str(res.word) == "a"
+
+
+@given(
+    st.lists(st.integers(0, 2), max_size=6),
+    st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    st.integers(1, 8),
+    st.integers(0, 24),
+)
+def test_exact_literal_results_match_the_complete_prefix(u, v, k, extra):
+    t = LiteralPeriodicStream(Word(ABC, tuple(u)), Word(ABC, tuple(v)))
+    bound = len(u) + len(v) + k - 1
+    complete = t.prefix(bound)
+    deeper = t.prefix(bound + 3 * len(v))
+    h = k + extra
+    for order in all_orders(ABC):
+        lo = min_factor(t, k, order, h)
+        hi = max_factor(t, k, order, h)
+        assert lo.exact == hi.exact == (h >= bound)
+        if lo.exact:
+            assert lo.word == oracle_min(complete, k, order) == oracle_min(deeper, k, order)
+            assert hi.word == oracle_max(complete, k, order) == oracle_max(deeper, k, order)
+
+
+def test_callback_streams_are_horizon_limited():
+    t = CallbackStream(AB, lambda n: [i % 2 for i in range(n)])
+    assert t.exact_horizon(3) is None
+    assert min_factor(t, 3, LexOrder.default(AB), 1000).exactness is Exactness.HORIZON_LIMITED
+    assert min_stream(t, LexOrder.default(AB), 20) == AB.word("ababababab")
+    with pytest.raises(ValueError):
+        min_factor(t, 3, LexOrder.default(AB))
 
 
 def test_exactness_for_skew_streams():
     core = standard_word(parse_directive(ABC, "(ab)"))
     t = ConcatStream(ABC.word("c"), core)
+    assert t.exact_horizon(4) == 1 + core.exact_horizon(4)
     res = min_factor(t, 4, LexOrder.default(ABC), 300)
     assert res.exactness is Exactness.EXACT
     assert str(res.word) == "aaba"
