@@ -20,7 +20,14 @@ from .engine import (
     strictness,
 )
 from .extremal import max_factor, min_factor
-from .fine import NotSkewForm, SpecError, construct_skew, classify, reconstruct_skew
+from .fine import (
+    HorizonTooShort,
+    NotSkewForm,
+    SpecError,
+    construct_skew,
+    classify,
+    reconstruct_skew,
+)
 from .textio import (
     ParseError,
     parse_alphabet,
@@ -44,6 +51,11 @@ from .words import (
 DEFAULT_DEPTH = 50
 DEFAULT_HORIZON = 1000
 MAX_ORDER_LETTERS = 6
+# Largest --prefix, --horizon (also through ETK_HORIZON), --k and --depth
+# accepted.  Every such value is a number of letters held in memory (about
+# 8 bytes each, more for a skew word's stacked streams); a larger one exits 1
+# before anything is generated instead of allocating until the process dies.
+MAX_LETTERS = 10**7
 
 
 class CLIError(ValueError):
@@ -55,20 +67,31 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
+def _letter_count(text: str) -> int:
+    """An integer letter count no larger than :data:`MAX_LETTERS`."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n > MAX_LETTERS:
+        raise argparse.ArgumentTypeError(f"{n} exceeds the limit of {MAX_LETTERS} letters")
+    return n
+
+
 def _default_horizon() -> int:
     env = os.environ.get("ETK_HORIZON")
     if env:
         try:
-            return int(env)
-        except ValueError:
-            raise CLIError(f"ETK_HORIZON must be an integer, got {env!r}") from None
+            return _letter_count(env)
+        except argparse.ArgumentTypeError as exc:
+            raise CLIError(f"ETK_HORIZON must be an integer letter count: {exc}") from None
     return DEFAULT_HORIZON
 
 
 def _add_common(sub: argparse.ArgumentParser, *, spec: bool = True) -> None:
     sub.add_argument("--alphabet", required=True, help="comma-separated letters, e.g. a,b,c")
     sub.add_argument("--output", choices=("text", "json"), default="text")
-    sub.add_argument("--horizon", type=int, default=None, help="scan horizon (default 1000 or ETK_HORIZON)")
+    sub.add_argument("--horizon", type=_letter_count, default=None, help="scan horizon (default 1000 or ETK_HORIZON)")
     if spec:
         group = sub.add_mutually_exclusive_group(required=True)
         group.add_argument("--directive", help="directive word u(v), e.g. \"c(ab)\"")
@@ -82,30 +105,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("generate", help="emit a prefix of a word")
     _add_common(gen)
-    gen.add_argument("--prefix", type=int, default=50, help="prefix length to emit")
+    gen.add_argument("--prefix", type=_letter_count, default=50, help="prefix length to emit")
 
     for name in ("min", "max"):
         sub = subs.add_parser(name, help=f"{name}imal factor of the given length")
         _add_common(sub)
-        sub.add_argument("--k", type=int, required=True, help="factor length")
+        sub.add_argument("--k", type=_letter_count, required=True, help="factor length")
         ordergroup = sub.add_mutually_exclusive_group(required=True)
         ordergroup.add_argument("--order", help="total order, e.g. \"a<b<c\"")
         ordergroup.add_argument("--all-orders", action="store_true", help="scan every order")
 
     cls = subs.add_parser("classify", help="fineness classification of a structured spec")
     _add_common(cls)
-    cls.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    cls.add_argument("--depth", type=_letter_count, default=DEFAULT_DEPTH)
 
     con = subs.add_parser("construct", help="build a skew word and emit a prefix")
     con.add_argument("--alphabet", required=True)
     con.add_argument("--output", choices=("text", "json"), default="text")
     con.add_argument("--skew", required=True)
-    con.add_argument("--prefix", type=int, default=50)
+    con.add_argument("--prefix", type=_letter_count, default=50)
 
     ver = subs.add_parser("verify", help="run internal consistency checks")
     _add_common(ver)
     ver.add_argument("--i", type=int, default=3, help="verify shift-chain links 1..i (directives)")
-    ver.add_argument("--depth", type=int, default=20)
+    ver.add_argument("--depth", type=_letter_count, default=20)
 
     return parser
 
@@ -235,6 +258,10 @@ def _cmd_verify(args) -> int:
         stream = construct_skew(spec)
         try:
             recovered = reconstruct_skew(stream, args.depth, horizon)
+        except HorizonTooShort as exc:
+            raise CLIError(
+                f"--horizon {horizon} is too short to reconstruct the skew word: {exc}"
+            ) from None
         except NotSkewForm as exc:
             raise InternalConsistencyError(f"round-trip failed: {exc}") from None
         same = construct_skew(recovered).raw(horizon) == stream.raw(horizon)

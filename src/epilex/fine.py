@@ -38,6 +38,7 @@ from .extremal import minimal_window_positions
 __all__ = [
     "Classification",
     "FinenessVerdict",
+    "HorizonTooShort",
     "NotSkewForm",
     "SkewSpec",
     "SpecError",
@@ -57,6 +58,10 @@ class SpecError(ValueError):
 
 class NotSkewForm(ValueError):
     """The scanned word cannot be peeled into the skew normal form."""
+
+
+class HorizonTooShort(NotSkewForm):
+    """The scanned prefix ran out before the skew normal form could be read off."""
 
 
 @dataclass(frozen=True)
@@ -355,11 +360,12 @@ def _classify_literal(
         2 * depth,
         4 * (len(stream.head) + len(stream.cycle)) + 8 * depth,
     )
+    # One scan serves as the fineness gate, the witness and the unknown verdict.
+    emp = is_fine_empirical(stream, depth, h)
     letters = set(stream.raw(h))
     if len(letters) == 1:
         # The one-letter periodic word is the degenerate strict case.
         tok = stream.alphabet.letters[next(iter(letters))]
-        emp = is_fine_empirical(stream, depth, h)
         if not emp.fine_to_depth:
             raise InternalConsistencyError("one-letter word failed the empirical scan")
         return FinenessVerdict(
@@ -368,15 +374,14 @@ def _classify_literal(
             strict_alphabet=frozenset((tok,)),
             s_prefix=emp.s_prefix,
         )
-    try:
-        spec = reconstruct_skew(stream, depth, h)
-    except NotSkewForm:
-        emp = is_fine_empirical(stream, depth, h)
-        if emp.fine_to_depth:
-            return replace(emp, classification=Classification.UNKNOWN)
+    if not emp.fine_to_depth:
         return FinenessVerdict(
             classification=Classification.NOT_FINE, depth=depth, witness=emp.witness
         )
+    try:
+        spec = reconstruct_skew(stream, 0, h)
+    except NotSkewForm:
+        return emp
     return _classify_skew(spec, depth, horizon)
 
 
@@ -462,7 +467,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
             i = seq.index(x)
             head, tail = seq[:i], seq[i + 1 :]
             if len(tail) <= len(head) or len(tail) < 4:
-                raise NotSkewForm("horizon too short past the unique letter")
+                raise HorizonTooShort("horizon too short past the unique letter")
             if head != tail[: len(head)][::-1]:
                 raise NotSkewForm("prefix before the unique letter does not mirror the core")
             return _assemble_spec(t, alphabet, gens, x, head, tail, horizon)
@@ -475,7 +480,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
         seq = _peel(seq, z)
         gens.append(z)
         if len(seq) < 8:
-            raise NotSkewForm("horizon exhausted while peeling")
+            raise HorizonTooShort("horizon exhausted while peeling")
     raise NotSkewForm("peeling did not terminate")
 
 
@@ -491,7 +496,7 @@ def _assemble_spec(
     try:
         core = infer_eventually_periodic(alphabet, recover_directive_letters(tail))
     except ValueError as exc:
-        raise NotSkewForm(str(exc)) from None
+        raise HorizonTooShort(str(exc)) from None
     morphism = PureEpistandardMorphism(alphabet, tuple(gens))
     base = SkewSpec(
         directive=core,

@@ -128,7 +128,11 @@ def psi(alphabet: Alphabet, letter: str) -> PureEpistandardMorphism:
 
 
 class MorphicImageStream(WordStream):
-    """Image of a stream under a morphism, generated image block by image block."""
+    """Image of a stream under a morphism, generated image block by image block.
+
+    The inner stream is read by range, each inner letter once, so growing the
+    image to ``n`` letters costs time linear in ``n``.
+    """
 
     kind = "morphic-image"
 
@@ -138,24 +142,34 @@ class MorphicImageStream(WordStream):
         super().__init__(inner.alphabet)
         self.morphism = morphism
         self.inner = inner
+        self._images = tuple(morphism.image_of(c) for c in range(inner.alphabet.size))
+        self._longest = max(map(len, self._images))
         self._consumed = 0
 
     def _extend(self, n: int) -> None:
-        # Images are non-empty, so one inner letter per loop makes progress.
-        chunk = 64
-        while len(self._buf) < n:
-            letters = self.inner.raw(self._consumed + chunk)[self._consumed:]
+        buf, images = self._buf, self._images
+        while len(buf) < n:
+            # Images are non-empty, so every inner letter makes progress.  Read
+            # what the deficit needs at the longest image, at least 64 letters
+            # so short requests batch and at most 4096 to bound the overshoot.
+            chunk = min(max((n - len(buf)) // self._longest + 1, 64), 4096)
+            letters = self.inner.raw_range(self._consumed, self._consumed + chunk)
             if not letters:
                 raise RuntimeError("inner stream stopped producing letters")
             for c in letters:
-                self._buf.extend(self.morphism.image_of(c))
+                buf.extend(images[c])
             self._consumed += len(letters)
 
     def exact_horizon(self, k: int) -> int | None:
         from .engine import as_directive, exact_horizon  # engine imports this module
 
         directive = as_directive(self)
-        return None if directive is None else exact_horizon(directive, k)
+        if directive is not None:
+            return exact_horizon(directive, k)
+        # A length-k window of the image lies inside the image of k consecutive
+        # inner letters, which occur within the inner bound.
+        inner = self.inner.exact_horizon(k)
+        return None if inner is None else self._longest * inner
 
 
 @dataclass(frozen=True)

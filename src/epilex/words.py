@@ -268,8 +268,12 @@ class WordStream:
 
     ``prefix(n)`` is total and prefix-monotone: repeated calls agree, and the
     result for ``m <= n`` is a prefix of the result for ``n``.  Streams are
-    immutable values; the internal prefix memo is extended under a lock so
-    concurrent readers are safe.
+    immutable values.  The internal prefix memo ``_buf`` is append-only: a
+    letter, once stored, is never removed or rewritten, and ``_extend`` only
+    appends, under a lock, so concurrent readers are safe.  ``raw_range``
+    copies out just the letters asked for, which lets a stream built on
+    another one (a concatenation, a morphic image) read its source by range
+    in time linear in what it consumes.
     """
 
     kind = "abstract"
@@ -283,15 +287,21 @@ class WordStream:
         """Grow ``self._buf`` to at least ``n`` letters.  Called under the lock."""
         raise NotImplementedError
 
+    def raw_range(self, start: int, stop: int) -> list[int]:
+        """The letter indices at positions ``start`` to ``stop - 1``, as a fresh list."""
+        if not 0 <= start <= stop:
+            raise ValueError(f"letter range {start}:{stop} must satisfy 0 <= start <= stop")
+        if len(self._buf) < stop:
+            with self._lock:
+                if len(self._buf) < stop:
+                    self._extend(stop)
+        return self._buf[start:stop]
+
     def raw(self, n: int) -> list[int]:
         """The first ``n`` letter indices, as a fresh list."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
-        if len(self._buf) < n:
-            with self._lock:
-                if len(self._buf) < n:
-                    self._extend(n)
-        return self._buf[:n]
+        return self.raw_range(0, n)
 
     def prefix(self, n: int) -> Word:
         return Word(self.alphabet, tuple(self.raw(n)))
@@ -353,11 +363,9 @@ class ConcatStream(WordStream):
         buf = self._buf
         if not buf:
             buf.extend(self.head.indices)
+        offset = len(self.head)
         if len(buf) < n:
-            need = n - len(self.head.indices)
-            body = self.tail.raw(max(need, 0))
-            del buf[len(self.head.indices):]
-            buf.extend(body)
+            buf.extend(self.tail.raw_range(len(buf) - offset, n - offset))
 
     def exact_horizon(self, k: int) -> int | None:
         tail = self.tail.exact_horizon(k)
@@ -381,7 +389,7 @@ class CallbackStream(WordStream):
         out = list(self._fn(n))
         if len(out) < n:
             raise ValueError("callback returned a too-short prefix")
-        self._buf[:] = out
+        self._buf.extend(out[len(self._buf) :])
 
 
 class Side(Enum):

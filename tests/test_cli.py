@@ -1,6 +1,6 @@
 import json
 
-from epilex.cli import main
+from epilex.cli import MAX_LETTERS, main
 from epilex import Alphabet
 from epilex.textio import parse_directive, parse_morphism, parse_skew, skew_from_dict
 
@@ -139,6 +139,39 @@ def test_verify_skew_round_trip_on_a_short_horizon(capsys):
     )
     assert code == 0
     assert out.strip() == "check=skew-round-trip ok=True"
+
+
+def test_verify_skew_on_a_too_short_horizon_is_a_user_error(capsys):
+    code, out, err = run(
+        capsys,
+        "verify", "--alphabet", "a,b,c",
+        "--skew", "skew v=(ab) x=c p=4 mu=psi:c suffix=full",
+        "--horizon", "20",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --horizon 20 is too short")
+
+
+def test_letter_counts_over_the_cap_exit_one(capsys, monkeypatch):
+    over = str(MAX_LETTERS + 1)
+    skew = "skew v=(ab) x=c p=4 mu=psi:c suffix=full"
+    for argv in (
+        ("construct", "--alphabet", "a,b,c", "--skew", skew, "--prefix", "99999999999"),
+        ("generate", "--alphabet", "a,b", "--directive", "(ab)", "--prefix", over),
+        ("min", "--alphabet", "a,b", "--directive", "(ab)", "--order", "a<b", "--k", "2", "--horizon", over),
+        ("max", "--alphabet", "a,b", "--directive", "(ab)", "--order", "a<b", "--k", over),
+        ("classify", "--alphabet", "a,b", "--directive", "(ab)", "--depth", over),
+        ("verify", "--alphabet", "a,b,c", "--skew", skew, "--depth", over),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == "" and f"exceeds the limit of {MAX_LETTERS} letters" in err
+    monkeypatch.setenv("ETK_HORIZON", over)
+    code, _, err = run(
+        capsys, "min", "--alphabet", "a,b", "--directive", "(ab)", "--order", "a<b", "--k", "2"
+    )
+    assert code == 1 and "ETK_HORIZON" in err
 
 
 def test_env_horizon_override(capsys, monkeypatch):

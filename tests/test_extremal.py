@@ -175,6 +175,24 @@ def test_exactness_for_skew_streams():
     assert str(res.word) == "aaba"
 
 
+def test_exactness_for_morphic_images_of_non_directive_streams():
+    # psi_c(c . Fib) has no composed directive; its bound is the longest letter
+    # image (2) times the inner concatenation's bound
+    core = standard_word(parse_directive(ABC, "(ab)"))
+    t = psi(ABC, "c").apply(ConcatStream(ABC.word("c"), core))
+    for k in (1, 2, 4, 9):
+        bound = t.exact_horizon(k)
+        assert bound == 2 * (1 + core.exact_horizon(k))
+        deeper = t.prefix(20 * bound)
+        for order in all_orders(ABC):
+            lo = min_factor(t, k, order, bound)
+            hi = max_factor(t, k, order, bound)
+            assert lo.exact and hi.exact
+            assert lo.word == oracle_min(deeper, k, order)
+            assert hi.word == oracle_max(deeper, k, order)
+            assert min_factor(t, k, order, bound - 1).exactness is Exactness.HORIZON_LIMITED
+
+
 def test_min_never_below_letter_extension_bound():
     # the standard-word inequality: (least letter).s_{k-1} <= min(s|k), every
     # order, on a small random corpus

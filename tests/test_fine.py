@@ -133,6 +133,23 @@ def test_classify_literal_words():
     assert v.classification is Classification.NOT_FINE and v.witness is not None
 
 
+def test_classify_literal_scans_once_when_not_fine(monkeypatch):
+    import epilex.fine as fine
+
+    calls = []
+    scan = fine.is_fine_empirical
+
+    def counting(*args):
+        calls.append(args[1:])
+        return scan(*args)
+
+    monkeypatch.setattr(fine, "is_fine_empirical", counting)
+    t = LiteralPeriodicStream(ABC.word("cacbcacacbcacbcac"), ABC.word("acbcacacbcacbcac"))
+    v = classify(t, 8)
+    assert v.classification is Classification.NOT_FINE and v.witness is not None
+    assert calls == [(8, 196)]
+
+
 def test_classify_rejects_unknown_types():
     with pytest.raises(TypeError):
         classify("not a spec", 10)

@@ -1,12 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from epilex import (
     Alphabet,
+    CallbackStream,
+    ConcatStream,
+    DirectiveWord,
     EpistandardMorphism,
     GroupWord,
+    LiteralPeriodicStream,
+    MorphicImageStream,
     Permutation,
     PureEpistandardMorphism,
     Word,
@@ -48,6 +53,61 @@ def test_apply_to_streams():
     ident = identity(AB)
     assert ident.apply(AB.word("abab")) == AB.word("abab")
     assert ident.apply(fib()).prefix(10) == fib().prefix(10)
+
+
+_LETTERS = st.lists(st.integers(0, 2), max_size=4)
+_PERIOD = st.lists(st.integers(0, 2), min_size=1, max_size=4)
+_INNER_STREAMS = st.one_of(
+    st.builds(
+        lambda pre, per: standard_word(DirectiveWord(ABC, tuple(pre), tuple(per))),
+        _LETTERS, _PERIOD,
+    ),
+    st.builds(
+        lambda u, v: LiteralPeriodicStream(Word(ABC, tuple(u)), Word(ABC, tuple(v))),
+        _LETTERS, _PERIOD,
+    ),
+    st.builds(
+        lambda head, pre, per: ConcatStream(
+            Word(ABC, tuple(head)), standard_word(DirectiveWord(ABC, tuple(pre), tuple(per)))
+        ),
+        _LETTERS, _LETTERS, _PERIOD,
+    ),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_LETTERS, _INNER_STREAMS, st.lists(st.integers(1, 9000), min_size=1, max_size=6))
+def test_morphic_image_grown_in_uneven_steps(gens, inner, steps):
+    # steps up to 9000 letters cross both the 64- and the 4096-letter chunk edges
+    m = PureEpistandardMorphism(ABC, tuple(gens))
+    image = MorphicImageStream(m, inner)
+    n = 0
+    for step in steps:
+        n += step
+        # images are non-empty, so n inner letters map to at least n letters
+        assert image.prefix(n) == m.apply_word(inner.prefix(n))[:n]
+
+
+def test_morphic_image_reads_each_inner_letter_once():
+    source = standard_word(parse_directive(ABC, "(ab)"))
+    read = []
+
+    class Counting(CallbackStream):
+        def raw_range(self, start, stop):
+            out = super().raw_range(start, stop)
+            read.append(len(out))
+            return out
+
+    m = PureEpistandardMorphism(ABC, (2, 0))
+    image = MorphicImageStream(m, Counting(ABC, source.raw))
+    lengths = [len(m.image_of(c)) for c in source.raw(200000)]
+    for n in (1, 100, 5000, 5001, 60000, 60100, 200000):
+        image.prefix(n)
+        needed, total = 0, 0
+        while total < n:
+            total += lengths[needed]
+            needed += 1
+        assert needed <= sum(read) <= needed + 4096
 
 
 def test_compose():

@@ -13,6 +13,7 @@ from epilex import (
     all_orders,
     compare,
     complexity,
+    construct_skew,
     factor_sets_equal,
     factors,
     is_palindrome,
@@ -21,7 +22,7 @@ from epilex import (
     special_factors,
     standard_word,
 )
-from epilex.textio import parse_directive
+from epilex.textio import parse_directive, parse_skew
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -188,17 +189,19 @@ def test_factor_sets_equal():
 def test_concurrent_stream_extension_is_safe():
     import threading
 
-    s = fib()
-    results = []
+    # a skew word is a ConcatStream over a MorphicImageStream over a directive stream
+    skew = construct_skew(parse_skew(ABC, "skew v=(ab) x=c p=4 mu=psi:c suffix=full"))
+    for s in (fib(), skew):
+        results = []
 
-    def reader(n):
-        results.append(s.prefix(n))
+        def reader(n):
+            results.append(s.prefix(n))
 
-    threads = [threading.Thread(target=reader, args=(500 + 37 * i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    long = s.prefix(800)
-    for r in results:
-        assert r == long[: len(r)]
+        threads = [threading.Thread(target=reader, args=(500 + 37 * i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        long = s.prefix(800)
+        for r in results:
+            assert r == long[: len(r)]
