@@ -353,8 +353,16 @@ def exact_horizon(directive: DirectiveWord, k: int) -> int:
     ``2k``: the rule takes that prefix and continues the chain for
     preperiod+period+1 further steps.  With a single recurring letter the
     word is purely periodic (period: the image of the recurring letter under
-    the preperiod morphism) and one period plus ``2k`` suffices.  Calibrated
-    empirically; extremal results label anything below this horizon-limited.
+    the preperiod morphism) and one period plus ``2k`` suffices.
+
+    This bound is an empirical claim, not a derived one.
+    ``tests/test_extremal.py::test_exact_horizons_hold_every_factor`` tries
+    to falsify it (and the bounds the other stream kinds build on it) by
+    brute force: it finds where each distinct length-``k`` factor first ends
+    in a prefix eight times the bound and checks that none ends past it.
+    The claim carries weight: minimal-factor scans stop at this bound, so a
+    bound that is too short would change the factors returned, not only
+    their ``exact`` label.  Results scanned below it are horizon-limited.
     """
     if k <= 0:
         return 1

@@ -8,8 +8,10 @@ alongside for cross-checking; it shares no code with the fast path.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Sequence
 
 from .words import AlphabetError, LengthError, LexOrder, Word, WordStream
@@ -67,19 +69,24 @@ def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int
 
     Positions for k+1 are the extendable positions for k that continue with
     the smallest letter; if none extends, the scan restarts from scratch.
+    Positions stay sorted, so the ones too close to the end to extend are a
+    suffix of the list.
     """
     n = len(seq)
     k_max = min(k_max, n)
     if k_max < 1:
         return []
-    best = min(rank[c] for c in seq)
-    positions = [i for i, c in enumerate(seq) if rank[c] == best]
+    r = [rank[c] for c in seq]
+    best = min(r)
+    positions = list(compress(range(n), map(best.__eq__, r)))
     out = [positions]
     for k in range(2, k_max + 1):
-        live = [p for p in positions if p + k <= n]
+        live = positions[: bisect_right(positions, n - k)]
         if live:
-            best = min(rank[seq[p + k - 1]] for p in live)
-            positions = [p for p in live if rank[seq[p + k - 1]] == best]
+            j = k - 1
+            nxt = [r[p + j] for p in live]
+            best = min(nxt)
+            positions = list(compress(live, map(best.__eq__, nxt)))
         else:
             positions = _rescan_positions(seq, rank, k)
         out.append(positions)
@@ -88,6 +95,16 @@ def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int
 
 def _min_position(seq: Sequence[int], rank: Sequence[int], k: int) -> int:
     return minimal_window_positions(seq, rank, k)[-1][0]
+
+
+def _scan(w: Word | WordStream, horizon: int, bound: int | None) -> list[int]:
+    """The letters a scan for factors of one length reads.
+
+    The first ``horizon`` letters, cut at ``bound``, the stream's exact
+    horizon for that length, when it states one: no later letter starts a
+    factor not seen before, so the cut changes no result.
+    """
+    return w.raw(horizon if bound is None else min(horizon, bound))
 
 
 def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, invert: bool) -> ExtremalResult:
@@ -102,7 +119,7 @@ def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None
         horizon = bound
     if horizon < k:
         raise LengthError(f"horizon {horizon} is smaller than factor length {k}")
-    seq = w.raw(horizon)
+    seq = _scan(w, horizon, bound)
     if k == 0:
         return ExtremalResult(
             word=Word(w.alphabet, ()), k=0, order=order, horizon=horizon, exactness=Exactness.EXACT
@@ -123,7 +140,10 @@ def min_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | Non
     """The lexicographically least length-``k`` factor seen within the horizon.
 
     The result is exact when the horizon reaches ``w.exact_horizon(k)``, which
-    is also the default horizon: a finite word is scanned whole.
+    is also the default horizon: a finite word is scanned whole.  The scan
+    stops at that bound when the stream states one, so a horizon past it
+    costs nothing and changes no result; the reported ``horizon`` is still
+    the one requested.
     """
     return _extremal(w, k, order, horizon, invert=False)
 
@@ -138,7 +158,7 @@ def _limit_word(w: WordStream, order: LexOrder, horizon: int, invert: bool) -> W
         raise ValueError("horizon must be >= 1")
     k = max(1, horizon // 2)
     bound = w.exact_horizon(k)
-    seq = w.raw(horizon if bound is None else max(horizon, bound))
+    seq = w.raw(horizon if bound is None else bound)
     p = _min_position(seq, (order.reversed() if invert else order).ranks, k)
     return Word(w.alphabet, tuple(seq[p : p + k]))
 
@@ -147,9 +167,10 @@ def min_stream(w: WordStream, order: LexOrder, horizon: int) -> Word:
     """The longest prefix of the limit of minimal factors the horizon supports.
 
     The chain of minima extends letter by letter, so its element at length
-    ``horizon // 2`` is that prefix.  The internal scan is deepened past the
-    horizon to the stream's exact horizon when its kind states one; the
-    horizon only bounds the returned length.
+    ``horizon // 2`` is that prefix.  When the stream states an exact
+    horizon for that length, the scan reads exactly that many letters,
+    whether the horizon is shorter or longer; the horizon only bounds the
+    returned length.  Otherwise the scan reads ``horizon`` letters.
     """
     return _limit_word(w, order, horizon, invert=False)
 

@@ -33,7 +33,7 @@ from .words import (
     WordStream,
     all_orders,
 )
-from .extremal import minimal_window_positions
+from .extremal import _scan, minimal_window_positions
 
 __all__ = [
     "Classification",
@@ -181,12 +181,17 @@ def is_fine_empirical(t: WordStream, depth: int, horizon: int) -> FinenessVerdic
     ``depth``, else ``NOT_FINE`` with the first offending (order, length,
     factor) found.  The number of orders is factorial in the number of
     distinct letters; keep alphabets small.
+
+    The scan stops at ``t.exact_horizon(depth)`` when the stream states it,
+    so a horizon past that bound costs nothing and changes no verdict: every
+    length-k factor with k <= depth is a prefix of a length-``depth`` factor,
+    and all of those have occurred by then.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if horizon < 2 * depth:
         raise ValueError("horizon must be at least twice the depth")
-    seq = t.raw(horizon)
+    seq = _scan(t, horizon, t.exact_horizon(depth))
     present = _present_tokens(t, seq)
     orders = all_orders(t.alphabet, subset=present)
     s_ref: list[int] | None = None
@@ -236,7 +241,7 @@ def common_s(t: WordStream, depth: int, horizon: int) -> Word | None:
     verdict = is_fine_empirical(t, depth, horizon)
     if not verdict.fine_to_depth or verdict.s_prefix is None:
         return None
-    seq = t.raw(horizon)
+    seq = _scan(t, horizon, t.exact_horizon(depth))
     present = _present_tokens(t, seq)
     if len(present) == 2:
         s_ref = list(verdict.s_prefix.indices)
@@ -279,9 +284,10 @@ def verify_min_transfer(
     a_idx = alphabet.index(a)
     z_idx = alphabet.index(z)
     gen = psi(alphabet, z)
-    t_seq = MorphicImageStream(gen, t1).raw(horizon)
+    image = MorphicImageStream(gen, t1)
+    t_seq = _scan(image, horizon, image.exact_horizon(depth))
     s_img = MorphicImageStream(gen, s1).raw(depth + 2)
-    t1_seq = t1.raw(horizon)
+    t1_seq = _scan(t1, horizon, t1.exact_horizon(depth))
     s1_pref = s1.raw(depth + 1)
     lhs_expected = [a_idx] + s1_pref
     for order in all_orders(alphabet):
@@ -297,12 +303,9 @@ def verify_min_transfer(
     return True
 
 
-def _classify_directive(
-    directive: DirectiveWord, depth: int, horizon: int | None
-) -> FinenessVerdict:
+def _classify_directive(directive: DirectiveWord, depth: int) -> FinenessVerdict:
     stream = standard_word(directive)
-    h = max(horizon or 0, stream.exact_horizon(depth), 2 * depth)
-    emp = is_fine_empirical(stream, depth, h)
+    emp = is_fine_empirical(stream, depth, stream.exact_horizon(depth))
     report = strictness(directive)
     if report.strict:
         if not emp.fine_to_depth:
@@ -329,11 +332,10 @@ def _classify_directive(
     )
 
 
-def _classify_skew(spec: SkewSpec, depth: int, horizon: int | None) -> FinenessVerdict:
+def _classify_skew(spec: SkewSpec, depth: int) -> FinenessVerdict:
     spec.validate()
     stream = construct_skew(spec)
-    h = max(horizon or 0, stream.exact_horizon(depth), 2 * depth)
-    emp = is_fine_empirical(stream, depth, h)
+    emp = is_fine_empirical(stream, depth, stream.exact_horizon(depth))
     if not emp.fine_to_depth:
         raise InternalConsistencyError(
             f"skew spec {spec} failed the empirical scan: {emp.witness}"
@@ -382,7 +384,7 @@ def _classify_literal(
         spec = reconstruct_skew(stream, 0, h)
     except NotSkewForm:
         return emp
-    return _classify_skew(spec, depth, horizon)
+    return _classify_skew(spec, depth)
 
 
 def classify(
@@ -396,12 +398,14 @@ def classify(
     invariants, and literal ultimately periodic words by attempted peeling.
     Every structural verdict is cross-checked against the empirical scan, and
     a disagreement raises :class:`InternalConsistencyError` rather than being
-    swallowed.
+    swallowed.  Directives and skew specifications state their exact bound,
+    so their scan reads exactly that many letters and ``horizon`` only sets
+    the letters a literal word is peeled from.
     """
     if isinstance(spec, DirectiveWord):
-        return _classify_directive(spec, depth, horizon)
+        return _classify_directive(spec, depth)
     if isinstance(spec, SkewSpec):
-        return _classify_skew(spec, depth, horizon)
+        return _classify_skew(spec, depth)
     if isinstance(spec, LiteralPeriodicStream):
         return _classify_literal(spec, depth, horizon)
     raise TypeError(f"cannot classify {type(spec).__name__}")
@@ -452,6 +456,8 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     """
     seq = t.raw(horizon)
     if depth > 0:
+        # Deepened to the exact bound, where the scan stops, so a fine word is
+        # not refuted for want of letters however short the horizon.
         gate = is_fine_empirical(t, depth, max(horizon, 2 * depth, t.exact_horizon(depth) or 0))
         if not gate.fine_to_depth:
             raise NotSkewForm(f"not fine within depth {depth}: {gate.witness}")

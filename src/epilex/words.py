@@ -386,10 +386,15 @@ class CallbackStream(WordStream):
         self._fn = fn
 
     def _extend(self, n: int) -> None:
-        out = list(self._fn(n))
-        if len(out) < n:
+        # ``fn`` can only hand out whole prefixes, so ask for at least twice
+        # what is buffered: a reader growing the stream in small steps then
+        # makes ``fn`` produce amortised-linear letters, not quadratic.
+        have = len(self._buf)
+        want = max(n, 2 * have)
+        out = list(self._fn(want))
+        if len(out) < want:
             raise ValueError("callback returned a too-short prefix")
-        self._buf.extend(out[len(self._buf) :])
+        self._buf.extend(out[have:want])
 
 
 class Side(Enum):

@@ -1,19 +1,25 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from epilex import (
     Alphabet,
     CallbackStream,
+    Classification,
     ConcatStream,
+    DirectiveWord,
     Exactness,
     LengthError,
     LexOrder,
     LiteralPeriodicStream,
+    MorphicImageStream,
+    PureEpistandardMorphism,
     Word,
     all_orders,
+    construct_skew,
     exact_horizon,
+    is_fine_empirical,
     max_factor,
     max_stream,
     min_factor,
@@ -25,7 +31,7 @@ from epilex import (
 )
 from epilex.textio import parse_directive
 
-from helpers import random_directive
+from helpers import LETTERS, random_canonical_skew, random_directive
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -209,3 +215,114 @@ def test_min_never_below_letter_extension_bound():
                 m = min_factor(stream, k, order, h).word
                 required = [a] + seq[: k - 1]
                 assert [ranks[c] for c in required] <= [ranks[c] for c in m.indices]
+
+
+# --- scans stop at the exact bound ---------------------------------------------
+
+
+@st.composite
+def bounded_streams(draw):
+    """A stream that states an exact horizon: a directive stream (strict or
+    not, 2-4 letters) under up to two layers of morphic images and
+    concatenations, or a literal ultimately periodic word."""
+    size = draw(st.integers(2, 4))
+    alphabet = Alphabet(tuple(LETTERS[:size]))
+    letters = st.lists(st.integers(0, size - 1), max_size=5)
+    if draw(st.booleans()):
+        head, cycle = draw(letters), draw(letters.filter(bool))
+        return LiteralPeriodicStream(Word(alphabet, tuple(head)), Word(alphabet, tuple(cycle)))
+    if draw(st.booleans()):
+        period = tuple(draw(st.permutations(range(size))))  # strict: every letter recurs
+    else:
+        period = tuple(draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4)))
+    preperiod = tuple(draw(st.lists(st.integers(0, size - 1), max_size=2)))
+    stream = standard_word(DirectiveWord(alphabet, preperiod, period))
+    for layer in draw(st.lists(st.sampled_from(("morphic", "concat")), max_size=2)):
+        if layer == "morphic":
+            gens = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=2))
+            stream = MorphicImageStream(PureEpistandardMorphism(alphabet, tuple(gens)), stream)
+        else:
+            stream = ConcatStream(Word(alphabet, tuple(draw(letters))), stream)
+    return stream
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_streams(), st.integers(1, 40))
+def test_exact_horizons_hold_every_factor(t, k):
+    # Falsification test for every exact_horizon that scans stop at: no
+    # length-k factor may first occur past the bound, checked by brute force
+    # over a prefix eight times as long.
+    bound = t.exact_horizon(k)
+    assert bound is not None and bound >= k
+    letters = bytes(t.raw(8 * bound))
+    seen = {letters[i : i + k] for i in range(bound - k + 1)}
+    for i in range(len(letters) - k + 1):
+        assert letters[i : i + k] in seen, f"a length-{k} factor first ends at {i + k}, past the bound {bound}"
+
+
+def _stream_cases(rng):
+    """Directive, morphic-image, skew and literal streams, each with a factor length."""
+    for case in range(24):
+        kind = case % 4
+        if kind == 0:
+            t = standard_word(random_directive(rng, max_alpha=3, min_alpha=2))
+        elif kind == 1:
+            d = random_directive(rng, max_alpha=3, min_alpha=2)
+            gens = tuple(rng.randrange(d.alphabet.size) for _ in range(rng.randint(1, 2)))
+            t = MorphicImageStream(PureEpistandardMorphism(d.alphabet, gens), standard_word(d))
+        elif kind == 2:
+            t = construct_skew(random_canonical_skew(rng, max_alpha=3))
+        else:
+            d = random_directive(rng, max_alpha=3, min_alpha=2)
+            size = d.alphabet.size
+            head = Word(d.alphabet, tuple(rng.randrange(size) for _ in range(rng.randint(0, 5))))
+            cycle = Word(d.alphabet, tuple(rng.randrange(size) for _ in range(rng.randint(1, 5))))
+            t = LiteralPeriodicStream(head, cycle)
+        yield t, rng.randint(1, 8)
+
+
+def test_capped_scans_match_the_oracle_over_the_requested_prefix():
+    # Past the bound the scan stops, yet the answer is the extremum of the
+    # whole prefix the caller asked for.
+    rng = random.Random(61)
+    for t, k in _stream_cases(rng):
+        bound = t.exact_horizon(k)
+        for h in (bound, 4 * bound + 7):
+            requested = t.prefix(h)
+            for order in all_orders(t.alphabet):
+                lo = min_factor(t, k, order, h)
+                hi = max_factor(t, k, order, h)
+                assert lo.exact and hi.exact and lo.horizon == hi.horizon == h
+                assert lo.word == oracle_min(requested, k, order)
+                assert hi.word == oracle_max(requested, k, order)
+
+
+def test_not_fine_witness_is_the_least_factor_of_the_requested_prefix():
+    rng = random.Random(67)
+    depth = 8
+    witnesses = 0
+    for t, _ in _stream_cases(rng):
+        h = 4 * t.exact_horizon(depth) + 7
+        verdict = is_fine_empirical(t, depth, h)
+        if verdict.classification is Classification.NOT_FINE:
+            w = verdict.witness
+            assert w.factor == oracle_min(t.prefix(h), w.k, w.order)
+            witnesses += 1
+    assert witnesses > 0
+
+
+def test_min_factor_generates_no_letter_past_the_bound():
+    class Recording(LiteralPeriodicStream):
+        longest = 0  # the most letters any extension asked for
+
+        def _extend(self, n):
+            self.longest = max(self.longest, n)
+            super()._extend(n)
+
+    order = LexOrder.default(AB)
+    t = Recording(AB.word("ab"), AB.word("aab"))
+    assert t.exact_horizon(50) == 54
+    res = min_factor(t, 50, order, 10**5)
+    assert res.exact and res.horizon == 10**5
+    assert t.longest <= 54
+    assert res.word == oracle_min(t.prefix(200), 50, order)

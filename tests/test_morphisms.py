@@ -110,6 +110,31 @@ def test_morphic_image_reads_each_inner_letter_once():
         assert needed <= sum(read) <= needed + 4096
 
 
+def test_callback_stream_read_by_range_copies_linearly():
+    # A callback can only return whole prefixes; the stream asks for at least
+    # twice what it holds, so small range reads do not re-copy the prefix.
+    source = standard_word(parse_directive(ABC, "(ab)"))
+    returned = []
+    consumed = []
+
+    def fn(n):
+        out = source.raw(n)
+        returned.append(len(out))
+        return out
+
+    class Counting(CallbackStream):
+        def raw_range(self, start, stop):
+            out = super().raw_range(start, stop)
+            consumed.append(len(out))
+            return out
+
+    image = MorphicImageStream(PureEpistandardMorphism(ABC, (2, 0)), Counting(ABC, fn))
+    for stop in range(1000, 200_001, 1000):
+        image.raw_range(stop - 1000, stop)
+    assert image.prefix(200_000) == MorphicImageStream(image.morphism, source).prefix(200_000)
+    assert sum(returned) <= 4 * sum(consumed)
+
+
 def test_compose():
     pa, pb = psi(ABC, "a"), psi(ABC, "b")
     assert identity(ABC).compose(pa) == pa
