@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import compress
 from typing import Sequence
 
-from .words import AlphabetError, LengthError, LexOrder, Word, WordStream
+from .words import AlphabetError, LengthError, LexOrder, Word, WordStream, scan_prefix
 
 __all__ = [
     "Exactness",
@@ -97,29 +97,18 @@ def _min_position(seq: Sequence[int], rank: Sequence[int], k: int) -> int:
     return minimal_window_positions(seq, rank, k)[-1][0]
 
 
-def _scan(w: Word | WordStream, horizon: int, bound: int | None) -> list[int]:
-    """The letters a scan for factors of one length reads.
-
-    The first ``horizon`` letters, cut at ``bound``, the stream's exact
-    horizon for that length, when it states one: no later letter starts a
-    factor not seen before, so the cut changes no result.
-    """
-    return w.raw(horizon if bound is None else min(horizon, bound))
-
-
 def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, invert: bool) -> ExtremalResult:
     if k < 0:
         raise ValueError("factor length must be >= 0")
     if w.alphabet != order.alphabet:
         raise AlphabetError("order alphabet does not match the word alphabet")
-    bound = w.exact_horizon(k)
-    if horizon is None:
-        if bound is None:
-            raise ValueError(f"a {w.kind} stream states no exact horizon; pass one")
-        horizon = bound
-    if horizon < k:
+    if horizon is not None and horizon < k:
         raise LengthError(f"horizon {horizon} is smaller than factor length {k}")
-    seq = _scan(w, horizon, bound)
+    seq, bound = scan_prefix(w, k, horizon)
+    if len(seq) < k:
+        raise LengthError(f"factor length {k} exceeds word length {len(seq)}")
+    if horizon is None:
+        horizon = bound
     if k == 0:
         return ExtremalResult(
             word=Word(w.alphabet, ()), k=0, order=order, horizon=horizon, exactness=Exactness.EXACT
@@ -143,7 +132,8 @@ def min_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | Non
     is also the default horizon: a finite word is scanned whole.  The scan
     stops at that bound when the stream states one, so a horizon past it
     costs nothing and changes no result; the reported ``horizon`` is still
-    the one requested.
+    the one requested.  A ``k`` longer than a finite word raises
+    :class:`LengthError` whatever the horizon.
     """
     return _extremal(w, k, order, horizon, invert=False)
 
@@ -157,8 +147,7 @@ def _limit_word(w: WordStream, order: LexOrder, horizon: int, invert: bool) -> W
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     k = max(1, horizon // 2)
-    bound = w.exact_horizon(k)
-    seq = w.raw(horizon if bound is None else bound)
+    seq, _ = scan_prefix(w, k, horizon, deepen=True)
     p = _min_position(seq, (order.reversed() if invert else order).ranks, k)
     return Word(w.alphabet, tuple(seq[p : p + k]))
 

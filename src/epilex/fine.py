@@ -32,8 +32,9 @@ from .words import (
     Word,
     WordStream,
     all_orders,
+    scan_prefix,
 )
-from .extremal import _scan, minimal_window_positions
+from .extremal import minimal_window_positions
 
 __all__ = [
     "Classification",
@@ -174,7 +175,9 @@ def _present_tokens(stream: WordStream, seq: Sequence[int]) -> list[str]:
     return [toks[i] for i in range(len(toks)) if i in seen]
 
 
-def is_fine_empirical(t: WordStream, depth: int, horizon: int) -> FinenessVerdict:
+def is_fine_empirical(
+    t: WordStream, depth: int, horizon: int | None = None, *, deepen: bool = False
+) -> FinenessVerdict:
     """Scan every order on the letters of ``t`` for a shared minimal-factor tail.
 
     Returns ``UNKNOWN`` with the common tail when the word is fine up to
@@ -185,13 +188,15 @@ def is_fine_empirical(t: WordStream, depth: int, horizon: int) -> FinenessVerdic
     The scan stops at ``t.exact_horizon(depth)`` when the stream states it,
     so a horizon past that bound costs nothing and changes no verdict: every
     length-k factor with k <= depth is a prefix of a length-``depth`` factor,
-    and all of those have occurred by then.
+    and all of those have occurred by then.  With no horizon, or with
+    ``deepen``, the scan reads that bound however short the horizon (see
+    :func:`~epilex.words.scan_prefix`).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if horizon < 2 * depth:
+    if horizon is not None and horizon < 2 * depth:
         raise ValueError("horizon must be at least twice the depth")
-    seq = _scan(t, horizon, t.exact_horizon(depth))
+    seq, _ = scan_prefix(t, depth, horizon, deepen=deepen)
     present = _present_tokens(t, seq)
     orders = all_orders(t.alphabet, subset=present)
     s_ref: list[int] | None = None
@@ -241,7 +246,7 @@ def common_s(t: WordStream, depth: int, horizon: int) -> Word | None:
     verdict = is_fine_empirical(t, depth, horizon)
     if not verdict.fine_to_depth or verdict.s_prefix is None:
         return None
-    seq = _scan(t, horizon, t.exact_horizon(depth))
+    seq, _ = scan_prefix(t, depth, horizon)
     present = _present_tokens(t, seq)
     if len(present) == 2:
         s_ref = list(verdict.s_prefix.indices)
@@ -284,10 +289,9 @@ def verify_min_transfer(
     a_idx = alphabet.index(a)
     z_idx = alphabet.index(z)
     gen = psi(alphabet, z)
-    image = MorphicImageStream(gen, t1)
-    t_seq = _scan(image, horizon, image.exact_horizon(depth))
+    t_seq, _ = scan_prefix(MorphicImageStream(gen, t1), depth, horizon)
     s_img = MorphicImageStream(gen, s1).raw(depth + 2)
-    t1_seq = _scan(t1, horizon, t1.exact_horizon(depth))
+    t1_seq, _ = scan_prefix(t1, depth, horizon)
     s1_pref = s1.raw(depth + 1)
     lhs_expected = [a_idx] + s1_pref
     for order in all_orders(alphabet):
@@ -305,7 +309,7 @@ def verify_min_transfer(
 
 def _classify_directive(directive: DirectiveWord, depth: int) -> FinenessVerdict:
     stream = standard_word(directive)
-    emp = is_fine_empirical(stream, depth, stream.exact_horizon(depth))
+    emp = is_fine_empirical(stream, depth)
     report = strictness(directive)
     if report.strict:
         if not emp.fine_to_depth:
@@ -335,7 +339,7 @@ def _classify_directive(directive: DirectiveWord, depth: int) -> FinenessVerdict
 def _classify_skew(spec: SkewSpec, depth: int) -> FinenessVerdict:
     spec.validate()
     stream = construct_skew(spec)
-    emp = is_fine_empirical(stream, depth, stream.exact_horizon(depth))
+    emp = is_fine_empirical(stream, depth)
     if not emp.fine_to_depth:
         raise InternalConsistencyError(
             f"skew spec {spec} failed the empirical scan: {emp.witness}"
@@ -456,9 +460,9 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     """
     seq = t.raw(horizon)
     if depth > 0:
-        # Deepened to the exact bound, where the scan stops, so a fine word is
-        # not refuted for want of letters however short the horizon.
-        gate = is_fine_empirical(t, depth, max(horizon, 2 * depth, t.exact_horizon(depth) or 0))
+        # Deepened to the exact bound, so a fine word is not refuted for want
+        # of letters however short the horizon.
+        gate = is_fine_empirical(t, depth, max(horizon, 2 * depth), deepen=True)
         if not gate.fine_to_depth:
             raise NotSkewForm(f"not fine within depth {depth}: {gate.witness}")
     alphabet = t.alphabet

@@ -76,6 +76,21 @@ def test_length_errors():
         min_factor(fib(), 10, LexOrder.default(AB), 5)
 
 
+def test_length_errors_past_a_finite_word():
+    # A horizon past a finite word is cut at the word's length, and that
+    # length must still hold the factor.
+    order = LexOrder.default(AB)
+    for fn in (min_factor, max_factor):
+        with pytest.raises(LengthError):
+            fn(AB.word("ab"), 3, order, 3)
+        with pytest.raises(LengthError):
+            fn(AB.word(""), 1, order, 3)
+        res = fn(AB.word(""), 0, order, 3)
+        assert res.word == AB.word("") and res.exact and res.horizon == 3
+        res = fn(AB.word("ab"), 2, order, 7)
+        assert res.word == AB.word("ab") and res.exact and res.horizon == 7
+
+
 def test_min_and_oracle_agree_on_random_streams():
     rng = random.Random(47)
     for _ in range(60):

@@ -4,6 +4,7 @@ import pytest
 
 from epilex import (
     Alphabet,
+    CallbackStream,
     Classification,
     ConcatStream,
     DirectiveWord,
@@ -97,6 +98,20 @@ def test_prepended_word_is_fine():
 def test_is_fine_empirical_preconditions():
     with pytest.raises(ValueError):
         is_fine_empirical(standard_word(FIB), 50, 60)
+
+
+def test_is_fine_empirical_reads_the_bound_without_a_horizon():
+    # The bound may lie below twice the depth; it still holds every factor.
+    t = LiteralPeriodicStream(AB.word(""), AB.word("ab"))
+    assert t.exact_horizon(10) < 20
+    assert is_fine_empirical(t, 10) == is_fine_empirical(t, 10, 40)
+    # Deepened, a horizon short of the bound still reads the bound.
+    fib = standard_word(FIB)
+    assert fib.exact_horizon(10) > 20
+    deep = is_fine_empirical(fib, 10, 20, deepen=True)
+    assert deep == is_fine_empirical(fib, 10) == is_fine_empirical(fib, 10, 10**6)
+    with pytest.raises(ValueError):
+        is_fine_empirical(CallbackStream(AB, lambda n: [0] * n), 10)
 
 
 # --- structural classification ------------------------------------------------------
