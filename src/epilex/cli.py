@@ -249,8 +249,10 @@ def _cmd_verify(args) -> int:
     horizon = args.horizon if args.horizon is not None else _default_horizon()
     checks: list[dict[str, Any]] = []
     if args.directive is not None:
+        if args.i < 1:
+            raise CLIError(f"--i must be >= 1, got {args.i}")
         d = parse_directive(alphabet, args.directive)
-        for i in range(1, max(args.i, 1) + 1):
+        for i in range(1, args.i + 1):
             rec = shift_chain(d, i, horizon)
             checks.append({"check": "shift-chain", "i": i, "letter": rec.peeled_letter, "ok": rec.ok})
     elif args.skew is not None:

@@ -93,8 +93,29 @@ def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int
     return out
 
 
-def _min_position(seq: Sequence[int], rank: Sequence[int], k: int) -> int:
-    return minimal_window_positions(seq, rank, k)[-1][0]
+def _least_window(seq: Sequence[int], rank: Sequence[int], k: int) -> tuple[int, ...]:
+    p = minimal_window_positions(seq, rank, k)[-1][0]
+    return tuple(seq[p : p + k])
+
+
+def _least_factor(w: WordStream, rank: tuple[int, ...], k: int, bound: int) -> tuple[int, ...]:
+    """The least length-``k`` factor of ``w`` under ``rank``, from the memo of min(w).
+
+    Least factors of an infinite word nest, so one word per order answers
+    every shorter length.  A longer ``k`` runs the chain once, to
+    ``max(k, 2 * held)``, outside the lock (``bound`` is ``w.exact_horizon(k)``);
+    the longer of its word and the one held is kept.
+    """
+    held = w._minima.get(rank, ())
+    if len(held) < k:
+        depth = max(k, 2 * len(held))
+        seq = w.raw(bound) if depth == k else scan_prefix(w, depth, None)[0]
+        deeper = _least_window(seq, rank, depth)
+        with w._lock:
+            held = w._minima.get(rank, ())
+            if len(deeper) > len(held):
+                w._minima[rank] = held = deeper
+    return held[:k]
 
 
 def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, invert: bool) -> ExtremalResult:
@@ -104,20 +125,28 @@ def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None
         raise AlphabetError("order alphabet does not match the word alphabet")
     if horizon is not None and horizon < k:
         raise LengthError(f"horizon {horizon} is smaller than factor length {k}")
-    seq, bound = scan_prefix(w, k, horizon)
-    if len(seq) < k:
-        raise LengthError(f"factor length {k} exceeds word length {len(seq)}")
+    bound = w.exact_horizon(k)
+    exact = bound is not None and (horizon is None or horizon >= bound)
     if horizon is None:
+        if bound is None:
+            raise ValueError(f"a {w.kind} stream states no exact horizon; pass one")
         horizon = bound
     if k == 0:
         return ExtremalResult(
             word=Word(w.alphabet, ()), k=0, order=order, horizon=horizon, exactness=Exactness.EXACT
         )
     rank = (order.reversed() if invert else order).ranks
-    p = _min_position(seq, rank, k)
-    exact = bound is not None and horizon >= bound
+    if exact and isinstance(w, WordStream):
+        letters = _least_factor(w, rank, k, bound)
+    else:
+        # Horizon-limited, or a finite word, whose least factors do not nest
+        # (in ``ba`` the least is ``a``, then ``ba``): scan what the query reads.
+        seq = w.raw(bound if exact else horizon)
+        if len(seq) < k:
+            raise LengthError(f"factor length {k} exceeds word length {len(seq)}")
+        letters = _least_window(seq, rank, k)
     return ExtremalResult(
-        word=Word(w.alphabet, tuple(seq[p : p + k])),
+        word=Word(w.alphabet, letters),
         k=k,
         order=order,
         horizon=horizon,
@@ -129,11 +158,12 @@ def min_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | Non
     """The lexicographically least length-``k`` factor seen within the horizon.
 
     The result is exact when the horizon reaches ``w.exact_horizon(k)``, which
-    is also the default horizon: a finite word is scanned whole.  The scan
-    stops at that bound when the stream states one, so a horizon past it
-    costs nothing and changes no result; the reported ``horizon`` is still
-    the one requested.  A ``k`` longer than a finite word raises
-    :class:`LengthError` whatever the horizon.
+    is also the default horizon; the reported ``horizon`` is still the one
+    requested.  An exact answer on a stream is read from the stream's memo of
+    min(t), one word per order, at most twice the longest ``k`` asked.  A
+    horizon short of the bound, or a stream without one, scans ``horizon``
+    letters, and a finite word is scanned whole; a ``k`` longer than a finite
+    word raises :class:`LengthError` whatever the horizon.
     """
     return _extremal(w, k, order, horizon, invert=False)
 
@@ -147,19 +177,20 @@ def _limit_word(w: WordStream, order: LexOrder, horizon: int, invert: bool) -> W
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     k = max(1, horizon // 2)
-    seq, _ = scan_prefix(w, k, horizon, deepen=True)
-    p = _min_position(seq, (order.reversed() if invert else order).ranks, k)
-    return Word(w.alphabet, tuple(seq[p : p + k]))
+    rank = (order.reversed() if invert else order).ranks
+    bound = w.exact_horizon(k)
+    if bound is not None and isinstance(w, WordStream):
+        return Word(w.alphabet, _least_factor(w, rank, k, bound))
+    return Word(w.alphabet, _least_window(w.raw(horizon if bound is None else bound), rank, k))
 
 
 def min_stream(w: WordStream, order: LexOrder, horizon: int) -> Word:
     """The longest prefix of the limit of minimal factors the horizon supports.
 
     The chain of minima extends letter by letter, so its element at length
-    ``horizon // 2`` is that prefix.  When the stream states an exact
-    horizon for that length, the scan reads exactly that many letters,
-    whether the horizon is shorter or longer; the horizon only bounds the
-    returned length.  Otherwise the scan reads ``horizon`` letters.
+    ``horizon // 2`` is that prefix.  When the stream states an exact horizon
+    for that length, it is read from the memo of min(t), as an exact
+    :func:`min_factor` is; otherwise the scan reads ``horizon`` letters.
     """
     return _limit_word(w, order, horizon, invert=False)
 
@@ -183,13 +214,5 @@ def oracle_min(w: Word, k: int, order: LexOrder) -> Word:
 
 
 def oracle_max(w: Word, k: int, order: LexOrder) -> Word:
-    """Brute-force reference: sort every window and take the last."""
-    if k > len(w):
-        raise LengthError(f"factor length {k} exceeds word length {len(w)}")
-    if k == 0:
-        return Word(w.alphabet, ())
-    ranks = order.ranks
-    windows = [tuple(ranks[c] for c in w.indices[i : i + k]) for i in range(len(w) - k + 1)]
-    greatest = sorted(windows)[-1]
-    inverse = {r: i for i, r in enumerate(ranks)}
-    return Word(w.alphabet, tuple(inverse[r] for r in greatest))
+    """Brute-force reference: the greatest window is the least under the reversed order."""
+    return oracle_min(w, k, order.reversed())

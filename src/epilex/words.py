@@ -274,7 +274,9 @@ class WordStream:
     appends, under a lock, so concurrent readers are safe.  ``raw_range``
     copies out just the letters asked for, which lets a stream built on
     another one (a concatenation, a morphic image) read its source by range
-    in time linear in what it consumes.
+    in time linear in what it consumes.  ``_minima`` maps an order's ranks to
+    the least factor computed so far, a prefix of min(t) (see
+    :func:`~epilex.extremal.min_factor`); it too only ever grows, under the lock.
     """
 
     kind = "abstract"
@@ -283,6 +285,7 @@ class WordStream:
         self.alphabet = alphabet
         self._buf: list[int] = []
         self._lock = threading.Lock()
+        self._minima: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _extend(self, n: int) -> None:
         """Grow ``self._buf`` to at least ``n`` letters.  Called under the lock."""

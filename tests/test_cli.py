@@ -193,3 +193,11 @@ def test_morphism_text_variants():
     assert parse_morphism(alphabet, "psi:abc") == parse_morphism(alphabet, "psi(a)*psi(b)*psi(c)")
     assert parse_morphism(alphabet, "Ψ:abc") == parse_morphism(alphabet, "psi:abc")
     assert parse_morphism(alphabet, "id").is_identity
+
+
+def test_verify_link_count_below_one_exits_one(capsys):
+    for i in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--alphabet", "a,b", "--directive", "(ab)", "--i", i)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--i" in err

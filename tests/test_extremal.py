@@ -29,9 +29,9 @@ from epilex import (
     psi,
     standard_word,
 )
-from epilex.textio import parse_directive
+from epilex.textio import parse_directive, parse_skew
 
-from helpers import LETTERS, random_canonical_skew, random_directive
+from helpers import LETTERS, random_canonical_skew, random_directive, random_strict_directive
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -341,3 +341,214 @@ def test_min_factor_generates_no_letter_past_the_bound():
     assert res.exact and res.horizon == 10**5
     assert t.longest <= 54
     assert res.word == oracle_min(t.prefix(200), 50, order)
+
+
+# --- one memo of min(t) per (stream, order) -----------------------------------
+
+
+def _memo_stream(seed):
+    """A stream that states an exact horizon, built alike from the same seed:
+    a strict or non-strict directive stream, a morphic image, a skew word or
+    a literal ultimately periodic word."""
+    rng = random.Random(seed)
+    kind = seed % 5
+    if kind == 0:
+        return standard_word(random_strict_directive(rng, max_alpha=3, max_pre=2, max_per=2))
+    if kind == 1:
+        # the letter c occurs in the preperiod only, so the directive is not strict
+        per = (0, 1) + tuple(rng.randrange(2) for _ in range(rng.randint(0, 2)))
+        pre = tuple(rng.randrange(3) for _ in range(rng.randint(0, 2))) + (2,)
+        return standard_word(DirectiveWord(ABC, pre, per))
+    if kind == 2:
+        d = random_directive(rng, max_alpha=3, max_pre=2, max_per=3, min_alpha=2)
+        gens = tuple(rng.randrange(d.alphabet.size) for _ in range(rng.randint(1, 2)))
+        return MorphicImageStream(PureEpistandardMorphism(d.alphabet, gens), standard_word(d))
+    if kind == 3:
+        return construct_skew(random_canonical_skew(rng, max_alpha=3))
+    size = rng.randint(2, 3)
+    alphabet = Alphabet(tuple(LETTERS[:size]))
+    head = tuple(rng.randrange(size) for _ in range(rng.randint(0, 5)))
+    cycle = tuple(rng.randrange(size) for _ in range(rng.randint(1, 5)))
+    return LiteralPeriodicStream(Word(alphabet, head), Word(alphabet, cycle))
+
+
+_QUERIES = {"min_factor": min_factor, "max_factor": max_factor, "min_stream": min_stream, "max_stream": max_stream}
+
+
+def _scanned_extremum(t, fn, k, order, horizon):
+    """The oracle's answer over the prefix the query is documented to read."""
+    bound = t.exact_horizon(k)
+    n = bound if horizon is None or fn.endswith("stream") else min(horizon, bound)
+    oracle = oracle_max if fn.startswith("max") else oracle_min
+    return oracle(t.prefix(n), k, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.lists(
+        st.tuples(st.sampled_from(sorted(_QUERIES)), st.integers(0, 5), st.integers(1, 24), st.integers(-30, 30)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_memo_answers_equal_fresh_streams_and_the_oracle(seed, queries):
+    t = _memo_stream(seed)
+    orders = all_orders(t.alphabet)
+    for fn, o, k, shift in queries:
+        order = orders[o % len(orders)]
+        if fn.endswith("stream"):
+            horizon = 2 * k + (shift % 2)
+            got = _QUERIES[fn](t, order, horizon)
+            assert got == _QUERIES[fn](_memo_stream(seed), order, horizon)
+        else:
+            # shift < 0: horizon-limited, below the bound; 0: no horizon; > 0: past it
+            bound = t.exact_horizon(k)
+            horizon = None if shift == 0 else max(k, bound + shift)
+            res = _QUERIES[fn](t, k, order, horizon)
+            assert res == _QUERIES[fn](_memo_stream(seed), k, order, horizon)
+            got = res.word
+        assert got == _scanned_extremum(t, fn, k, order, horizon)
+
+
+def test_least_factors_of_a_finite_word_do_not_nest():
+    order = LexOrder.default(AB)
+    w = AB.word("ba")
+    assert str(min_factor(w, 1, order).word) == "a"
+    assert str(min_factor(w, 2, order).word) == "ba"
+    assert str(min_factor(w, 1, order, 5).word) == "a"
+    assert str(max_factor(w, 1, order.reversed()).word) == "a"
+    assert str(max_factor(w, 2, order.reversed()).word) == "ba"
+    assert str(min_stream(w, order, 2)) == "a"
+    assert str(min_stream(w, order, 4)) == "ba"
+
+
+def test_exact_queries_within_the_memo_run_no_chain(monkeypatch):
+    import epilex.extremal as extremal
+
+    depths = []
+    chain = extremal.minimal_window_positions
+
+    def counting(seq, rank, k_max):
+        depths.append(k_max)
+        return chain(seq, rank, k_max)
+
+    monkeypatch.setattr(extremal, "minimal_window_positions", counting)
+    t = trib()
+    order = LexOrder.from_letters(ABC, "bca")
+    min_factor(t, 20, order)
+    assert depths == [20]
+    depths.clear()
+    for k in range(1, 21):
+        assert min_factor(t, k, order).exact
+        min_factor(t, k, order, 10**6)
+    min_stream(t, order, 41)
+    # the greatest factor under an order is the least under its reversal
+    max_factor(t, 20, order.reversed(), 10**6)
+    max_stream(t, order.reversed(), 40)
+    assert depths == []
+    # a longer factor deepens the memo to twice what it held
+    min_factor(t, 21, order)
+    assert depths == [40]
+    # a horizon short of the bound still scans
+    depths.clear()
+    min_factor(t, 5, order, t.exact_horizon(5) - 1)
+    assert depths == [5]
+
+
+def test_memo_is_shared_safely_across_threads(monkeypatch):
+    import sys
+    import threading
+    import time
+
+    import epilex.extremal as extremal
+
+    # Record the depth of every chain the memo runs, per stream: the chain
+    # runs inside the memo lookup, in the same thread.
+    computed = []
+    local = threading.local()
+    lookup, chain = extremal._least_factor, extremal.minimal_window_positions
+
+    def looking_up(w, *args):
+        local.stream = w
+        return lookup(w, *args)
+
+    def recording(seq, rank, k_max):
+        computed.append((local.stream, tuple(rank), k_max))
+        time.sleep(0.001)  # let the other threads run between the scan and the publish
+        return chain(seq, rank, k_max)
+
+    def ask(t, fn, order, k):
+        return _QUERIES[fn](t, order, 2 * k) if fn.endswith("stream") else _QUERIES[fn](t, k, order)
+
+    skew_spec = parse_skew(ABC, "skew v=(ab) x=c p=4 mu=psi:c suffix=full")
+    builders = {"directive": trib, "skew": lambda: construct_skew(skew_spec)}
+    queries = [(fn, order, k) for fn in sorted(_QUERIES) for order in all_orders(ABC) for k in (1, 3, 7, 12, 20)]
+    work = [(name, q) for name in builders for q in queries]
+    serial = {(name, q): ask(builders[name](), *q) for name, q in work}
+
+    monkeypatch.setattr(extremal, "_least_factor", looking_up)
+    monkeypatch.setattr(extremal, "minimal_window_positions", recording)
+    shared = {name: build() for name, build in builders.items()}
+    results = []
+    start = threading.Barrier(8, timeout=60)
+
+    def worker(seed):
+        mine = work[:]
+        random.Random(seed).shuffle(mine)
+        start.wait()
+        for name, q in mine:
+            results.append(((name, q), ask(shared[name], *q)))
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == 8 * len(work)
+    for key, got in results:
+        assert got == serial[key]
+    for name, t in shared.items():
+        longest = {}
+        for stream, ranks, depth in computed:
+            if stream is t:
+                longest[ranks] = max(longest.get(ranks, 0), depth)
+        assert t._minima.keys() == longest.keys()
+        for ranks, letters in t._minima.items():
+            assert len(letters) == longest[ranks]
+            assert letters == min_factor(builders[name](), len(letters), LexOrder(ABC, ranks)).word.indices
+
+
+def test_memo_keeps_the_longer_word_when_fills_race(monkeypatch):
+    import threading
+
+    import epilex.extremal as extremal
+
+    chain = extremal.minimal_window_positions
+    short_running, long_published = threading.Event(), threading.Event()
+
+    def pausing(seq, rank, k_max):
+        if k_max == 5:  # the short fill waits until the long one has published
+            short_running.set()
+            assert long_published.wait(10)
+        return chain(seq, rank, k_max)
+
+    monkeypatch.setattr(extremal, "minimal_window_positions", pausing)
+    t = trib()
+    order = LexOrder.default(ABC)
+    out = {}
+    short = threading.Thread(target=lambda: out.setdefault("short", min_factor(t, 5, order)))
+    short.start()
+    assert short_running.wait(10)
+    out["long"] = min_factor(t, 20, order)
+    long_published.set()
+    short.join(timeout=60)
+    assert not short.is_alive()
+    assert t._minima == {order.ranks: out["long"].word.indices}
+    assert out["short"].word.indices == out["long"].word.indices[:5]
