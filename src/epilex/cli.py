@@ -52,9 +52,10 @@ DEFAULT_DEPTH = 50
 DEFAULT_HORIZON = 1000
 MAX_ORDER_LETTERS = 6
 # Largest --prefix, --horizon (also through ETK_HORIZON), --k and --depth
-# accepted.  Every such value is a number of letters held in memory (about
-# 8 bytes each, more for a skew word's stacked streams); a larger one exits 1
-# before anything is generated instead of allocating until the process dies.
+# accepted, and the largest --i times horizon.  Every such value is a number
+# of letters held in memory or generated (about 8 bytes each, more for a skew
+# word's stacked streams); a larger one exits 1 before anything is generated
+# instead of running until the process dies.
 MAX_LETTERS = 10**7
 
 
@@ -251,6 +252,10 @@ def _cmd_verify(args) -> int:
     if args.directive is not None:
         if args.i < 1:
             raise CLIError(f"--i must be >= 1, got {args.i}")
+        if args.i * horizon > MAX_LETTERS:
+            raise CLIError(
+                f"--i {args.i} times horizon {horizon} exceeds the limit of {MAX_LETTERS} letters"
+            )
         d = parse_directive(alphabet, args.directive)
         for i in range(1, args.i + 1):
             rec = shift_chain(d, i, horizon)

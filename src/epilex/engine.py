@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import cycle, islice
 from typing import Sequence
 
 from .morphisms import MorphicImageStream, PureEpistandardMorphism
@@ -135,6 +136,11 @@ class _EngineState:
     letter last occurred at directive position j, the new prefix is the old
     one extended by its own suffix past prefix j, otherwise extended by a copy
     of itself around the new letter.
+
+    Constant tail y: once a tail letter is consumed, every step appends the
+    q = L - L_prev letters the previous step appended, so the word is
+    mu_m(y)^omega (Justin-Pirillo 2002, TCS 276) and ``extend_to`` fills it
+    in one call.
     """
 
     def __init__(self, directive: DirectiveWord) -> None:
@@ -142,6 +148,9 @@ class _EngineState:
         self.buf: list[int] = []
         self.prefix_lengths: list[int] = [0]
         self._last_occurrence: dict[int, int] = {}
+        # With a constant tail, the prefix count from which extend_to fills.
+        constant = len(set(directive.period)) == 1
+        self._fill_from = len(directive.preperiod) + 2 if constant else None
 
     def step(self) -> None:
         n = len(self.prefix_lengths)  # consuming directive letter number n
@@ -160,8 +169,17 @@ class _EngineState:
         self.prefix_lengths.append(new_length)
 
     def extend_to(self, n: int) -> None:
-        while self.prefix_lengths[-1] < n:
+        lengths = self.prefix_lengths
+        while lengths[-1] < n and (self._fill_from is None or len(lengths) < self._fill_from):
             self.step()
+        if lengths[-1] < n:
+            length = lengths[-1]
+            q = length - lengths[-2]
+            steps = -((length - n) // q)
+            block = self.buf[length - q : length]
+            self.buf.extend(islice(cycle(block), steps * q))
+            lengths.extend(range(length + q, length + steps * q + 1, q))
+            self._last_occurrence[self.directive.period[0]] = len(lengths) - 1
 
     def prefix_length(self, i: int) -> int:
         """Length of the i-th palindromic prefix, 1-indexed."""
@@ -376,8 +394,7 @@ def exact_horizon(directive: DirectiveWord, k: int) -> int:
     report = strictness(directive)
     mu = prefix_morphism(directive, report.m)
     y = directive.letter(report.m + 1)
-    cycle = len(mu.image_of(y))
-    return cycle + 2 * k + 2
+    return len(mu.images[y]) + 2 * k + 2
 
 
 def recover_directive_letters(seq: Sequence[int]) -> list[int]:

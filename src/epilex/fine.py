@@ -23,7 +23,7 @@ from .engine import (
     standard_word,
     strictness,
 )
-from .morphisms import MorphicImageStream, PureEpistandardMorphism, psi
+from .morphisms import MorphicImageStream, PureEpistandardMorphism, psi, separates
 from .words import (
     Alphabet,
     ConcatStream,
@@ -415,14 +415,6 @@ def classify(
     raise TypeError(f"cannot classify {type(spec).__name__}")
 
 
-def _separating_letters(seq: Sequence[int]) -> list[int]:
-    out = []
-    for c in set(seq):
-        if all(seq[i] == c or seq[i + 1] == c for i in range(len(seq) - 1)):
-            out.append(c)
-    return out
-
-
 def _peel(seq: list[int], z: int) -> list[int]:
     """Invert one generator on a prefix known to have ``z`` separating.
 
@@ -481,7 +473,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
             if head != tail[: len(head)][::-1]:
                 raise NotSkewForm("prefix before the unique letter does not mirror the core")
             return _assemble_spec(t, alphabet, gens, x, head, tail, horizon)
-        seps = _separating_letters(seq)
+        seps = [c for c in set(seq) if separates(c, seq)]
         if not seps:
             raise NotSkewForm("no separating letter to peel")
         if len(seps) > 1:

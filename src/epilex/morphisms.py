@@ -9,8 +9,8 @@ generator inverses are what the skew-word reconstruction peels with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .words import Alphabet, AlphabetError, Word, WordStream
 
@@ -59,15 +59,25 @@ class PureEpistandardMorphism:
             return "Morphism(id)"
         return f"Morphism(psi:{','.join(self.generator_tokens())})"
 
+    @cached_property
+    def images(self) -> tuple[tuple[int, ...], ...]:
+        """The image of every letter, indexed by letter, computed once."""
+        images = [(c,) for c in range(self.alphabet.size)]
+        for z in self.letters:  # compose with the next inner generator
+            head = images[z]
+            images = [head if c == z else head + image for c, image in enumerate(images)]
+        return tuple(images)
+
     def image_of(self, letter_index: int) -> tuple[int, ...]:
-        return _letter_image(self, letter_index)
+        return self.images[letter_index]
 
     def apply_word(self, w: Word) -> Word:
         if w.alphabet != self.alphabet:
             raise AlphabetError("word alphabet does not match morphism alphabet")
+        images = self.images
         out: list[int] = []
         for i in w.indices:
-            out.extend(self.image_of(i))
+            out.extend(images[i])
         return Word(self.alphabet, tuple(out))
 
     def apply_stream(self, s: WordStream) -> "MorphicImageStream":
@@ -87,9 +97,10 @@ class PureEpistandardMorphism:
 
     def apply_group(self, g: "GroupWord") -> "GroupWord":
         """The induced free-group endomorphism."""
+        images = self.images
         out: list[tuple[int, int]] = []
         for letter, sign in g.syllables:
-            image = self.image_of(letter)
+            image = images[letter]
             if sign > 0:
                 out.extend((c, 1) for c in image)
             else:
@@ -101,21 +112,6 @@ class PureEpistandardMorphism:
         for z in self.letters:
             g = apply_inverse(self.alphabet.letters[z], g)
         return g
-
-
-@lru_cache(maxsize=None)
-def _letter_image(m: PureEpistandardMorphism, letter_index: int) -> tuple[int, ...]:
-    word = [letter_index]
-    for z in reversed(m.letters):
-        step: list[int] = []
-        for c in word:
-            if c == z:
-                step.append(z)
-            else:
-                step.append(z)
-                step.append(c)
-        word = step
-    return tuple(word)
 
 
 def identity(alphabet: Alphabet) -> PureEpistandardMorphism:
@@ -142,12 +138,11 @@ class MorphicImageStream(WordStream):
         super().__init__(inner.alphabet)
         self.morphism = morphism
         self.inner = inner
-        self._images = tuple(morphism.image_of(c) for c in range(inner.alphabet.size))
-        self._longest = max(map(len, self._images))
+        self._longest = max(map(len, morphism.images))
         self._consumed = 0
 
     def _extend(self, n: int) -> None:
-        buf, images = self._buf, self._images
+        buf, images = self._buf, self.morphism.images
         while len(buf) < n:
             # Images are non-empty, so every inner letter makes progress.  Read
             # what the deficit needs at the longest image, at least 64 letters
@@ -261,11 +256,14 @@ def apply_inverse(letter: str, g: "GroupWord | Word") -> GroupWord:
     return reduce_word(g.alphabet, out)
 
 
+def separates(a: int, seq: Sequence[int]) -> bool:
+    """Whether every length-2 factor of ``seq`` contains the letter index ``a``."""
+    return all(seq[i] == a or seq[i + 1] == a for i in range(len(seq) - 1))
+
+
 def is_separating(letter: str, w: Word) -> bool:
     """Whether every length-2 factor of ``w`` contains ``letter``."""
-    a = w.alphabet.index(letter)
-    idx = w.indices
-    return all(idx[i] == a or idx[i + 1] == a for i in range(len(idx) - 1))
+    return separates(w.alphabet.index(letter), w.indices)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from itertools import cycle, islice, permutations
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
@@ -365,8 +365,9 @@ class LiteralPeriodicStream(WordStream):
         if not buf:
             buf.extend(self.head.indices)
         cyc = self.cycle.indices
-        while len(buf) < n:
-            buf.extend(cyc)
+        if len(buf) < n:
+            # Whole cycles, as many as reach n.
+            buf.extend(islice(cycle(cyc), -((len(buf) - n) // len(cyc)) * len(cyc)))
 
     def exact_horizon(self, k: int) -> int:
         # Every factor starts at some position before the end of the first cycle.

@@ -201,3 +201,19 @@ def test_verify_link_count_below_one_exits_one(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "--i" in err
+
+
+def test_verify_link_count_times_horizon_is_capped(capsys):
+    import time
+
+    began = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--alphabet", "a,b", "--directive", "ab(b)", "--i", "10000000")
+    assert time.perf_counter() - began < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--i" in err and str(MAX_LETTERS) in err
+    # one link past the cap at the default horizon of 1000 letters
+    code, out, err = run(capsys, "verify", "--alphabet", "a,b", "--directive", "ab(b)", "--i", str(MAX_LETTERS // 1000 + 1))
+    assert code == 1 and out == "" and "--i" in err
+    code, out, _ = run(capsys, "verify", "--alphabet", "a,b", "--directive", "ab(b)", "--i", "3")
+    assert code == 0
+    assert out == "check=shift-chain i=1 letter=a ok=True\ncheck=shift-chain i=2 letter=b ok=True\ncheck=shift-chain i=3 letter=b ok=True\n"

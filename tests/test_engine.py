@@ -1,10 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from epilex import (
     Alphabet,
+    DirectiveWord,
+    LiteralPeriodicStream,
     NothingToDecompose,
     Word,
     as_directive,
@@ -13,6 +15,7 @@ from epilex import (
     exact_horizon,
     palindromic_closure,
     palindromic_prefixes,
+    prefix_morphism,
     psi,
     shift_chain,
     standard_word,
@@ -233,3 +236,126 @@ def test_shift_chain_catches_divergence():
     assert ok.ok
     with pytest.raises(ValueError):
         shift_chain(d, 0, 10)
+
+
+# --- bulk fill of a constant tail ------------------------------------------------
+
+@st.composite
+def eventually_constant_directives(draw):
+    k = draw(st.integers(2, 4))
+    alphabet = Alphabet(tuple("abcd"[:k]))
+    pre = draw(st.lists(st.integers(0, k - 1), max_size=6))
+    y = draw(st.integers(0, k - 1))
+    return DirectiveWord(alphabet, tuple(pre), (y,) * draw(st.integers(1, 3)))
+
+
+_READS = st.lists(
+    st.tuples(st.sampled_from(("range", "lengths")), st.integers(0, 400), st.integers(0, 400)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eventually_constant_directives(), _READS)
+def test_constant_tail_fill_matches_closure_iteration(d, reads):
+    # reference: palindromic prefixes built by iterating the closure, until
+    # they cover the longest read
+    need = max(max(a, b) for _, a, b in reads)
+    count = len(d.preperiod) + 2
+    ups = palindromic_prefixes(d, count)
+    while len(ups[-1]) < need:
+        count *= 2
+        ups = palindromic_prefixes(d, count)
+    letters = ups[-1].indices
+    t = standard_word(d)
+    reached = 0
+    for kind, a, b in reads:
+        if kind == "range":
+            start, stop = sorted((a, b))
+            assert t.raw_range(start, stop) == list(letters[start:stop])
+            reached = max(reached, stop)
+        else:
+            assert t.palindromic_prefix_lengths(a) == [len(u) for u in ups if len(u) <= a]
+            reached = max(reached, a)
+        # growth stops at the first palindromic prefix reaching the read
+        assert t._state.prefix_lengths[-1] == min(len(u) for u in ups if len(u) >= reached)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.integers(0, k - 1), max_size=6),
+            st.lists(st.integers(0, k - 1), min_size=1, max_size=5),
+        )
+    ),
+    st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)), min_size=1, max_size=8),
+)
+def test_literal_fill_matches_repeated_cycle(word, reads):
+    head, cycle = (Word(Alphabet.of("a", "b", "c", "d"), tuple(part)) for part in word)
+    t = LiteralPeriodicStream(head, cycle)
+    letters = list(head.indices) + list(cycle.indices) * 301
+    for a, b in reads:
+        start, stop = sorted((a, b))
+        assert t.raw_range(start, stop) == letters[start:stop]
+    # once read, the buffer holds the head and whole cycles only
+    assert not t._buf or (len(t._buf) - len(head)) % len(cycle) == 0
+
+
+def test_constant_tail_is_filled_without_stepping(monkeypatch):
+    import epilex.engine as engine
+
+    steps = []
+    step = engine._EngineState.step
+
+    def counting(self):
+        steps.append(len(self.prefix_lengths))
+        step(self)
+
+    monkeypatch.setattr(engine._EngineState, "step", counting)
+    d = parse_directive(AB, "ab(b)")
+    word = standard_word(d).raw(10**5)
+    assert len(steps) <= len(d.preperiod) + 3
+    # the word is mu_m(y)^omega, mu_m the morphism of the preperiod
+    block = prefix_morphism(d, len(d.preperiod)).image_of(d.period[0])
+    assert word == (list(block) * (10**5 // len(block) + 1))[: 10**5]
+
+
+def test_constant_tail_fill_is_shared_safely_across_threads():
+    import sys
+    import threading
+
+    d = parse_directive(AB, "ab(b)")
+    work = [("range", 37 * i, 37 * i + 1000 * (i % 11)) for i in range(60)]
+    work += [("lengths", 5003 * i, 0) for i in range(20)]
+
+    def ask(t, kind, a, b):
+        return t.raw_range(a, b) if kind == "range" else t.palindromic_prefix_lengths(a)
+
+    serial = {q: ask(standard_word(d), *q) for q in work}
+    shared = standard_word(d)
+    results = []
+    start = threading.Barrier(8, timeout=60)
+
+    def worker(seed):
+        mine = work[:]
+        random.Random(seed).shuffle(mine)
+        start.wait()
+        for q in mine:
+            results.append((q, ask(shared, *q)))
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == 8 * len(work)
+    for q, got in results:
+        assert got == serial[q]
