@@ -51,11 +51,11 @@ from .words import (
 DEFAULT_DEPTH = 50
 DEFAULT_HORIZON = 1000
 MAX_ORDER_LETTERS = 6
-# Largest --prefix, --horizon (also through ETK_HORIZON), --k and --depth
-# accepted, and the largest --i times horizon.  Every such value is a number
-# of letters held in memory or generated (about 8 bytes each, more for a skew
-# word's stacked streams); a larger one exits 1 before anything is generated
-# instead of running until the process dies.
+# Largest --prefix, --horizon (also through ETK_HORIZON), --k, --depth, --i
+# times horizon, skew p and letter image of mu, and scan of classify and verify
+# --skew.  Every such value is a number of letters held in memory or generated
+# (about 8 bytes each, more for a skew word's stacked streams); a larger one
+# exits 1 before anything is generated instead of running until the process dies.
 MAX_LETTERS = 10**7
 
 
@@ -134,6 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_scan(bound: int, depth: int) -> None:
+    """Refuse a fineness scan whose exact bound is past :data:`MAX_LETTERS`."""
+    if bound > MAX_LETTERS:
+        raise CLIError(f"--depth {depth} scans {bound} letters, which exceeds the limit of {MAX_LETTERS} letters")
+
+
 def _stream_and_echo(alphabet, args) -> tuple[WordStream, dict[str, Any]]:
     if args.directive is not None:
         d = parse_directive(alphabet, args.directive)
@@ -141,7 +147,7 @@ def _stream_and_echo(alphabet, args) -> tuple[WordStream, dict[str, Any]]:
     if args.literal is not None:
         head, cycle = parse_literal(alphabet, args.literal)
         return LiteralPeriodicStream(head, cycle), {"kind": "literal", "text": args.literal.strip()}
-    spec = parse_skew(alphabet, args.skew)
+    spec = parse_skew(alphabet, args.skew, max_letters=MAX_LETTERS)
     return construct_skew(spec), {"kind": "skew", "spec": skew_to_dict(spec)}
 
 
@@ -201,13 +207,15 @@ def _cmd_classify(args) -> int:
         raise CLIError(f"classify supports at most {MAX_ORDER_LETTERS} letters")
     if args.directive is not None:
         spec: Any = parse_directive(alphabet, args.directive)
+        _check_scan(spec.exact_horizon(args.depth), args.depth)
         extra = {"strictness": strictness_to_dict(strictness(spec))}
     elif args.literal is not None:
         head, cycle = parse_literal(alphabet, args.literal)
         spec = LiteralPeriodicStream(head, cycle)
         extra = {}
     else:
-        spec = parse_skew(alphabet, args.skew)
+        spec = parse_skew(alphabet, args.skew, max_letters=MAX_LETTERS)
+        _check_scan(construct_skew(spec).exact_horizon(args.depth), args.depth)
         extra = {}
     verdict = classify(spec, args.depth, horizon)
     payload = {**verdict_to_dict(verdict), **extra}
@@ -234,7 +242,7 @@ def _cmd_construct(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
     if args.prefix < 0:
         raise CLIError("--prefix must be >= 0")
-    spec = parse_skew(alphabet, args.skew)
+    spec = parse_skew(alphabet, args.skew, max_letters=MAX_LETTERS)
     stream = construct_skew(spec)
     word = stream.prefix(args.prefix)
     _emit(
@@ -261,8 +269,9 @@ def _cmd_verify(args) -> int:
             rec = shift_chain(d, i, horizon)
             checks.append({"check": "shift-chain", "i": i, "letter": rec.peeled_letter, "ok": rec.ok})
     elif args.skew is not None:
-        spec = parse_skew(alphabet, args.skew)
+        spec = parse_skew(alphabet, args.skew, max_letters=MAX_LETTERS)
         stream = construct_skew(spec)
+        _check_scan(stream.exact_horizon(args.depth), args.depth)
         try:
             recovered = reconstruct_skew(stream, args.depth, horizon)
         except HorizonTooShort as exc:

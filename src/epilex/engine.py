@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import cycle, islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .morphisms import MorphicImageStream, PureEpistandardMorphism
 from .words import Alphabet, AlphabetError, Word, WordStream
@@ -29,6 +29,7 @@ __all__ = [
     "builder_word",
     "decompose_nonstrict",
     "exact_horizon",
+    "image_length",
     "infer_eventually_periodic",
     "palindromic_closure",
     "palindromic_prefixes",
@@ -91,8 +92,9 @@ class DirectiveWord:
         """Letters occurring infinitely often; exact for eventually periodic sequences."""
         return frozenset(self.period)
 
-    def letter_tokens(self, n: int) -> tuple[str, ...]:
-        return tuple(self.alphabet.letters[self.letter(i)] for i in range(1, n + 1))
+    def exact_horizon(self, k: int) -> int:
+        """The bound :func:`exact_horizon` gives the standard word this directive directs."""
+        return exact_horizon(self, k)
 
     def __str__(self) -> str:
         pre = Word(self.alphabet, self.preperiod)
@@ -127,15 +129,36 @@ def palindromic_closure(w: Word) -> Word:
     return Word(w.alphabet, idx + idx[: n - lps][::-1])
 
 
+def _next_prefix_length(lengths: list[int], last: dict[int, int], x: int) -> int:
+    """The last-occurrence rule: append |u_n| to ``lengths`` = [|u_0|, ..., |u_{n-1}|] and return it.
+
+    ``x`` is directive letter n and ``last`` maps each letter to its last
+    directive position j: |u_n| = 2|u_{n-1}| - |u_{j-1}|, or 2|u_{n-1}| + 1
+    for a new letter (Justin-Pirillo 2002, TCS 276).
+    """
+    j = last.get(x)
+    lengths.append(2 * lengths[-1] + 1 if j is None else 2 * lengths[-1] - lengths[j - 1])
+    last[x] = len(lengths) - 1
+    return lengths[-1]
+
+
+def _prefix_lengths(directive: DirectiveWord) -> Iterator[int]:
+    """|u_0|, |u_1|, ... of the palindromic prefixes, without building the word."""
+    lengths: list[int] = [0]
+    last: dict[int, int] = {}
+    yield 0
+    while True:
+        yield _next_prefix_length(lengths, last, directive.letter(len(lengths)))
+
+
 class _EngineState:
     """Growing palindromic-prefix chain of a standard word.
 
     ``buf`` always holds the largest computed palindromic prefix;
     ``prefix_lengths[i]`` is the length of the (i+1)-th palindromic prefix
-    (the first has length 0).  One step consumes one directive letter: if the
-    letter last occurred at directive position j, the new prefix is the old
-    one extended by its own suffix past prefix j, otherwise extended by a copy
-    of itself around the new letter.
+    (the first has length 0).  One step consumes one directive letter x and
+    appends x, then the last |u_n| - |u_{n-1}| - 1 letters of the old prefix
+    u_{n-1}, the lengths coming from the last-occurrence rule.
 
     Constant tail y: once a tail letter is consumed, every step appends the
     q = L - L_prev letters the previous step appended, so the word is
@@ -153,20 +176,11 @@ class _EngineState:
         self._fill_from = len(directive.preperiod) + 2 if constant else None
 
     def step(self) -> None:
-        n = len(self.prefix_lengths)  # consuming directive letter number n
-        x = self.directive.letter(n)
-        length = self.prefix_lengths[-1]
-        j = self._last_occurrence.get(x)
+        old = self.prefix_lengths[-1]
+        x = self.directive.letter(len(self.prefix_lengths))
+        new = _next_prefix_length(self.prefix_lengths, self._last_occurrence, x)
         self.buf.append(x)
-        if j is None:
-            self.buf.extend(self.buf[:length])
-            new_length = 2 * length + 1
-        else:
-            prev = self.prefix_lengths[j - 1]
-            self.buf.extend(self.buf[prev + 1 : length])
-            new_length = 2 * length - prev
-        self._last_occurrence[x] = n
-        self.prefix_lengths.append(new_length)
+        self.buf.extend(self.buf[2 * old + 1 - new : old])
 
     def extend_to(self, n: int) -> None:
         lengths = self.prefix_lengths
@@ -181,12 +195,6 @@ class _EngineState:
             lengths.extend(range(length + q, length + steps * q + 1, q))
             self._last_occurrence[self.directive.period[0]] = len(lengths) - 1
 
-    def prefix_length(self, i: int) -> int:
-        """Length of the i-th palindromic prefix, 1-indexed."""
-        while len(self.prefix_lengths) < i:
-            self.step()
-        return self.prefix_lengths[i - 1]
-
 
 class DirectiveStream(WordStream):
     """The standard episturmian word directed by an eventually periodic sequence."""
@@ -195,15 +203,18 @@ class DirectiveStream(WordStream):
 
     def __init__(self, directive: DirectiveWord) -> None:
         super().__init__(directive.alphabet)
-        self.directive = directive
+        self._directive = directive
         self._state = _EngineState(directive)
 
     def _extend(self, n: int) -> None:
         self._state.extend_to(n)
         self._buf = self._state.buf
 
+    def directive(self) -> DirectiveWord:
+        return self._directive
+
     def exact_horizon(self, k: int) -> int:
-        return exact_horizon(self.directive, k)
+        return exact_horizon(self._directive, k)
 
     def palindromic_prefix_lengths(self, up_to: int) -> list[int]:
         """Lengths of the palindromic prefixes not exceeding ``up_to``."""
@@ -263,14 +274,13 @@ class StrictnessReport:
         return self.strict_over is not None
 
 
-def strictness(directive: DirectiveWord, alphabet: Alphabet | None = None) -> StrictnessReport:
+def strictness(directive: DirectiveWord) -> StrictnessReport:
     """Strictness analysis of a directive.
 
     ``m`` is the length of the shortest directive prefix containing every
     letter that does not recur forever; past it the tail uses exactly the
     recurring letters.
     """
-    alphabet = alphabet or directive.alphabet
     alph_idx = directive.alph()
     ult_idx = directive.ult()
     toks = directive.alphabet.letters
@@ -345,21 +355,8 @@ def shift_chain(directive: DirectiveWord, i: int, horizon: int) -> ShiftChainRec
 
 
 def as_directive(stream: WordStream) -> DirectiveWord | None:
-    """The directive an episturmian-equivalent stream realizes, if the kind reveals one.
-
-    A morphic image of a directive stream is itself directed by the generator
-    letters prepended to the inner directive.
-    """
-    if isinstance(stream, DirectiveStream):
-        return stream.directive
-    if isinstance(stream, MorphicImageStream):
-        inner = as_directive(stream.inner)
-        if inner is None:
-            return None
-        return DirectiveWord(
-            inner.alphabet, stream.morphism.letters + inner.preperiod, inner.period
-        )
-    return None
+    """The directive ``stream`` states (see :meth:`~epilex.words.WordStream.directive`)."""
+    return stream.directive()
 
 
 @lru_cache(maxsize=4096)
@@ -371,7 +368,9 @@ def exact_horizon(directive: DirectiveWord, k: int) -> int:
     ``2k``: the rule takes that prefix and continues the chain for
     preperiod+period+1 further steps.  With a single recurring letter the
     word is purely periodic (period: the image of the recurring letter under
-    the preperiod morphism) and one period plus ``2k`` suffices.
+    the preperiod morphism) and one period plus ``2k`` suffices.  Both are
+    read off palindromic-prefix lengths (see :func:`image_length`), which the
+    last-occurrence rule gives without building the word.
 
     This bound is an empirical claim, not a derived one.
     ``tests/test_extremal.py::test_exact_horizons_hold_every_factor`` tries
@@ -384,17 +383,23 @@ def exact_horizon(directive: DirectiveWord, k: int) -> int:
     """
     if k <= 0:
         return 1
-    state = _EngineState(directive)
     if len(directive.ult()) >= 2:
-        i = 1
-        while state.prefix_length(i) < 2 * k:
-            i += 1
+        lengths = _prefix_lengths(directive)
+        for length in lengths:
+            if length >= 2 * k:
+                break
         lag = len(directive.preperiod) + len(directive.period) + 1
-        return state.prefix_length(i + lag)
-    report = strictness(directive)
-    mu = prefix_morphism(directive, report.m)
-    y = directive.letter(report.m + 1)
-    return len(mu.images[y]) + 2 * k + 2
+        return next(islice(lengths, lag - 1, None))
+    m = strictness(directive).m
+    return image_length(prefix_morphism(directive, m), directive.letter(m + 1)) + 2 * k + 2
+
+
+def image_length(mu: PureEpistandardMorphism, y: int) -> int:
+    """|mu(y)| without building the image: |u_{n+1}| - |u_n| for the directive
+    ``mu``'s n generators then y (Justin-Pirillo 2002, TCS 276)."""
+    n = len(mu.letters)
+    u_n, u_n1 = islice(_prefix_lengths(DirectiveWord(mu.alphabet, mu.letters, (y,))), n, n + 2)
+    return u_n1 - u_n
 
 
 def recover_directive_letters(seq: Sequence[int]) -> list[int]:
@@ -409,13 +414,9 @@ def recover_directive_letters(seq: Sequence[int]) -> list[int]:
     last: dict[int, int] = {}
     letters: list[int] = []
     while lengths[-1] < len(seq):
-        n = len(lengths)
         x = seq[lengths[-1]]
         letters.append(x)
-        length = lengths[-1]
-        j = last.get(x)
-        lengths.append(2 * length + 1 if j is None else 2 * length - lengths[j - 1])
-        last[x] = n
+        _next_prefix_length(lengths, last, x)
     return letters
 
 

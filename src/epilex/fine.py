@@ -87,10 +87,6 @@ class SkewSpec:
     def alphabet(self) -> Alphabet:
         return self.morphism.alphabet
 
-    def core_letters(self) -> frozenset[str]:
-        toks = self.directive.alphabet.letters
-        return frozenset(toks[i] for i in self.directive.alph())
-
     def seed_word(self) -> Word:
         """The morphic image of the mirrored core prefix followed by ``x``."""
         core = standard_word(self.directive)
@@ -128,8 +124,7 @@ class SkewSpec:
 def construct_skew(spec: SkewSpec) -> ConcatStream:
     """The stream ``suffix . morphism(core)`` described by ``spec``."""
     spec.validate()
-    image = MorphicImageStream(spec.morphism, standard_word(spec.directive))
-    return ConcatStream(spec.suffix_word(), image)
+    return ConcatStream(spec.suffix_word(), skew_common_word(spec))
 
 
 def skew_common_word(spec: SkewSpec) -> WordStream:
@@ -175,6 +170,20 @@ def _present_tokens(stream: WordStream, seq: Sequence[int]) -> list[str]:
     return [toks[i] for i in range(len(toks)) if i in seen]
 
 
+def _chain_mismatch(seq: list[int], chain: list[list[int]], expected: list[int]) -> tuple[int, list[int]] | None:
+    """The first k at which min(seq|k) differs from ``expected[:k]``, with that factor.
+
+    ``chain`` is ``minimal_window_positions(seq, rank, depth)`` for the order
+    in question; ``None`` means the two agree at every k the chain reaches.
+    """
+    for k, positions in enumerate(chain, start=1):
+        p = positions[0]
+        actual = seq[p : p + k]
+        if actual != expected[:k]:
+            return k, actual
+    return None
+
+
 def is_fine_empirical(
     t: WordStream, depth: int, horizon: int | None = None, *, deepen: bool = False
 ) -> FinenessVerdict:
@@ -207,27 +216,27 @@ def is_fine_empirical(
         if s_ref is None:
             p = chain[depth - 1][0]
             s_ref = seq[p + 1 : p + depth]
-        for k in range(1, min(depth, len(chain)) + 1):
-            p = chain[k - 1][0]
-            actual = seq[p : p + k]
-            required = [a_idx] + s_ref[: k - 1]
-            if actual != required:
-                reason = (
-                    "smaller-factor"
-                    if [rank[c] for c in actual] < [rank[c] for c in required]
-                    else "required-missing"
-                )
-                return FinenessVerdict(
-                    classification=Classification.NOT_FINE,
-                    depth=depth,
-                    witness=Witness(
-                        order=order,
-                        k=k,
-                        factor=Word(t.alphabet, tuple(actual)),
-                        required=Word(t.alphabet, tuple(required)),
-                        reason=reason,
-                    ),
-                )
+        required = [a_idx] + s_ref
+        mismatch = _chain_mismatch(seq, chain, required)
+        if mismatch is not None:
+            k, actual = mismatch
+            required = required[:k]
+            reason = (
+                "smaller-factor"
+                if [rank[c] for c in actual] < [rank[c] for c in required]
+                else "required-missing"
+            )
+            return FinenessVerdict(
+                classification=Classification.NOT_FINE,
+                depth=depth,
+                witness=Witness(
+                    order=order,
+                    k=k,
+                    factor=Word(t.alphabet, tuple(actual)),
+                    required=Word(t.alphabet, tuple(required)),
+                    reason=reason,
+                ),
+            )
     assert s_ref is not None
     return FinenessVerdict(
         classification=Classification.UNKNOWN,
@@ -253,25 +262,9 @@ def common_s(t: WordStream, depth: int, horizon: int) -> Word | None:
         for order in all_orders(t.alphabet, subset=present):
             chain = minimal_window_positions(seq, order.reversed().ranks, depth)
             b_idx = max((i for i in set(seq)), key=lambda i: order.ranks[i])
-            for k in range(1, min(depth, len(chain)) + 1):
-                p = chain[k - 1][0]
-                if seq[p : p + k] != [b_idx] + s_ref[: k - 1]:
-                    return None
+            if _chain_mismatch(seq, chain, [b_idx] + s_ref) is not None:
+                return None
     return verdict.s_prefix
-
-
-def _min_chain_matches(
-    seq: Sequence[int], rank: Sequence[int], expected: Sequence[int], depth: int
-) -> bool:
-    """Whether min(seq|k) equals expected[:k] for every k up to depth."""
-    chain = minimal_window_positions(seq, rank, depth)
-    if len(chain) < depth or len(expected) < depth:
-        return False
-    for k in range(1, depth + 1):
-        p = chain[k - 1][0]
-        if seq[p : p + k] != list(expected[:k]):
-            return False
-    return True
 
 
 def verify_min_transfer(
@@ -294,14 +287,20 @@ def verify_min_transfer(
     t1_seq, _ = scan_prefix(t1, depth, horizon)
     s1_pref = s1.raw(depth + 1)
     lhs_expected = [a_idx] + s1_pref
+
+    def matches(seq: list[int], rank: tuple[int, ...], expected: list[int]) -> bool:
+        # A chain short of depth (the scan read fewer letters) never matches.
+        chain = minimal_window_positions(seq, rank, depth)
+        return len(chain) >= depth and _chain_mismatch(seq, chain, expected) is None
+
     for order in all_orders(alphabet):
         rank = order.ranks
-        lhs = _min_chain_matches(t1_seq, rank, lhs_expected, depth)
+        lhs = matches(t1_seq, rank, lhs_expected)
         if rank[z_idx] < rank[a_idx]:
             rhs_expected = [z_idx, a_idx] + s_img
         else:
             rhs_expected = [a_idx] + s_img
-        rhs = _min_chain_matches(t_seq, rank, rhs_expected, depth)
+        rhs = matches(t_seq, rank, rhs_expected)
         if lhs != rhs:
             return False
     return True

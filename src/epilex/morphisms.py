@@ -8,11 +8,14 @@ generator inverses are what the skew-word reconstruction peels with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .words import Alphabet, AlphabetError, Word, WordStream
+
+if TYPE_CHECKING:
+    from .engine import DirectiveWord
 
 __all__ = [
     "GroupWord",
@@ -80,14 +83,11 @@ class PureEpistandardMorphism:
             out.extend(images[i])
         return Word(self.alphabet, tuple(out))
 
-    def apply_stream(self, s: WordStream) -> "MorphicImageStream":
-        return MorphicImageStream(self, s)
-
     def apply(self, w: "Word | WordStream") -> "Word | WordStream":
         """Letterwise image; streams map to a lazily generated image stream."""
         if isinstance(w, Word):
             return self.apply_word(w)
-        return self.apply_stream(w)
+        return MorphicImageStream(self, w)
 
     def compose(self, other: "PureEpistandardMorphism") -> "PureEpistandardMorphism":
         """``self`` after ``other``: generator sequences concatenate."""
@@ -155,12 +155,17 @@ class MorphicImageStream(WordStream):
                 buf.extend(images[c])
             self._consumed += len(letters)
 
-    def exact_horizon(self, k: int) -> int | None:
-        from .engine import as_directive, exact_horizon  # engine imports this module
+    def directive(self) -> DirectiveWord | None:
+        """The inner stream's directive with this morphism's generators prepended."""
+        inner = self.inner.directive()
+        if inner is None:
+            return None
+        return replace(inner, preperiod=self.morphism.letters + inner.preperiod)
 
-        directive = as_directive(self)
+    def exact_horizon(self, k: int) -> int | None:
+        directive = self.directive()
         if directive is not None:
-            return exact_horizon(directive, k)
+            return directive.exact_horizon(k)
         # A length-k window of the image lies inside the image of k consecutive
         # inner letters, which occur within the inner bound.
         inner = self.inner.exact_horizon(k)
@@ -198,9 +203,6 @@ class GroupWord:
         if other.alphabet != self.alphabet:
             raise AlphabetError("cannot multiply group words over different alphabets")
         return reduce_word(self.alphabet, self.syllables + other.syllables)
-
-    def inverse(self) -> "GroupWord":
-        return GroupWord(self.alphabet, tuple((l, -s) for l, s in reversed(self.syllables)))
 
     @property
     def is_positive(self) -> bool:
@@ -314,14 +316,6 @@ class EpistandardMorphism:
 
     perm: Permutation
     pure: PureEpistandardMorphism
-
-    @classmethod
-    def from_pure(cls, pure: PureEpistandardMorphism) -> "EpistandardMorphism":
-        return cls(Permutation.identity(pure.alphabet), pure)
-
-    @classmethod
-    def from_permutation(cls, perm: Permutation) -> "EpistandardMorphism":
-        return cls(perm, identity(perm.alphabet))
 
     def apply_word(self, w: Word) -> Word:
         return self.perm.apply_word(self.pure.apply_word(w))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from .engine import DirectiveWord, StrictnessReport
+from .engine import DirectiveWord, StrictnessReport, image_length
 from .extremal import ExtremalResult
 from .fine import FinenessVerdict, SkewSpec, Witness
-from .morphisms import GroupWord, PureEpistandardMorphism
+from .morphisms import GroupWord, PureEpistandardMorphism, reduce_word
 from .words import Alphabet, AlphabetError, LexOrder, Word
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "parse_order",
     "parse_skew",
     "parse_word",
-    "format_group_word",
     "format_morphism",
     "result_to_dict",
     "skew_to_dict",
@@ -83,12 +82,8 @@ def _split_periodic(text: str) -> tuple[str, str]:
 
 def parse_directive(alphabet: Alphabet, text: str) -> DirectiveWord:
     """``u(v)``: preperiod u, then v repeated forever."""
-    pre, body = _split_periodic(text.strip())
-    if not body:
-        raise ParseError(f"empty period in {text!r}")
-    return DirectiveWord(
-        alphabet, parse_word(alphabet, pre).indices, parse_word(alphabet, body).indices
-    )
+    pre, body = parse_literal(alphabet, text)
+    return DirectiveWord(alphabet, pre.indices, body.indices)
 
 
 def parse_literal(alphabet: Alphabet, text: str) -> tuple[Word, Word]:
@@ -130,8 +125,6 @@ def format_morphism(m: PureEpistandardMorphism) -> str:
 
 def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
     """Space-separated syllables, apostrophe suffix for an inverse letter."""
-    from .morphisms import reduce_word
-
     syllables: list[tuple[int, int]] = []
     for tok in text.split():
         sign = 1
@@ -145,12 +138,12 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
     return reduce_word(alphabet, syllables)
 
 
-def format_group_word(g: GroupWord) -> str:
-    return str(g)
+def parse_skew(alphabet: Alphabet, text: str, *, max_letters: int | None = None) -> SkewSpec:
+    """``skew v=(ab) x=c p=4 mu=psi:c suffix=full``; mu defaults to id.
 
-
-def parse_skew(alphabet: Alphabet, text: str) -> SkewSpec:
-    """``skew v=(ab) x=c p=4 mu=psi:c suffix=full``; mu defaults to id."""
+    With ``max_letters``, a ``p`` or a letter image of ``mu`` longer than that
+    raises :class:`ParseError` before any word is built.
+    """
     parts = text.split()
     if not parts or parts[0] != "skew":
         raise ParseError(f"skew spec must start with 'skew': {text!r}", 0)
@@ -169,6 +162,12 @@ def parse_skew(alphabet: Alphabet, text: str) -> SkewSpec:
         raise ParseError(f"letter {x!r} not in alphabet")
     p = int(fields.get("p", "0"))
     morphism = parse_morphism(alphabet, fields.get("mu", "id"))
+    if max_letters is not None:
+        if p > max_letters:
+            raise ParseError(f"skew p={p} exceeds the limit of {max_letters} letters")
+        longest = max(image_length(morphism, y) for y in range(alphabet.size))
+        if longest > max_letters:
+            raise ParseError(f"mu has a {longest}-letter image, which exceeds the limit of {max_letters} letters")
     spec = SkewSpec(directive=directive, x=x, p=p, morphism=morphism, suffix_len=1)
     suffix = fields.get("suffix", "full")
     if suffix == "full":

@@ -13,7 +13,10 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from itertools import cycle, islice, permutations
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from .engine import DirectiveWord
 
 __all__ = [
     "Alphabet",
@@ -93,9 +96,6 @@ class Alphabet:
             return self.letters.index(token)
         except ValueError:
             raise AlphabetError(f"letter {token!r} not in alphabet {self.letters}") from None
-
-    def token(self, index: int) -> str:
-        return self.letters[index]
 
     def word(self, text_or_tokens: "str | Sequence[str]") -> "Word":
         """Build a word from a contiguous string (single-char letters) or token sequence."""
@@ -214,15 +214,6 @@ class LexOrder:
             ranks[alphabet.index(tok)] = pos
         return cls(alphabet, tuple(ranks))
 
-    def rank(self, token: str) -> int:
-        return self.ranks[self.alphabet.index(token)]
-
-    def min_letter(self) -> str:
-        return self.alphabet.letters[self.ranks.index(0)]
-
-    def max_letter(self) -> str:
-        return self.alphabet.letters[self.ranks.index(self.alphabet.size - 1)]
-
     def letters_ascending(self) -> tuple[str, ...]:
         pairs = sorted(range(self.alphabet.size), key=lambda i: self.ranks[i])
         return tuple(self.alphabet.letters[i] for i in pairs)
@@ -309,6 +300,10 @@ class WordStream:
 
     def prefix(self, n: int) -> Word:
         return Word(self.alphabet, tuple(self.raw(n)))
+
+    def directive(self) -> DirectiveWord | None:
+        """The directive of the standard episturmian word this stream is, if its kind states one."""
+        return None
 
     def exact_horizon(self, k: int) -> int | None:
         """A prefix length by which every length-``k`` factor has occurred.

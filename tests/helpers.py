@@ -147,3 +147,28 @@ def chain_words(seq: list[int], ranks, depth: int) -> list[list[int]]:
 
     chain = minimal_window_positions(seq, ranks, depth)
     return [seq[ps[0] : ps[0] + k] for k, ps in enumerate(chain, start=1)]
+
+
+def run_limited(args: list[str], timeout: float = 30.0, memory: int = 1 << 30):
+    """``python *args`` in a child process with the library on its path.
+
+    The child's address space is capped at ``memory`` bytes and it is killed
+    after ``timeout`` seconds (``subprocess.TimeoutExpired``), so a runaway
+    allocation fails the calling test instead of exhausting the host.
+    """
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import epilex
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(epilex.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, preexec_fn=cap, env=env
+    )

@@ -37,6 +37,7 @@ from epilex.extremal import minimal_window_positions
 from epilex.textio import parse_directive, parse_skew
 
 from helpers import (
+    chain_words,
     random_canonical_skew,
     random_directive,
     random_strict_directive,
@@ -308,8 +309,7 @@ def test_criterion_5_construction_identities():
 
 
 def _min_chain_ok(seq, ranks, expected, depth):
-    chain = minimal_window_positions(seq, ranks, depth)
-    return all(seq[ps[0] : ps[0] + k] == expected[:k] for k, ps in enumerate(chain, 1))
+    return all(w == expected[:k] for k, w in enumerate(chain_words(seq, ranks, depth), 1))
 
 
 def test_criterion_6_transfer_and_branch():

@@ -217,3 +217,46 @@ def test_verify_link_count_times_horizon_is_capped(capsys):
     code, out, _ = run(capsys, "verify", "--alphabet", "a,b", "--directive", "ab(b)", "--i", "3")
     assert code == 0
     assert out == "check=shift-chain i=1 letter=a ok=True\ncheck=shift-chain i=2 letter=b ok=True\ncheck=shift-chain i=3 letter=b ok=True\n"
+
+
+def test_oversized_inputs_exit_one_before_anything_is_built():
+    # Each of these ran for 18-27 s, or died of MemoryError under a 2 GiB
+    # cap, when it was checked only after building; the child process is
+    # capped at 512 MiB so a regression fails here instead of on the host.
+    from helpers import run_limited
+
+    limit = f"exceeds the limit of {MAX_LETTERS} letters"
+    cases = [
+        (("classify", "--alphabet", "a,b,c", "--directive", "ab" * 17 + "(c)", "--depth", "1"),
+         f"error: --depth 1 scans 24157820 letters, which {limit}"),
+        (("construct", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c p=30000000 mu=id suffix=1"),
+         f"error: skew p=30000000 {limit}"),
+        (("construct", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c p=2 mu=psi:" + "ab" * 20),
+         f"error: mu has a 433494436-letter image, which {limit}"),
+        (("classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c p=30000000"),
+         f"error: skew p=30000000 {limit}"),
+        (("classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 20),
+         f"error: mu has a 433494436-letter image, which {limit}"),
+        (("verify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c p=30000000 suffix=1"),
+         f"error: skew p=30000000 {limit}"),
+        (("verify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 20 + " suffix=1"),
+         f"error: mu has a 433494436-letter image, which {limit}"),
+        # images under the cap, but the reconstruction gate would scan past it
+        (("verify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1"),
+         f"error: --depth 20 scans 24157816 letters, which {limit}"),
+    ]
+    for argv, message in cases:
+        done = run_limited(["-m", "epilex.cli", *argv], timeout=60, memory=512 << 20)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", message + "\n"), argv
+
+
+def test_min_reads_only_its_horizon_on_a_long_preperiod(capsys):
+    import time
+
+    began = time.perf_counter()
+    code, out, err = run(capsys, "min", "--alphabet", "a,b", "--directive", "ab" * 19 + "(ab)", "--k", "1", "--order", "a<b")
+    assert time.perf_counter() - began < 1.0
+    assert (code, out, err) == (0, "a\n", "")
+    # just under the caps, the same specs still run
+    code, out, _ = run(capsys, "classify", "--alphabet", "a,b,c", "--directive", "ab" * 3 + "(c)", "--depth", "5")
+    assert (code, out) == (0, "classification: NotFine\n")

@@ -8,6 +8,7 @@ from epilex import (
     DirectiveWord,
     LiteralPeriodicStream,
     NothingToDecompose,
+    PureEpistandardMorphism,
     Word,
     as_directive,
     builder_word,
@@ -21,10 +22,10 @@ from epilex import (
     standard_word,
     strictness,
 )
-from epilex.engine import infer_eventually_periodic, recover_directive_letters
+from epilex.engine import image_length, infer_eventually_periodic, recover_directive_letters
 from epilex.textio import parse_directive
 
-from helpers import brute_closure, random_directive
+from helpers import brute_closure, random_directive, run_limited
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -209,6 +210,84 @@ def test_as_directive_normalizes_morphic_images():
     d = as_directive(image)
     assert d is not None and str(d) == "c(ab)"
     assert as_directive(psi(ABC, "a").apply(image)) is not None
+
+
+def test_streams_state_their_directive():
+    from epilex import CallbackStream, ConcatStream, MorphicImageStream
+
+    d = parse_directive(ABC, "b(ab)")
+    t = standard_word(d)
+    assert t.directive() is d
+    once = psi(ABC, "c").apply(t)
+    twice = MorphicImageStream(PureEpistandardMorphism(ABC, (0, 2)), once)
+    assert str(once.directive()) == "cb(ab)" and str(twice.directive()) == "accb(ab)"
+    for image in (once, twice):
+        # the stated directive generates the image itself
+        assert standard_word(image.directive()).raw(300) == image.raw(300)
+        assert as_directive(image) == image.directive()
+    literal = LiteralPeriodicStream(ABC.word("c"), ABC.word("ab"))
+    others = [
+        literal,
+        psi(ABC, "c").apply(literal),
+        ConcatStream(ABC.word("c"), t),
+        CallbackStream(ABC, lambda n: [0] * n),
+    ]
+    for stream in others:
+        assert stream.directive() is None and as_directive(stream) is None
+
+
+@st.composite
+def directives_and_k(draw):
+    """Preperiod of 0-8 letters over 1-4 letters; the period either one letter
+    repeated (one recurring letter) or free (usually two or more)."""
+    size = draw(st.integers(1, 4))
+    letter = st.integers(0, size - 1)
+    preperiod = tuple(draw(st.lists(letter, max_size=8)))
+    if draw(st.booleans()):
+        period = (draw(letter),) * draw(st.integers(1, 3))
+    else:
+        period = tuple(draw(st.lists(letter, min_size=1, max_size=4)))
+    alphabet = Alphabet(tuple("abcd"[:size]))
+    return DirectiveWord(alphabet, preperiod, period), draw(st.integers(1, 20))
+
+
+@settings(max_examples=80, deadline=None)
+@given(directives_and_k())
+def test_exact_horizon_matches_closure_built_lengths(case):
+    # The bound recomputed from words built independently: palindromic
+    # prefixes by iterated closure, letter images by composing generators.
+    d, k = case
+    if len(d.ult()) >= 2:
+        lag = len(d.preperiod) + len(d.period) + 1
+        n = 1
+        while len(palindromic_prefixes(d, n)[-1]) < 2 * k:
+            n += 1
+        expected = len(palindromic_prefixes(d, n + lag)[-1])
+    else:
+        m = strictness(d).m
+        expected = len(prefix_morphism(d, m).images[d.letter(m + 1)]) + 2 * k + 2
+    assert exact_horizon(d, k) == expected
+    mu = prefix_morphism(d, len(d.preperiod))
+    assert [image_length(mu, y) for y in range(d.alphabet.size)] == [len(w) for w in mu.images]
+
+
+def test_exact_horizon_never_builds_the_word():
+    # Bounds near 10^16: building the prefix (or the letter image) they are
+    # computed from would exhaust the 512 MiB cap long before the timeout.
+    code = (
+        "import time\n"
+        "from epilex import Alphabet, exact_horizon\n"
+        "from epilex.textio import parse_directive\n"
+        "abc = Alphabet.of('a', 'b', 'c')\n"
+        "began = time.perf_counter()\n"
+        "bounds = [exact_horizon(parse_directive(abc, 'ab' * 40 + tail), 1) for tail in ('(ab)', '(c)')]\n"
+        "print(time.perf_counter() - began, *bounds)\n"
+    )
+    done = run_limited(["-c", code], timeout=30, memory=512 << 20)
+    assert done.returncode == 0, done.stderr
+    elapsed, *bounds = done.stdout.split()
+    assert float(elapsed) < 1.0
+    assert all(int(b) > 10**15 for b in bounds)
 
 
 def test_exact_horizon_is_stable():

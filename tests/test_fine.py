@@ -231,6 +231,9 @@ def test_min_transfer_examples():
     trib = standard_word(parse_directive(ABC, "(abc)"))
     f3 = standard_word(FIB3)
     assert verify_min_transfer(f3, trib, "a", "a", 20, 400)
+    # a scan shorter than the depth matches on neither side, so the sides agree
+    cc = standard_word(parse_directive(ABC, "cc(ba)"))
+    assert verify_min_transfer(cc, cc, "b", "c", 15, 3)
 
 
 def test_min_transfer_on_random_pairs():
@@ -241,6 +244,50 @@ def test_min_transfer_on_random_pairs():
         z = d.alphabet.letters[rng.randrange(d.alphabet.size)]
         a = d.alphabet.letters[rng.randrange(d.alphabet.size)]
         assert verify_min_transfer(t1, t1, z, a, 20, 600)
+
+
+def test_witnesses_and_tails_are_frozen_on_a_random_corpus():
+    # Frozen golden vector: the sha256 of these lines as the earlier code,
+    # with one chain loop per caller, printed them.  Witness (order, k,
+    # factor, required, reason), common tail and transfer verdict must all
+    # stay the same now that the callers share one chain check.
+    import hashlib
+    from collections import Counter
+
+    from helpers import random_directive
+
+    rng = random.Random(2027)
+    lines = []
+    for case in range(90):
+        if case % 3 == 0:
+            t = standard_word(random_directive(rng, max_alpha=3, max_pre=3, max_per=4))
+        elif case % 3 == 1:
+            t = construct_skew(random_canonical_skew(rng, max_alpha=3))
+        else:
+            size = rng.randint(2, 3)
+            alphabet = Alphabet(tuple("abc"[:size]))
+            head = tuple(rng.randrange(size) for _ in range(rng.randint(0, 4)))
+            cyc = tuple(rng.randrange(size) for _ in range(rng.randint(1, 5)))
+            t = LiteralPeriodicStream(Word(alphabet, head), Word(alphabet, cyc))
+        v = is_fine_empirical(t, 12, 400)
+        w = v.witness
+        wit = f"{w.order.describe()} {w.k} {w.factor} {w.required} {w.reason}" if w else "-"
+        lines.append(f"{v.classification.value} {v.s_prefix} {wit} {common_s(t, 12, 400)}")
+    for case in range(30):
+        d = random_directive(rng, max_alpha=3, max_pre=2, max_per=4) if case % 2 else random_strict_directive(rng, max_alpha=3)
+        t1 = standard_word(d)
+        s1 = t1 if case % 3 else standard_word(random_directive(rng, max_alpha=3))
+        if s1.alphabet != t1.alphabet:
+            s1 = t1
+        z, a = (d.alphabet.letters[rng.randrange(d.alphabet.size)] for _ in range(2))
+        lines.append(str(verify_min_transfer(t1, s1, z, a, 15, rng.choice((20, 60, 400)))))
+    assert Counter(line.split()[0] for line in lines) == {"Unknown": 58, "NotFine": 32, "True": 29, "False": 1}
+    assert Counter(line.split()[-2] for line in lines[:90] if line.startswith("NotFine")) == {
+        "smaller-factor": 23,
+        "required-missing": 9,
+    }
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "04a91c2b12dec3c717b9e76c20f53007660ccd827b7bcd10f1fc173202a72dab"
 
 
 # --- reconstruction ---------------------------------------------------------------------
