@@ -27,8 +27,10 @@ from .fine import (
     construct_skew,
     classify,
     reconstruct_skew,
+    skew_common_word,
 )
 from .textio import (
+    MAX_LETTERS,
     ParseError,
     parse_alphabet,
     parse_directive,
@@ -51,12 +53,6 @@ from .words import (
 DEFAULT_DEPTH = 50
 DEFAULT_HORIZON = 1000
 MAX_ORDER_LETTERS = 6
-# Largest --prefix, --horizon (also through ETK_HORIZON), --k, --depth, --i
-# times horizon, skew p and letter image of mu, and scan of classify and verify
-# --skew.  Every such value is a number of letters held in memory or generated
-# (about 8 bytes each, more for a skew word's stacked streams); a larger one
-# exits 1 before anything is generated instead of running until the process dies.
-MAX_LETTERS = 10**7
 
 
 class CLIError(ValueError):
@@ -147,7 +143,7 @@ def _stream_and_echo(alphabet, args) -> tuple[WordStream, dict[str, Any]]:
     if args.literal is not None:
         head, cycle = parse_literal(alphabet, args.literal)
         return LiteralPeriodicStream(head, cycle), {"kind": "literal", "text": args.literal.strip()}
-    spec = parse_skew(alphabet, args.skew, max_letters=MAX_LETTERS)
+    spec = parse_skew(alphabet, args.skew)
     return construct_skew(spec), {"kind": "skew", "spec": skew_to_dict(spec)}
 
 
@@ -214,8 +210,8 @@ def _cmd_classify(args) -> int:
         spec = LiteralPeriodicStream(head, cycle)
         extra = {}
     else:
-        spec = parse_skew(alphabet, args.skew, max_letters=MAX_LETTERS)
-        _check_scan(construct_skew(spec).exact_horizon(args.depth), args.depth)
+        spec = parse_skew(alphabet, args.skew)
+        _check_scan(spec.suffix_len + skew_common_word(spec).exact_horizon(args.depth), args.depth)
         extra = {}
     verdict = classify(spec, args.depth, horizon)
     payload = {**verdict_to_dict(verdict), **extra}
@@ -242,7 +238,7 @@ def _cmd_construct(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
     if args.prefix < 0:
         raise CLIError("--prefix must be >= 0")
-    spec = parse_skew(alphabet, args.skew, max_letters=MAX_LETTERS)
+    spec = parse_skew(alphabet, args.skew)
     stream = construct_skew(spec)
     word = stream.prefix(args.prefix)
     _emit(
@@ -269,7 +265,7 @@ def _cmd_verify(args) -> int:
             rec = shift_chain(d, i, horizon)
             checks.append({"check": "shift-chain", "i": i, "letter": rec.peeled_letter, "ok": rec.ok})
     elif args.skew is not None:
-        spec = parse_skew(alphabet, args.skew, max_letters=MAX_LETTERS)
+        spec = parse_skew(alphabet, args.skew)
         stream = construct_skew(spec)
         _check_scan(stream.exact_horizon(args.depth), args.depth)
         try:

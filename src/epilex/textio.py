@@ -17,6 +17,10 @@ from .fine import FinenessVerdict, SkewSpec, Witness
 from .morphisms import GroupWord, PureEpistandardMorphism, reduce_word
 from .words import Alphabet, AlphabetError, LexOrder, Word
 
+# The most letters one input may ask to hold or generate (8 bytes or more each);
+# a larger request is refused before anything is built, not when memory runs out.
+MAX_LETTERS = 10**7
+
 __all__ = [
     "ParseError",
     "parse_alphabet",
@@ -138,11 +142,11 @@ def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
     return reduce_word(alphabet, syllables)
 
 
-def parse_skew(alphabet: Alphabet, text: str, *, max_letters: int | None = None) -> SkewSpec:
+def parse_skew(alphabet: Alphabet, text: str) -> SkewSpec:
     """``skew v=(ab) x=c p=4 mu=psi:c suffix=full``; mu defaults to id.
 
-    With ``max_letters``, a ``p`` or a letter image of ``mu`` longer than that
-    raises :class:`ParseError` before any word is built.
+    A ``p``, letter image of ``mu`` or seed word that may be longer than
+    :data:`MAX_LETTERS` raises :class:`ParseError` before any word is built.
     """
     parts = text.split()
     if not parts or parts[0] != "skew":
@@ -162,18 +166,17 @@ def parse_skew(alphabet: Alphabet, text: str, *, max_letters: int | None = None)
         raise ParseError(f"letter {x!r} not in alphabet")
     p = int(fields.get("p", "0"))
     morphism = parse_morphism(alphabet, fields.get("mu", "id"))
-    if max_letters is not None:
-        if p > max_letters:
-            raise ParseError(f"skew p={p} exceeds the limit of {max_letters} letters")
-        longest = max(image_length(morphism, y) for y in range(alphabet.size))
-        if longest > max_letters:
-            raise ParseError(f"mu has a {longest}-letter image, which exceeds the limit of {max_letters} letters")
+    if p > MAX_LETTERS:
+        raise ParseError(f"skew p={p} exceeds the limit of {MAX_LETTERS} letters")
+    lengths = [image_length(morphism, y) for y in range(alphabet.size)]
+    if max(lengths) > MAX_LETTERS:
+        raise ParseError(f"mu has a {max(lengths)}-letter image, which exceeds the limit of {MAX_LETTERS} letters")
+    seed = p * max(lengths[c] for c in directive.alph()) + lengths[alphabet.index(x)]
+    if seed > MAX_LETTERS:
+        raise ParseError(f"skew seed may reach {seed} letters, which exceeds the limit of {MAX_LETTERS} letters")
     spec = SkewSpec(directive=directive, x=x, p=p, morphism=morphism, suffix_len=1)
     suffix = fields.get("suffix", "full")
-    if suffix == "full":
-        suffix_len = len(spec.seed_word())
-    else:
-        suffix_len = int(suffix)
+    suffix_len = len(spec.seed_word()) if suffix == "full" else int(suffix)
     return SkewSpec(directive=directive, x=x, p=p, morphism=morphism, suffix_len=suffix_len)
 
 

@@ -244,10 +244,28 @@ def test_oversized_inputs_exit_one_before_anything_is_built():
         # images under the cap, but the reconstruction gate would scan past it
         (("verify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1"),
          f"error: --depth 20 scans 24157816 letters, which {limit}"),
+        (("classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", "--depth", "20"),
+         f"error: --depth 20 scans 24157816 letters, which {limit}"),
+        # p and every image under the cap, but p times the longest core image is not
+        (("construct", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c p=2000000 mu=psi:ababababab", "--prefix", "5"),
+         f"error: skew seed may reach 288000232 letters, which {limit}"),
     ]
     for argv, message in cases:
         done = run_limited(["-m", "epilex.cli", *argv], timeout=60, memory=512 << 20)
         assert (done.returncode, done.stdout, done.stderr) == (1, "", message + "\n"), argv
+
+
+def test_classify_skew_scan_cap_builds_no_seed(capsys, monkeypatch):
+    from epilex.fine import SkewSpec
+
+    built = []
+    seed_word = SkewSpec.seed_word
+    monkeypatch.setattr(SkewSpec, "seed_word", lambda spec: built.append(spec) or seed_word(spec))
+    code, out, err = run(
+        capsys, "classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", "--depth", "20"
+    )
+    assert (code, out, built) == (1, "", [])
+    assert err.startswith("error: --depth 20 scans 24157816 letters")
 
 
 def test_min_reads_only_its_horizon_on_a_long_preperiod(capsys):
