@@ -85,15 +85,14 @@ def _default_horizon() -> int:
     return DEFAULT_HORIZON
 
 
-def _add_common(sub: argparse.ArgumentParser, *, spec: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alphabet", required=True, help="comma-separated letters, e.g. a,b,c")
     sub.add_argument("--output", choices=("text", "json"), default="text")
     sub.add_argument("--horizon", type=_letter_count, default=None, help="scan horizon (default 1000 or ETK_HORIZON)")
-    if spec:
-        group = sub.add_mutually_exclusive_group(required=True)
-        group.add_argument("--directive", help="directive word u(v), e.g. \"c(ab)\"")
-        group.add_argument("--literal", help="literal ultimately periodic word u(v)")
-        group.add_argument("--skew", help="skew spec, e.g. \"skew v=(ab) x=c p=4 mu=psi:c suffix=full\"")
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("--directive", help="directive word u(v), e.g. \"c(ab)\"")
+    group.add_argument("--literal", help="literal ultimately periodic word u(v)")
+    group.add_argument("--skew", help="skew spec, e.g. \"skew v=(ab) x=c p=4 mu=psi:c suffix=full\"")
 
 
 def build_parser() -> argparse.ArgumentParser:

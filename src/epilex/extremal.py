@@ -2,8 +2,8 @@
 
 The smallest length-k factor is computed by tracking every occurrence of the
 current minimum and extending one letter at a time, which also yields the
-whole chain of minima cheaply.  A deliberately naive sort-based oracle is kept
-alongside for cross-checking; it shares no code with the fast path.
+whole chain of minima cheaply.  The brute-force oracles the tests compare
+against live with the tests; they share no code with this module.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ __all__ = [
     "min_factor",
     "min_stream",
     "minimal_window_positions",
-    "oracle_max",
-    "oracle_min",
 ]
 
 
@@ -64,13 +62,13 @@ def _rescan_positions(seq: Sequence[int], rank: Sequence[int], k: int) -> list[i
     return out
 
 
-def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int) -> list[list[int]]:
-    """For each k = 1..k_max, all start positions of the rank-minimal window.
+def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int) -> list[int]:
+    """For each k = 1..k_max, the first start of the rank-minimal window.
 
-    Positions for k+1 are the extendable positions for k that continue with
-    the smallest letter; if none extends, the scan restarts from scratch.
-    Positions stay sorted, so the ones too close to the end to extend are a
-    suffix of the list.
+    The starts for k+1 are the extendable starts for k that continue with the
+    smallest letter; if none extends, the scan restarts from scratch.  Only
+    the current length's starts are held, in order, so the first one is the
+    first occurrence and the ones too close to the end to extend are a suffix.
     """
     n = len(seq)
     k_max = min(k_max, n)
@@ -79,7 +77,7 @@ def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int
     r = [rank[c] for c in seq]
     best = min(r)
     positions = list(compress(range(n), map(best.__eq__, r)))
-    out = [positions]
+    out = [positions[0]]
     for k in range(2, k_max + 1):
         live = positions[: bisect_right(positions, n - k)]
         if live:
@@ -89,28 +87,27 @@ def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int
             positions = list(compress(live, map(best.__eq__, nxt)))
         else:
             positions = _rescan_positions(seq, rank, k)
-        out.append(positions)
+        out.append(positions[0])
     return out
 
 
 def _least_window(seq: Sequence[int], rank: Sequence[int], k: int) -> tuple[int, ...]:
-    p = minimal_window_positions(seq, rank, k)[-1][0]
+    p = minimal_window_positions(seq, rank, k)[-1]
     return tuple(seq[p : p + k])
 
 
-def _least_factor(w: WordStream, rank: tuple[int, ...], k: int, bound: int) -> tuple[int, ...]:
+def _least_factor(w: WordStream, rank: tuple[int, ...], k: int) -> tuple[int, ...]:
     """The least length-``k`` factor of ``w`` under ``rank``, from the memo of min(w).
 
     Least factors of an infinite word nest, so one word per order answers
     every shorter length.  A longer ``k`` runs the chain once, to
-    ``max(k, 2 * held)``, outside the lock (``bound`` is ``w.exact_horizon(k)``);
+    ``max(k, 2 * held)``, outside the lock, over that length's exact prefix;
     the longer of its word and the one held is kept.
     """
     held = w._minima.get(rank, ())
     if len(held) < k:
         depth = max(k, 2 * len(held))
-        seq = w.raw(bound) if depth == k else scan_prefix(w, depth, None)[0]
-        deeper = _least_window(seq, rank, depth)
+        deeper = _least_window(scan_prefix(w, depth, None), rank, depth)
         with w._lock:
             held = w._minima.get(rank, ())
             if len(deeper) > len(held):
@@ -137,7 +134,7 @@ def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None
         )
     rank = (order.reversed() if invert else order).ranks
     if exact and isinstance(w, WordStream):
-        letters = _least_factor(w, rank, k, bound)
+        letters = _least_factor(w, rank, k)
     else:
         # Horizon-limited, or a finite word, whose least factors do not nest
         # (in ``ba`` the least is ``a``, then ``ba``): scan what the query reads.
@@ -177,20 +174,16 @@ def _limit_word(w: WordStream, order: LexOrder, horizon: int, invert: bool) -> W
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     k = max(1, horizon // 2)
-    rank = (order.reversed() if invert else order).ranks
-    bound = w.exact_horizon(k)
-    if bound is not None and isinstance(w, WordStream):
-        return Word(w.alphabet, _least_factor(w, rank, k, bound))
-    return Word(w.alphabet, _least_window(w.raw(horizon if bound is None else bound), rank, k))
+    return _extremal(w, k, order, None if w.exact_horizon(k) is not None else horizon, invert).word
 
 
 def min_stream(w: WordStream, order: LexOrder, horizon: int) -> Word:
     """The longest prefix of the limit of minimal factors the horizon supports.
 
     The chain of minima extends letter by letter, so its element at length
-    ``horizon // 2`` is that prefix.  When the stream states an exact horizon
-    for that length, it is read from the memo of min(t), as an exact
-    :func:`min_factor` is; otherwise the scan reads ``horizon`` letters.
+    ``horizon // 2`` is that prefix: :func:`min_factor` at that length, exact
+    when the stream states a bound for it and over ``horizon`` letters
+    otherwise, with the same checks and errors.
     """
     return _limit_word(w, order, horizon, invert=False)
 
@@ -198,21 +191,3 @@ def min_stream(w: WordStream, order: LexOrder, horizon: int) -> Word:
 def max_stream(w: WordStream, order: LexOrder, horizon: int) -> Word:
     """Mirror of :func:`min_stream` for the greatest factors."""
     return _limit_word(w, order, horizon, invert=True)
-
-
-def oracle_min(w: Word, k: int, order: LexOrder) -> Word:
-    """Brute-force reference: sort every window and take the first."""
-    if k > len(w):
-        raise LengthError(f"factor length {k} exceeds word length {len(w)}")
-    if k == 0:
-        return Word(w.alphabet, ())
-    ranks = order.ranks
-    windows = [tuple(ranks[c] for c in w.indices[i : i + k]) for i in range(len(w) - k + 1)]
-    least = sorted(windows)[0]
-    inverse = {r: i for i, r in enumerate(ranks)}
-    return Word(w.alphabet, tuple(inverse[r] for r in least))
-
-
-def oracle_max(w: Word, k: int, order: LexOrder) -> Word:
-    """Brute-force reference: the greatest window is the least under the reversed order."""
-    return oracle_min(w, k, order.reversed())

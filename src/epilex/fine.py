@@ -18,6 +18,7 @@ from typing import Sequence
 from .engine import (
     DirectiveWord,
     InternalConsistencyError,
+    image_length,
     infer_eventually_periodic,
     recover_directive_letters,
     standard_word,
@@ -94,6 +95,13 @@ class SkewSpec:
         marker = Word(self.alphabet, (self.alphabet.index(self.x),))
         return self.morphism.apply_word(mirrored + marker)
 
+    def seed_length(self) -> int:
+        """``len(self.seed_word())``, from the core prefix's letter counts and
+        the letter image lengths, so no image is built."""
+        counts = Counter(standard_word(self.directive).raw(self.p))
+        counts[self.alphabet.index(self.x)] += 1
+        return sum(n * image_length(self.morphism, c) for c, n in counts.items())
+
     def suffix_word(self) -> Word:
         seed = self.seed_word()
         return seed[len(seed) - self.suffix_len :]
@@ -114,7 +122,7 @@ class SkewSpec:
             raise SpecError(f"core directive {self.directive} is not strict")
         if any(z != x_idx and z not in core for z in self.morphism.letters):
             raise SpecError("morphism generators must stay inside the word's letters")
-        seed_len = len(self.seed_word())
+        seed_len = self.seed_length()
         if not 1 <= self.suffix_len <= seed_len:
             raise SpecError(
                 f"suffix length {self.suffix_len} out of range 1..{seed_len}"
@@ -170,14 +178,13 @@ def _present_tokens(stream: WordStream, seq: Sequence[int]) -> list[str]:
     return [toks[i] for i in range(len(toks)) if i in seen]
 
 
-def _chain_mismatch(seq: list[int], chain: list[list[int]], expected: list[int]) -> tuple[int, list[int]] | None:
+def _chain_mismatch(seq: list[int], chain: list[int], expected: list[int]) -> tuple[int, list[int]] | None:
     """The first k at which min(seq|k) differs from ``expected[:k]``, with that factor.
 
     ``chain`` is ``minimal_window_positions(seq, rank, depth)`` for the order
     in question; ``None`` means the two agree at every k the chain reaches.
     """
-    for k, positions in enumerate(chain, start=1):
-        p = positions[0]
+    for k, p in enumerate(chain, start=1):
         actual = seq[p : p + k]
         if actual != expected[:k]:
             return k, actual
@@ -205,7 +212,7 @@ def is_fine_empirical(
         raise ValueError("depth must be >= 1")
     if horizon is not None and horizon < 2 * depth:
         raise ValueError("horizon must be at least twice the depth")
-    seq, _ = scan_prefix(t, depth, horizon, deepen=deepen)
+    seq = scan_prefix(t, depth, horizon, deepen=deepen)
     present = _present_tokens(t, seq)
     orders = all_orders(t.alphabet, subset=present)
     s_ref: list[int] | None = None
@@ -214,7 +221,7 @@ def is_fine_empirical(
         chain = minimal_window_positions(seq, rank, depth)
         a_idx = min((i for i in set(seq)), key=lambda i: rank[i])
         if s_ref is None:
-            p = chain[depth - 1][0]
+            p = chain[depth - 1]
             s_ref = seq[p + 1 : p + depth]
         required = [a_idx] + s_ref
         mismatch = _chain_mismatch(seq, chain, required)
@@ -255,7 +262,7 @@ def common_s(t: WordStream, depth: int, horizon: int) -> Word | None:
     verdict = is_fine_empirical(t, depth, horizon)
     if not verdict.fine_to_depth or verdict.s_prefix is None:
         return None
-    seq, _ = scan_prefix(t, depth, horizon)
+    seq = scan_prefix(t, depth, horizon)
     present = _present_tokens(t, seq)
     if len(present) == 2:
         s_ref = list(verdict.s_prefix.indices)
@@ -282,9 +289,9 @@ def verify_min_transfer(
     a_idx = alphabet.index(a)
     z_idx = alphabet.index(z)
     gen = psi(alphabet, z)
-    t_seq, _ = scan_prefix(MorphicImageStream(gen, t1), depth, horizon)
+    t_seq = scan_prefix(MorphicImageStream(gen, t1), depth, horizon)
     s_img = MorphicImageStream(gen, s1).raw(depth + 2)
-    t1_seq, _ = scan_prefix(t1, depth, horizon)
+    t1_seq = scan_prefix(t1, depth, horizon)
     s1_pref = s1.raw(depth + 1)
     lhs_expected = [a_idx] + s1_pref
 
@@ -336,14 +343,13 @@ def _classify_directive(directive: DirectiveWord, depth: int) -> FinenessVerdict
 
 
 def _classify_skew(spec: SkewSpec, depth: int) -> FinenessVerdict:
-    spec.validate()
     stream = construct_skew(spec)
     emp = is_fine_empirical(stream, depth)
     if not emp.fine_to_depth:
         raise InternalConsistencyError(
             f"skew spec {spec} failed the empirical scan: {emp.witness}"
         )
-    expected_s = skew_common_word(spec).prefix(depth - 1)
+    expected_s = stream.tail.prefix(depth - 1)
     if emp.s_prefix != expected_s:
         raise InternalConsistencyError(
             f"skew spec {spec}: common tail differs from the morphic core image"
@@ -511,7 +517,7 @@ def _assemble_spec(
     except SpecError as exc:
         raise NotSkewForm(str(exc)) from None
     seed = base.seed_word().indices
-    image = MorphicImageStream(morphism, standard_word(core))
+    image = skew_common_word(base)
     t_seq = t.raw(horizon)
     for ell in range(len(seed), 0, -1):
         if list(seed[len(seed) - ell :]) != t_seq[:ell]:

@@ -140,6 +140,13 @@ class MorphicImageStream(WordStream):
         self.inner = inner
         self._longest = max(map(len, morphism.images))
         self._consumed = 0
+        # Streams are immutable, so the directive is stated once.
+        inner_directive = inner.directive()
+        self._directive = (
+            None
+            if inner_directive is None
+            else replace(inner_directive, preperiod=morphism.letters + inner_directive.preperiod)
+        )
 
     def _extend(self, n: int) -> None:
         buf, images = self._buf, self.morphism.images
@@ -157,15 +164,11 @@ class MorphicImageStream(WordStream):
 
     def directive(self) -> DirectiveWord | None:
         """The inner stream's directive with this morphism's generators prepended."""
-        inner = self.inner.directive()
-        if inner is None:
-            return None
-        return replace(inner, preperiod=self.morphism.letters + inner.preperiod)
+        return self._directive
 
     def exact_horizon(self, k: int) -> int | None:
-        directive = self.directive()
-        if directive is not None:
-            return directive.exact_horizon(k)
+        if self._directive is not None:
+            return self._directive.exact_horizon(k)
         # A length-k window of the image lies inside the image of k consecutive
         # inner letters, which occur within the inner bound.
         inner = self.inner.exact_horizon(k)

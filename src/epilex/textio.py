@@ -176,7 +176,7 @@ def parse_skew(alphabet: Alphabet, text: str) -> SkewSpec:
         raise ParseError(f"skew seed may reach {seed} letters, which exceeds the limit of {MAX_LETTERS} letters")
     spec = SkewSpec(directive=directive, x=x, p=p, morphism=morphism, suffix_len=1)
     suffix = fields.get("suffix", "full")
-    suffix_len = len(spec.seed_word()) if suffix == "full" else int(suffix)
+    suffix_len = spec.seed_length() if suffix == "full" else int(suffix)
     return SkewSpec(directive=directive, x=x, p=p, morphism=morphism, suffix_len=suffix_len)
 
 

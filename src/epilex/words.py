@@ -321,24 +321,24 @@ def prefix(stream: WordStream, n: int) -> Word:
 
 def scan_prefix(
     w: Word | WordStream, k: int, horizon: int | None, *, deepen: bool = False
-) -> tuple[list[int], int | None]:
-    """The letters a scan for factors of length at most ``k`` reads, and its bound.
+) -> list[int]:
+    """The letters a scan for factors of length at most ``k`` reads.
 
-    The bound is ``w.exact_horizon(k)``: every length-``k`` factor has
-    occurred by then, and every shorter factor is a prefix of one.  The scan
-    reads ``horizon`` letters cut at the bound, so a horizon past the bound
-    costs nothing and changes no result.  With ``deepen``, or no horizon, it
-    reads the bound itself however short the horizon.  Without a bound it
-    reads ``horizon`` letters, and raises ``ValueError`` when there is none.
+    The scan stops at ``w.exact_horizon(k)``: every length-``k`` factor has
+    occurred by then, and every shorter factor is a prefix of one.  It reads
+    ``horizon`` letters cut at that bound, so a horizon past the bound costs
+    nothing and changes no result.  With ``deepen``, or no horizon, it reads
+    the bound itself however short the horizon.  Without a bound it reads
+    ``horizon`` letters, and raises ``ValueError`` when there is none.
     """
     bound = w.exact_horizon(k)
     if bound is None:
         if horizon is None:
             raise ValueError(f"a {w.kind} stream states no exact horizon; pass one")
-        return w.raw(horizon), None
+        return w.raw(horizon)
     if horizon is None or deepen:
-        return w.raw(bound), bound
-    return w.raw(min(horizon, bound)), bound
+        return w.raw(bound)
+    return w.raw(min(horizon, bound))
 
 
 class LiteralPeriodicStream(WordStream):

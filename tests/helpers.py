@@ -14,6 +14,8 @@ from itertools import product
 from epilex import (
     Alphabet,
     DirectiveWord,
+    LengthError,
+    LexOrder,
     PureEpistandardMorphism,
     SkewSpec,
     Word,
@@ -62,6 +64,24 @@ def brute_preimage_exists(morphism: PureEpistandardMorphism, w: Word) -> bool:
             if morphism.apply_word(Word(w.alphabet, combo)) == w:
                 return True
     return False
+
+
+def oracle_min(w: Word, k: int, order: LexOrder) -> Word:
+    """Brute-force reference: sort every window and take the first."""
+    if k > len(w):
+        raise LengthError(f"factor length {k} exceeds word length {len(w)}")
+    if k == 0:
+        return Word(w.alphabet, ())
+    ranks = order.ranks
+    windows = [tuple(ranks[c] for c in w.indices[i : i + k]) for i in range(len(w) - k + 1)]
+    least = sorted(windows)[0]
+    inverse = {r: i for i, r in enumerate(ranks)}
+    return Word(w.alphabet, tuple(inverse[r] for r in least))
+
+
+def oracle_max(w: Word, k: int, order: LexOrder) -> Word:
+    """Brute-force reference: the greatest window is the least under the reversed order."""
+    return oracle_min(w, k, order.reversed())
 
 
 def all_words(alphabet: Alphabet, max_len: int):
@@ -146,7 +166,7 @@ def chain_words(seq: list[int], ranks, depth: int) -> list[list[int]]:
     from epilex.extremal import minimal_window_positions
 
     chain = minimal_window_positions(seq, ranks, depth)
-    return [seq[ps[0] : ps[0] + k] for k, ps in enumerate(chain, start=1)]
+    return [seq[p : p + k] for k, p in enumerate(chain, start=1)]
 
 
 def run_limited(args: list[str], timeout: float = 30.0, memory: int = 1 << 30):

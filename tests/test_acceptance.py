@@ -24,8 +24,6 @@ from epilex import (
     is_fine_empirical,
     max_factor,
     min_factor,
-    oracle_max,
-    oracle_min,
     palindromic_closure,
     psi,
     reconstruct_skew,
@@ -38,6 +36,8 @@ from epilex.textio import parse_directive, parse_skew
 
 from helpers import (
     chain_words,
+    oracle_max,
+    oracle_min,
     random_canonical_skew,
     random_directive,
     random_strict_directive,
@@ -156,12 +156,10 @@ def _u_len_at_least(stream, target, extra):
 def _chain_final(seq, ranks, depth):
     """min(seq|depth) with the extension chain verified along the way."""
     chain = minimal_window_positions(seq, ranks, depth)
-    prev = None
-    for ps in chain:
-        cur = set(ps)
-        assert prev is None or cur <= prev, "minima stopped extending; horizon too small"
-        prev = cur
-    p = chain[-1][0]
+    for k in range(1, len(chain)):
+        p, q = chain[k - 1], chain[k]
+        assert seq[q : q + k] == seq[p : p + k], "minima stopped extending; horizon too small"
+    p = chain[-1]
     return seq[p : p + len(chain)]
 
 

@@ -268,6 +268,27 @@ def test_classify_skew_scan_cap_builds_no_seed(capsys, monkeypatch):
     assert err.startswith("error: --depth 20 scans 24157816 letters")
 
 
+def test_skew_commands_build_the_seed_once_per_stream(capsys, monkeypatch):
+    from epilex.fine import SkewSpec
+
+    built = []
+    seed_word = SkewSpec.seed_word
+    monkeypatch.setattr(SkewSpec, "seed_word", lambda spec: built.append(spec) or seed_word(spec))
+    skew = ("--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c p=4 mu=psi:c suffix=full")
+    # verify builds the given stream, the recovered spec's seed to match
+    # suffixes against, and the recovered stream
+    for argv, seeds in (
+        (("construct", *skew), 1),
+        (("generate", *skew), 1),
+        (("min", *skew, "--k", "3", "--order", "a<b<c"), 1),
+        (("classify", *skew), 1),
+        (("verify", *skew), 3),
+    ):
+        built.clear()
+        code, _, err = run(capsys, *argv)
+        assert (code, err, len(built)) == (0, "", seeds), argv
+
+
 def test_min_reads_only_its_horizon_on_a_long_preperiod(capsys):
     import time
 

@@ -303,8 +303,8 @@ def test_exact_horizon_is_stable():
             big = st_.raw(3 * h)
             small = big[:h]
             for order in all_orders(d.alphabet):
-                p1 = minimal_window_positions(small, order.ranks, k)[-1][0]
-                p2 = minimal_window_positions(big, order.ranks, k)[-1][0]
+                p1 = minimal_window_positions(small, order.ranks, k)[-1]
+                p2 = minimal_window_positions(big, order.ranks, k)[-1]
                 assert small[p1 : p1 + k] == big[p2 : p2 + k]
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from epilex import (
     Alphabet,
+    AlphabetError,
     CallbackStream,
     Classification,
     ConcatStream,
@@ -24,14 +25,19 @@ from epilex import (
     max_stream,
     min_factor,
     min_stream,
-    oracle_max,
-    oracle_min,
     psi,
     standard_word,
 )
 from epilex.textio import parse_directive, parse_skew
 
-from helpers import LETTERS, random_canonical_skew, random_directive, random_strict_directive
+from helpers import (
+    LETTERS,
+    oracle_max,
+    oracle_min,
+    random_canonical_skew,
+    random_directive,
+    random_strict_directive,
+)
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -125,6 +131,33 @@ def test_min_stream_examples():
     lifted = psi(ABC, "a").apply(fprime)
     assert min_stream(lifted, LexOrder.default(ABC), 200) == ABC.word("ab") + lifted.prefix(98)
     assert max_stream(fib(), LexOrder.default(AB), 200) == Word(AB, (1,)) + fib().prefix(99)
+
+
+def test_min_stream_checks_as_min_factor_does():
+    # A finite word shorter than horizon // 2, and an order over other letters.
+    for fn in (min_stream, max_stream):
+        with pytest.raises(LengthError):
+            fn(AB.word("ba"), LexOrder.default(AB), 10)
+        with pytest.raises(AlphabetError):
+            fn(fib(), LexOrder.default(ABC), 10)
+
+
+def test_chain_holds_one_length_of_starts_at_a_time():
+    import tracemalloc
+
+    from epilex.extremal import minimal_window_positions
+
+    # a(b) directs (ab)^ω, whose least windows under b < a start at every
+    # odd position, so holding every length's starts would take n * k_max / 2.
+    seq = standard_word(parse_directive(AB, "a(b)")).raw(1200)
+    tracemalloc.start()
+    try:
+        chain = minimal_window_positions(seq, (1, 0), 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19
+    assert chain == [1] * 600
 
 
 def test_exactness_labels_for_directive_streams():

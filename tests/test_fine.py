@@ -67,6 +67,13 @@ def test_suffix_word_is_a_seed_suffix_by_construction():
     assert spec.suffix_word().indices == seed.indices[-3:]
 
 
+def test_seed_length_counts_the_seed_without_building_it():
+    rng = random.Random(61)
+    for _ in range(200):
+        spec = random_canonical_skew(rng)
+        assert spec.seed_length() == len(spec.seed_word())
+
+
 # --- empirical fineness ------------------------------------------------------------
 
 def test_fibonacci_is_fine_with_itself_as_tail():
