@@ -8,31 +8,18 @@ from .words import (
     LengthError,
     LexOrder,
     LiteralPeriodicStream,
-    Ordering,
-    Side,
     Word,
     WordStream,
     all_orders,
-    compare,
     complexity,
-    factor_sets_equal,
     factors,
-    is_palindrome,
-    prefix,
-    reversal,
-    special_factors,
 )
 from .morphisms import (
-    EpistandardMorphism,
-    GroupWord,
     MorphicImageStream,
-    Permutation,
     PureEpistandardMorphism,
-    apply_inverse,
     identity,
     is_separating,
     psi,
-    reduce_word,
 )
 from .engine import (
     DirectiveStream,
@@ -41,7 +28,6 @@ from .engine import (
     NothingToDecompose,
     ShiftChainRecord,
     StrictnessReport,
-    as_directive,
     builder_word,
     decompose_nonstrict,
     exact_horizon,

@@ -25,7 +25,6 @@ __all__ = [
     "NothingToDecompose",
     "ShiftChainRecord",
     "StrictnessReport",
-    "as_directive",
     "builder_word",
     "decompose_nonstrict",
     "exact_horizon",

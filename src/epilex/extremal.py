@@ -47,28 +47,15 @@ class ExtremalResult:
         return self.exactness is Exactness.EXACT
 
 
-def _rescan_positions(seq: Sequence[int], rank: Sequence[int], k: int) -> list[int]:
-    # Full window scan; only reached when every current minimum is flush with
-    # the end of the scanned prefix.
-    best: tuple[int, ...] | None = None
-    out: list[int] = []
-    for p in range(len(seq) - k + 1):
-        key = tuple(rank[c] for c in seq[p : p + k])
-        if best is None or key < best:
-            best = key
-            out = [p]
-        elif key == best:
-            out.append(p)
-    return out
-
-
 def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int) -> list[int]:
     """For each k = 1..k_max, the first start of the rank-minimal window.
 
     The starts for k+1 are the extendable starts for k that continue with the
-    smallest letter; if none extends, the scan restarts from scratch.  Only
-    the current length's starts are held, in order, so the first one is the
-    first occurrence and the ones too close to the end to extend are a suffix.
+    smallest letter.  If none extends (each least window ends flush with a
+    horizon-limited prefix), every window is compared as a slice of the rank
+    list.  Only the current length's starts are held, in order, so the first
+    one is the first occurrence and the ones too close to the end to extend
+    are a suffix.
     """
     n = len(seq)
     k_max = min(k_max, n)
@@ -86,7 +73,9 @@ def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int
             best = min(nxt)
             positions = list(compress(live, map(best.__eq__, nxt)))
         else:
-            positions = _rescan_positions(seq, rank, k)
+            starts = range(n - k + 1)
+            least = min(r[p : p + k] for p in starts)
+            positions = [p for p in starts if r[p : p + k] == least]
         out.append(positions[0])
     return out
 

@@ -3,8 +3,8 @@
 Word text uses letters as UTF-8 tokens, written contiguously for single
 character alphabets and comma-separated otherwise.  Streams and directives
 use ``u(v)`` for an ultimately periodic sequence, morphisms ``psi:abc`` or
-``psi(a)*psi(b)*psi(c)``, group words ``a b' a c`` with an apostrophe marking
-an inverse, and skew words ``skew v=(ab) x=c p=4 mu=psi:c suffix=full``.
+``psi(a)*psi(b)*psi(c)``, and skew words
+``skew v=(ab) x=c p=4 mu=psi:c suffix=full``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Any
 from .engine import DirectiveWord, StrictnessReport, image_length
 from .extremal import ExtremalResult
 from .fine import FinenessVerdict, SkewSpec, Witness
-from .morphisms import GroupWord, PureEpistandardMorphism, reduce_word
+from .morphisms import PureEpistandardMorphism
 from .words import Alphabet, AlphabetError, LexOrder, Word
 
 # The most letters one input may ask to hold or generate (8 bytes or more each);
@@ -25,7 +25,6 @@ __all__ = [
     "ParseError",
     "parse_alphabet",
     "parse_directive",
-    "parse_group_word",
     "parse_literal",
     "parse_morphism",
     "parse_order",
@@ -127,26 +126,20 @@ def format_morphism(m: PureEpistandardMorphism) -> str:
     return "psi:" + ",".join(toks)
 
 
-def parse_group_word(alphabet: Alphabet, text: str) -> GroupWord:
-    """Space-separated syllables, apostrophe suffix for an inverse letter."""
-    syllables: list[tuple[int, int]] = []
-    for tok in text.split():
-        sign = 1
-        if tok.endswith("'"):
-            sign = -1
-            tok = tok[:-1]
-        try:
-            syllables.append((alphabet.index(tok), sign))
-        except AlphabetError as exc:
-            raise ParseError(str(exc)) from None
-    return reduce_word(alphabet, syllables)
+def _skew_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"skew {key}={text} is not an integer") from None
 
 
 def parse_skew(alphabet: Alphabet, text: str) -> SkewSpec:
     """``skew v=(ab) x=c p=4 mu=psi:c suffix=full``; mu defaults to id.
 
-    A ``p``, letter image of ``mu`` or seed word that may be longer than
-    :data:`MAX_LETTERS` raises :class:`ParseError` before any word is built.
+    A ``p`` that is negative or not an integer, a ``suffix`` that is neither
+    ``full`` nor an integer, and a ``p``, letter image of ``mu`` or seed word
+    that may be longer than :data:`MAX_LETTERS` raise :class:`ParseError`
+    before any word is built.
     """
     parts = text.split()
     if not parts or parts[0] != "skew":
@@ -160,11 +153,15 @@ def parse_skew(alphabet: Alphabet, text: str) -> SkewSpec:
     for key in ("v", "x"):
         if key not in fields:
             raise ParseError(f"skew spec is missing {key}=...: {text!r}")
+    p = _skew_int("p", fields.get("p", "0"))
+    if p < 0:
+        raise ParseError(f"skew p={p} must be >= 0")
+    suffix = fields.get("suffix", "full")
+    suffix_len = None if suffix == "full" else _skew_int("suffix", suffix)
     directive = parse_directive(alphabet, fields["v"])
     x = fields["x"]
     if x not in alphabet:
         raise ParseError(f"letter {x!r} not in alphabet")
-    p = int(fields.get("p", "0"))
     morphism = parse_morphism(alphabet, fields.get("mu", "id"))
     if p > MAX_LETTERS:
         raise ParseError(f"skew p={p} exceeds the limit of {MAX_LETTERS} letters")
@@ -174,9 +171,9 @@ def parse_skew(alphabet: Alphabet, text: str) -> SkewSpec:
     seed = p * max(lengths[c] for c in directive.alph()) + lengths[alphabet.index(x)]
     if seed > MAX_LETTERS:
         raise ParseError(f"skew seed may reach {seed} letters, which exceeds the limit of {MAX_LETTERS} letters")
-    spec = SkewSpec(directive=directive, x=x, p=p, morphism=morphism, suffix_len=1)
-    suffix = fields.get("suffix", "full")
-    suffix_len = spec.seed_length() if suffix == "full" else int(suffix)
+    if suffix_len is None:
+        spec = SkewSpec(directive=directive, x=x, p=p, morphism=morphism, suffix_len=1)
+        suffix_len = spec.seed_length()
     return SkewSpec(directive=directive, x=x, p=p, morphism=morphism, suffix_len=suffix_len)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from enum import Enum
 from itertools import cycle, islice, permutations
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -24,25 +23,18 @@ __all__ = [
     "LengthError",
     "Word",
     "LexOrder",
-    "Ordering",
-    "Side",
     "WordStream",
     "LiteralPeriodicStream",
     "ConcatStream",
     "CallbackStream",
     "all_orders",
-    "compare",
     "complexity",
-    "factor_sets_equal",
     "factors",
-    "is_palindrome",
-    "prefix",
-    "reversal",
     "scan_prefix",
-    "special_factors",
 ]
 
-# Characters with a meaning in the text formats; letters may not contain them.
+# Letters may not contain these: the text formats' punctuation, whitespace,
+# and the apostrophe.
 _RESERVED_CHARS = set("(),<'*= \t\n")
 
 
@@ -174,21 +166,6 @@ class Word:
         return self.indices == self.indices[::-1]
 
 
-def reversal(w: Word) -> Word:
-    """The mirror image of ``w``."""
-    return w.reversal()
-
-
-def is_palindrome(w: Word) -> bool:
-    return w.is_palindrome()
-
-
-class Ordering(Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
 @dataclass(frozen=True)
 class LexOrder:
     """A total order on an alphabet, given as a rank for every letter index."""
@@ -221,9 +198,6 @@ class LexOrder:
     def describe(self) -> str:
         return "<".join(self.letters_ascending())
 
-    def key(self, w: Word) -> tuple[int, ...]:
-        return tuple(self.ranks[i] for i in w.indices)
-
     def reversed(self) -> "LexOrder":
         top = self.alphabet.size - 1
         return LexOrder(self.alphabet, tuple(top - r for r in self.ranks))
@@ -243,16 +217,6 @@ def all_orders(alphabet: Alphabet, subset: Sequence[str] | None = None) -> list[
         base = [t for t in alphabet.letters if t in set(subset)]
         rest = [t for t in alphabet.letters if t not in set(subset)]
     return [LexOrder.from_letters(alphabet, list(p) + rest) for p in permutations(base)]
-
-
-def compare(u: Word, v: Word, order: LexOrder) -> Ordering:
-    """Lexicographic comparison; a proper prefix is less than its extension."""
-    if u.alphabet != v.alphabet or u.alphabet != order.alphabet:
-        raise AlphabetError("compare needs both words and the order over one alphabet")
-    ku, kv = order.key(u), order.key(v)
-    if ku == kv:
-        return Ordering.EQUAL
-    return Ordering.LESS if ku < kv else Ordering.GREATER
 
 
 class WordStream:
@@ -312,11 +276,6 @@ class WordStream:
         are horizon-limited.
         """
         return None
-
-
-def prefix(stream: WordStream, n: int) -> Word:
-    """The first ``n`` letters of a stream."""
-    return stream.prefix(n)
 
 
 def scan_prefix(
@@ -419,11 +378,6 @@ class CallbackStream(WordStream):
         self._buf.extend(out[have:want])
 
 
-class Side(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 def factors(w: Word, k: int) -> set[Word]:
     """All distinct length-``k`` blocks of ``w``; empty set when ``k > |w|``."""
     if k < 0:
@@ -432,26 +386,6 @@ def factors(w: Word, k: int) -> set[Word]:
         return set()
     seen = {w.indices[i : i + k] for i in range(len(w) - k + 1)}
     return {Word(w.alphabet, t) for t in seen}
-
-
-def _extensions(w: Word, k: int, side: Side) -> dict[tuple[int, ...], set[int]]:
-    ext: dict[tuple[int, ...], set[int]] = {}
-    idx = w.indices
-    for i in range(len(idx) - k + 1):
-        block = idx[i : i + k]
-        if side is Side.RIGHT:
-            if i + k < len(idx):
-                ext.setdefault(block, set()).add(idx[i + k])
-        else:
-            if i > 0:
-                ext.setdefault(block, set()).add(idx[i - 1])
-    return ext
-
-
-def special_factors(w: Word, k: int, side: Side) -> set[Word]:
-    """Length-``k`` factors with at least two distinct extensions on ``side``, witnessed in ``w``."""
-    ext = _extensions(w, k, side)
-    return {Word(w.alphabet, block) for block, letters in ext.items() if len(letters) >= 2}
 
 
 def complexity(stream: WordStream, n: int, horizon: int) -> int:
@@ -464,23 +398,3 @@ def complexity(stream: WordStream, n: int, horizon: int) -> int:
         raise ValueError("horizon must be at least the factor length")
     seq = stream.raw(horizon)
     return len({tuple(seq[i : i + n]) for i in range(len(seq) - n + 1)})
-
-
-def factor_sets_equal(x: WordStream, y: WordStream, depth: int, horizon: int) -> bool:
-    """Whether the two streams have identical factor sets up to ``depth``, at the horizon.
-
-    Factors are compared as token sequences, so streams over different carrier
-    alphabets can still be equivalent.
-    """
-    if horizon < depth:
-        raise ValueError("horizon must be at least the comparison depth")
-    sx = x.raw(horizon)
-    sy = y.raw(horizon)
-    tx = [x.alphabet.letters[i] for i in sx]
-    ty = [y.alphabet.letters[i] for i in sy]
-    for j in range(depth + 1):
-        fx = {tuple(tx[i : i + j]) for i in range(len(tx) - j + 1)}
-        fy = {tuple(ty[i : i + j]) for i in range(len(ty) - j + 1)}
-        if fx != fy:
-            return False
-    return True

@@ -1,9 +1,8 @@
 """Shared brute-force oracles and random generators for the test suite.
 
 Everything here is deliberately naive and independent of the library's fast
-paths: closures by trying candidate lengths, reduction by rescanning to a
-fixpoint, preimages by exhaustive search.  Expected values frozen in the
-tests were produced by these oracles.
+paths: closures by trying candidate lengths, preimages by exhaustive search.
+Expected values frozen in the tests were produced by these oracles.
 """
 
 from __future__ import annotations
@@ -31,29 +30,6 @@ def brute_closure(w: Word) -> Word:
         if tail == tail[::-1]:
             return Word(w.alphabet, w.indices + w.indices[:d][::-1])
     raise AssertionError("unreachable: the doubled word is always a candidate")
-
-
-def brute_reduce(alphabet: Alphabet, syllables: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Repeated single-pass cancellation until a fixpoint."""
-    current = list(syllables)
-    while True:
-        out: list[tuple[int, int]] = []
-        i = 0
-        changed = False
-        while i < len(current):
-            if (
-                i + 1 < len(current)
-                and current[i][0] == current[i + 1][0]
-                and current[i][1] == -current[i + 1][1]
-            ):
-                i += 2
-                changed = True
-            else:
-                out.append(current[i])
-                i += 1
-        current = out
-        if not changed:
-            return tuple(current)
 
 
 def brute_preimage_exists(morphism: PureEpistandardMorphism, w: Word) -> bool:

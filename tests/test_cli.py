@@ -87,6 +87,18 @@ def test_parse_error_exits_one(capsys):
     assert "position" in err
 
 
+def test_skew_field_errors_name_the_field(capsys):
+    for fields, named in (
+        ("p=-3 suffix=full", "skew p=-3 must be >= 0"),
+        ("p=zz suffix=full", "skew p=zz is not an integer"),
+        ("p=4 suffix=half", "skew suffix=half is not an integer"),
+    ):
+        skew = f"skew v=(ab) x=c {fields} mu=psi:c"
+        code, out, err = run(capsys, "construct", "--alphabet", "a,b,c", "--skew", skew, "--prefix", "5")
+        assert code == 1 and out == "", skew
+        assert named in err and "Traceback" not in err, err
+
+
 def test_validation_error_exits_one(capsys):
     code, _, err = run(
         capsys, "construct", "--alphabet", "a,b,c", "--skew", "skew v=a(b) x=c p=0 suffix=full"

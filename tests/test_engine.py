@@ -10,7 +10,6 @@ from epilex import (
     NothingToDecompose,
     PureEpistandardMorphism,
     Word,
-    as_directive,
     builder_word,
     decompose_nonstrict,
     exact_horizon,
@@ -204,14 +203,6 @@ def test_recover_directive_letters_round_trip():
         assert standard_word(inferred).raw(8000) == seq
 
 
-def test_as_directive_normalizes_morphic_images():
-    inner = standard_word(parse_directive(ABC, "(ab)"))
-    image = psi(ABC, "c").apply(inner)
-    d = as_directive(image)
-    assert d is not None and str(d) == "c(ab)"
-    assert as_directive(psi(ABC, "a").apply(image)) is not None
-
-
 def test_streams_state_their_directive():
     from epilex import CallbackStream, ConcatStream, MorphicImageStream
 
@@ -224,7 +215,10 @@ def test_streams_state_their_directive():
     for image in (once, twice):
         # the stated directive generates the image itself
         assert standard_word(image.directive()).raw(300) == image.raw(300)
-        assert as_directive(image) == image.directive()
+    # an image of a purely periodic directive word states a preperiod
+    image = psi(ABC, "c").apply(standard_word(parse_directive(ABC, "(ab)")))
+    assert str(image.directive()) == "c(ab)"
+    assert str(psi(ABC, "a").apply(image).directive()) == "ac(ab)"
     literal = LiteralPeriodicStream(ABC.word("c"), ABC.word("ab"))
     others = [
         literal,
@@ -233,7 +227,7 @@ def test_streams_state_their_directive():
         CallbackStream(ABC, lambda n: [0] * n),
     ]
     for stream in others:
-        assert stream.directive() is None and as_directive(stream) is None
+        assert stream.directive() is None
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epilex import (
     Alphabet,
@@ -158,6 +158,50 @@ def test_chain_holds_one_length_of_starts_at_a_time():
         tracemalloc.stop()
     assert peak < 1 << 19
     assert chain == [1] * 600
+
+
+@st.composite
+def chain_cases(draw):
+    """A sequence of at most 30 letters over 2-3 letters, and an order.
+
+    Besides free sequences: ones ending in the only occurrence of the least
+    letter, whose chain rescans from length 2 on, and prefixes of standard
+    words cut short of their exact horizon.
+    """
+    alphabet = Alphabet(tuple("abc"[: draw(st.integers(2, 3))]))
+    order = draw(st.sampled_from(all_orders(alphabet)))
+    letter = st.integers(0, alphabet.size - 1)
+    kind = draw(st.sampled_from(("free", "flush", "prefix")))
+    if kind == "free":
+        seq = draw(st.lists(letter, min_size=1, max_size=30))
+    elif kind == "flush":
+        least = order.ranks.index(0)
+        others = st.sampled_from([c for c in range(alphabet.size) if c != least])
+        seq = draw(st.lists(others, max_size=29)) + [least]
+    else:
+        d = DirectiveWord(
+            alphabet,
+            tuple(draw(st.lists(letter, max_size=3))),
+            tuple(draw(st.lists(letter, min_size=1, max_size=3))),
+        )
+        seq = standard_word(d).raw(draw(st.integers(1, 30)))
+    return Word(alphabet, tuple(seq)), order
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_cases())
+@example((AB.word("bba"), LexOrder.default(AB)))
+def test_chain_starts_are_first_occurrences_of_the_least_windows(case):
+    from epilex.extremal import minimal_window_positions
+
+    w, order = case
+    seq = w.indices
+    chain = minimal_window_positions(seq, order.ranks, len(seq))
+    assert len(chain) == len(seq)
+    for k, start in enumerate(chain, 1):
+        least = oracle_min(w, k, order).indices
+        first = next(p for p in range(len(seq) - k + 1) if seq[p : p + k] == least)
+        assert start == first, (str(w), order.describe(), k)
 
 
 def test_exactness_labels_for_directive_streams():

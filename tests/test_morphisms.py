@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from epilex import (
@@ -8,23 +7,18 @@ from epilex import (
     CallbackStream,
     ConcatStream,
     DirectiveWord,
-    EpistandardMorphism,
-    GroupWord,
     LiteralPeriodicStream,
     MorphicImageStream,
-    Permutation,
     PureEpistandardMorphism,
     Word,
-    apply_inverse,
     identity,
     is_separating,
     psi,
-    reduce_word,
     standard_word,
 )
-from epilex.textio import parse_directive, parse_group_word, parse_morphism
+from epilex.textio import parse_directive
 
-from helpers import all_words, brute_preimage_exists, brute_reduce
+from helpers import all_words, brute_preimage_exists
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -174,82 +168,7 @@ def test_nonerasing_equality_cases():
     assert len(identity(AB).apply_word(AB.word("ab"))) == 2
 
 
-# --- free group ---------------------------------------------------------------
-
-def test_reduce_examples():
-    a = ABC.index("a")
-    b = ABC.index("b")
-    c = ABC.index("c")
-    assert reduce_word(ABC, [(a, 1), (a, -1)]).syllables == ()
-    assert reduce_word(ABC, [(a, 1), (b, 1), (b, -1), (a, 1)]).syllables == ((a, 1), (a, 1))
-    two_stage = reduce_word(ABC, [(a, 1), (b, -1), (b, 1), (a, -1), (c, 1)])
-    assert two_stage.syllables == ((c, 1),)
-
-
-@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=30))
-def test_reduce_matches_fixpoint_oracle(syllables):
-    assert reduce_word(ABC, syllables).syllables == brute_reduce(ABC, syllables)
-
-
-def test_group_word_guards():
-    a = ABC.index("a")
-    with pytest.raises(ValueError):
-        GroupWord(ABC, ((a, 1), (a, -1)))
-    g = parse_group_word(ABC, "a b' a c")
-    assert str(g) == "a b' a c"
-    assert not g.is_positive
-    assert parse_group_word(ABC, "a b b' a").to_word() == ABC.word("aa")
-
-
-def test_apply_inverse_examples():
-    pa = psi(ABC, "a")
-    w = ABC.word("bacab")
-    assert apply_inverse("a", pa.apply_word(w)).to_word() == w
-    g = apply_inverse("a", ABC.word("b"))
-    assert str(g) == "a' b"
-
-
-def test_apply_inverse_matches_proof_calculation():
-    # Instantiate the two-cancellation pattern: with the core prefix ending in
-    # the peeled letter twice, inverting drops both trailing copies.
-    core_prefix = ABC.word("acc")
-    image = psi(ABC, "c").apply_word(core_prefix)
-    assert str(image) == "cacc"
-    syllables = (
-        [(ABC.index("c"), 1), (ABC.index("a"), 1)]
-        + [(i, 1) for i in image.indices]
-        + [(ABC.index("c"), -1), (ABC.index("b"), 1)]
-    )
-    g = reduce_word(ABC, syllables)
-    result = apply_inverse("c", g)
-    assert result.is_positive
-    assert result.to_word() == ABC.word("aab")
-
-
-def test_inverse_law_exhaustive():
-    # Every word of length <= 6 over three letters, every generator.
-    for tok in ABC.letters:
-        gen = psi(ABC, tok)
-        for w in all_words(ABC, 6):
-            back = apply_inverse(tok, gen.apply_word(w))
-            assert back.is_positive and back.to_word() == w
-
-
-@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=16),
-       st.integers(0, 2))
-def test_generator_automorphism_round_trip(syllables, gen_idx):
-    g = reduce_word(ABC, syllables)
-    gen = PureEpistandardMorphism(ABC, (gen_idx,))
-    assert gen.invert_group(gen.apply_group(g)) == g
-    assert gen.apply_group(apply_inverse(ABC.letters[gen_idx], g)) == g
-
-
-def test_composed_inverse_is_reversed_generator_inverses():
-    m = parse_morphism(ABC, "psi:abc")
-    w = ABC.word("cabba")
-    g = GroupWord.from_word(m.apply_word(w))
-    assert m.invert_group(g).to_word() == w
-
+# --- images and separating letters -------------------------------------------
 
 def test_image_characterization_small():
     # Among words ending in the generator letter (or empty), membership in the
@@ -274,31 +193,3 @@ def test_is_separating():
     assert is_separating("c", w)
     assert is_separating("a", ABC.word("a"))  # short words are trivially fine
     assert is_separating("a", ABC.word(""))
-
-
-# --- permutations --------------------------------------------------------------
-
-def test_permutation_apply_and_compose():
-    swap = Permutation.from_pairs(ABC, {"a": "b", "b": "a"})
-    assert str(swap.apply_word(ABC.word("abcab"))) == "bacba"
-    assert swap.compose(swap).mapping == Permutation.identity(ABC).mapping
-
-
-def test_epistandard_normal_form_composition():
-    rng = random.Random(5)
-    perms = [
-        Permutation.identity(ABC),
-        Permutation.from_pairs(ABC, {"a": "b", "b": "a"}),
-        Permutation.from_pairs(ABC, {"a": "b", "b": "c", "c": "a"}),
-    ]
-    for _ in range(50):
-        e1 = EpistandardMorphism(
-            rng.choice(perms),
-            PureEpistandardMorphism(ABC, tuple(rng.randrange(3) for _ in range(rng.randint(0, 3)))),
-        )
-        e2 = EpistandardMorphism(
-            rng.choice(perms),
-            PureEpistandardMorphism(ABC, tuple(rng.randrange(3) for _ in range(rng.randint(0, 3)))),
-        )
-        w = Word(ABC, tuple(rng.randrange(3) for _ in range(rng.randint(0, 8))))
-        assert e1.compose(e2).apply_word(w) == e1.apply_word(e2.apply_word(w))

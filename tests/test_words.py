@@ -4,22 +4,12 @@ from hypothesis import given, strategies as st
 from epilex import (
     Alphabet,
     AlphabetError,
-    CallbackStream,
-    LexOrder,
     LiteralPeriodicStream,
-    Ordering,
-    Side,
     Word,
     all_orders,
-    compare,
     complexity,
     construct_skew,
-    factor_sets_equal,
     factors,
-    is_palindrome,
-    prefix,
-    reversal,
-    special_factors,
     standard_word,
 )
 from epilex.textio import parse_directive, parse_skew
@@ -66,52 +56,16 @@ def test_multichar_alphabet_words_are_comma_separated():
 
 
 def test_reversal_and_palindromes():
-    assert str(reversal(AB.word("abaa"))) == "aaba"
-    assert is_palindrome(AB.word(""))
-    assert is_palindrome(AB.word("abaaba"))
-    assert not is_palindrome(AB.word("ab"))
+    assert str(AB.word("abaa").reversal()) == "aaba"
+    assert AB.word("").is_palindrome()
+    assert AB.word("abaaba").is_palindrome()
+    assert not AB.word("ab").is_palindrome()
 
 
 @given(st.lists(st.integers(0, 2), max_size=30))
 def test_reversal_is_involutive(indices):
     w = Word(ABC, tuple(indices))
-    assert reversal(reversal(w)) == w
-
-
-# --- lexicographic comparison ----------------------------------------------
-
-def test_compare_examples():
-    order = LexOrder.default(AB)
-    assert compare(AB.word("aab"), AB.word("aba"), order) is Ordering.LESS
-    assert compare(AB.word("ab"), AB.word("aba"), order) is Ordering.LESS  # proper prefix
-    # Under c<a<b the second letters compare c < a, so "ca" > "cc".
-    cab = LexOrder.from_letters(ABC, "cab")
-    assert compare(ABC.word("ca"), ABC.word("cc"), cab) is Ordering.GREATER
-    assert compare(ABC.word("cc"), ABC.word("ca"), cab) is Ordering.LESS
-
-
-def test_compare_rejects_mismatched_alphabets():
-    with pytest.raises(AlphabetError):
-        compare(AB.word("a"), ABC.word("a"), LexOrder.default(AB))
-
-
-def test_compare_is_a_total_order_exhaustively():
-    # All words of length <= 4 over three letters, every order: compare must
-    # agree with the rank-sequence key, which is a total order.
-    from helpers import all_words
-
-    words = list(all_words(ABC, 4))
-    for order in all_orders(ABC):
-        keys = {w: order.key(w) for w in words}
-        for u in words[::7]:
-            for v in words:
-                got = compare(u, v, order)
-                expect = (
-                    Ordering.EQUAL
-                    if keys[u] == keys[v]
-                    else Ordering.LESS if keys[u] < keys[v] else Ordering.GREATER
-                )
-                assert got is expect
+    assert w.reversal().reversal() == w
 
 
 def test_all_orders_enumeration_is_deterministic():
@@ -138,20 +92,13 @@ def test_factors_reversal_invariance(indices, k):
     assert left == factors(w.reversal(), k)
 
 
-def test_special_factors():
-    assert {str(f) for f in special_factors(fib().prefix(50), 1, Side.LEFT)} == {"a"}
-    assert {str(f) for f in special_factors(trib().prefix(100), 0, Side.RIGHT)} == {""}
-    assert len(factors(trib().prefix(100), 1)) == 3  # the empty factor has 3 extensions
-    assert special_factors(AB.word("aaaa"), 1, Side.RIGHT) == set()
-
-
 # --- streams ----------------------------------------------------------------
 
 def test_prefix_examples():
-    assert str(prefix(fib(), 14)) == "abaababaabaaba"
-    assert prefix(fib(), 0) == AB.word("")
+    assert str(fib().prefix(14)) == "abaababaabaaba"
+    assert fib().prefix(0) == AB.word("")
     ababa = LiteralPeriodicStream(AB.word(""), AB.word("ab"))
-    assert str(prefix(ababa, 5)) == "ababa"
+    assert str(ababa.prefix(5)) == "ababa"
 
 
 def test_literal_stream_requires_nonempty_cycle():
@@ -177,13 +124,6 @@ def test_complexity_formulas_at_spec_horizons():
     assert all(complexity(f, n, 5000) == n + 1 for n in range(1, 51))
     t = trib()
     assert all(complexity(t, n, 20000) == 2 * n + 1 for n in range(1, 51))
-
-
-def test_factor_sets_equal():
-    assert factor_sets_equal(fib(), fib(), 10, 500)
-    shifted = CallbackStream(AB, lambda n: fib().raw(n + 1)[1:])
-    assert factor_sets_equal(fib(), shifted, 8, 500)
-    assert not factor_sets_equal(fib(), trib(), 2, 500)
 
 
 def test_concurrent_stream_extension_is_safe():
