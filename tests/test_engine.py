@@ -21,7 +21,12 @@ from epilex import (
     standard_word,
     strictness,
 )
-from epilex.engine import image_length, infer_eventually_periodic, recover_directive_letters
+from epilex.engine import (
+    as_directive,
+    image_length,
+    infer_eventually_periodic,
+    recover_directive_letters,
+)
 from epilex.textio import parse_directive
 
 from helpers import brute_closure, random_directive, run_limited
@@ -201,6 +206,14 @@ def test_recover_directive_letters_round_trip():
         assert letters == [d.letter(i) for i in range(1, len(letters) + 1)]
         inferred = infer_eventually_periodic(d.alphabet, letters)
         assert standard_word(inferred).raw(8000) == seq
+
+
+def test_as_directive_normalizes_morphic_images():
+    inner = standard_word(parse_directive(ABC, "(ab)"))
+    image = psi(ABC, "c").apply(inner)
+    d = as_directive(image)
+    assert d is not None and str(d) == "c(ab)"
+    assert as_directive(psi(ABC, "a").apply(image)) is not None
 
 
 def test_streams_state_their_directive():
