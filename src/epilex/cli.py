@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from typing import Any
 
 from .engine import (
@@ -95,7 +96,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--skew", help="skew spec, e.g. \"skew v=(ab) x=c p=4 mu=psi:c suffix=full\"")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every later call.
+
+    Parsing leaves it unchanged: defaults are constants, and ``ETK_HORIZON``
+    is read when a command runs, not when the parser is built.
+    """
     parser = _Parser(prog="epilex", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -159,10 +166,11 @@ def _cmd_generate(args) -> int:
         raise CLIError("--prefix must be >= 0")
     stream, echo = _stream_and_echo(alphabet, args)
     word = stream.prefix(args.prefix)
+    text = str(word)
     _emit(
         args,
-        {"word": str(word), "length": len(word), "alphabet": list(alphabet.letters), "spec": echo},
-        str(word),
+        {"word": text, "length": len(word), "alphabet": list(alphabet.letters), "spec": echo},
+        text,
     )
     return 0
 
@@ -240,11 +248,8 @@ def _cmd_construct(args) -> int:
     spec = parse_skew(alphabet, args.skew)
     stream = construct_skew(spec)
     word = stream.prefix(args.prefix)
-    _emit(
-        args,
-        {"word": str(word), "length": len(word), "skew": skew_to_dict(spec)},
-        str(word),
-    )
+    text = str(word)
+    _emit(args, {"word": text, "length": len(word), "skew": skew_to_dict(spec)}, text)
     return 0
 
 

@@ -96,8 +96,8 @@ class DirectiveWord:
         return exact_horizon(self, k)
 
     def __str__(self) -> str:
-        pre = Word(self.alphabet, self.preperiod)
-        per = Word(self.alphabet, self.period)
+        pre = Word._trusted(self.alphabet, self.preperiod)
+        per = Word._trusted(self.alphabet, self.period)
         return f"{pre}({per})"
 
     def __repr__(self) -> str:
@@ -125,7 +125,7 @@ def palindromic_closure(w: Word) -> Word:
             k += 1
         fail[i] = k
     lps = fail[-1]  # length of the longest palindromic suffix of w
-    return Word(w.alphabet, idx + idx[: n - lps][::-1])
+    return Word._trusted(w.alphabet, idx + idx[: n - lps][::-1])
 
 
 def _next_prefix_length(lengths: list[int], last: dict[int, int], x: int) -> int:

@@ -104,14 +104,21 @@ def _least_factor(w: WordStream, rank: tuple[int, ...], k: int) -> tuple[int, ..
     return held[:k]
 
 
-def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, invert: bool) -> ExtremalResult:
+def _bound(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None) -> int | None:
+    """Check a query's arguments, then look up ``w.exact_horizon(k)``: once per query."""
     if k < 0:
         raise ValueError("factor length must be >= 0")
     if w.alphabet != order.alphabet:
         raise AlphabetError("order alphabet does not match the word alphabet")
     if horizon is not None and horizon < k:
         raise LengthError(f"horizon {horizon} is smaller than factor length {k}")
-    bound = w.exact_horizon(k)
+    return w.exact_horizon(k)
+
+
+def _extremal(
+    w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, bound: int | None, invert: bool
+) -> ExtremalResult:
+    """The extremal factor for a query that :func:`_bound` checked and bounded by ``bound``."""
     exact = bound is not None and (horizon is None or horizon >= bound)
     if horizon is None:
         if bound is None:
@@ -119,7 +126,7 @@ def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None
         horizon = bound
     if k == 0:
         return ExtremalResult(
-            word=Word(w.alphabet, ()), k=0, order=order, horizon=horizon, exactness=Exactness.EXACT
+            word=Word._trusted(w.alphabet, ()), k=0, order=order, horizon=horizon, exactness=Exactness.EXACT
         )
     rank = (order.reversed() if invert else order).ranks
     if exact and isinstance(w, WordStream):
@@ -132,7 +139,7 @@ def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None
             raise LengthError(f"factor length {k} exceeds word length {len(seq)}")
         letters = _least_window(seq, rank, k)
     return ExtremalResult(
-        word=Word(w.alphabet, letters),
+        word=Word._trusted(w.alphabet, letters),
         k=k,
         order=order,
         horizon=horizon,
@@ -151,19 +158,20 @@ def min_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | Non
     letters, and a finite word is scanned whole; a ``k`` longer than a finite
     word raises :class:`LengthError` whatever the horizon.
     """
-    return _extremal(w, k, order, horizon, invert=False)
+    return _extremal(w, k, order, horizon, _bound(w, k, order, horizon), invert=False)
 
 
 def max_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None = None) -> ExtremalResult:
     """The lexicographically greatest length-``k`` factor seen within the horizon."""
-    return _extremal(w, k, order, horizon, invert=True)
+    return _extremal(w, k, order, horizon, _bound(w, k, order, horizon), invert=True)
 
 
 def _limit_word(w: WordStream, order: LexOrder, horizon: int, invert: bool) -> Word:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     k = max(1, horizon // 2)
-    return _extremal(w, k, order, None if w.exact_horizon(k) is not None else horizon, invert).word
+    bound = _bound(w, k, order, horizon)
+    return _extremal(w, k, order, None if bound is not None else horizon, bound, invert).word
 
 
 def min_stream(w: WordStream, order: LexOrder, horizon: int) -> Word:

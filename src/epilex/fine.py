@@ -239,8 +239,8 @@ def is_fine_empirical(
                 witness=Witness(
                     order=order,
                     k=k,
-                    factor=Word(t.alphabet, tuple(actual)),
-                    required=Word(t.alphabet, tuple(required)),
+                    factor=Word._trusted(t.alphabet, tuple(actual)),
+                    required=Word._trusted(t.alphabet, tuple(required)),
                     reason=reason,
                 ),
             )
@@ -248,7 +248,7 @@ def is_fine_empirical(
     return FinenessVerdict(
         classification=Classification.UNKNOWN,
         depth=depth,
-        s_prefix=Word(t.alphabet, tuple(s_ref)),
+        s_prefix=Word._trusted(t.alphabet, tuple(s_ref)),
     )
 
 

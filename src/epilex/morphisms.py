@@ -76,7 +76,7 @@ class PureEpistandardMorphism:
         out: list[int] = []
         for i in w.indices:
             out.extend(images[i])
-        return Word(self.alphabet, tuple(out))
+        return Word._trusted(self.alphabet, tuple(out))
 
     def apply(self, w: "Word | WordStream") -> "Word | WordStream":
         """Letterwise image; streams map to a lazily generated image stream."""

@@ -46,6 +46,14 @@ class LengthError(ValueError):
     """A requested factor length exceeds the available word length."""
 
 
+def _check_indices(alphabet: "Alphabet", indices: Sequence[int]) -> None:
+    """Raise :class:`AlphabetError` unless every letter index is in range for ``alphabet``."""
+    k = alphabet.size
+    for i in indices:
+        if not 0 <= i < k:
+            raise AlphabetError(f"letter index {i} out of range for {alphabet.letters}")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An ordered set of distinct letter tokens.
@@ -112,10 +120,20 @@ class Word:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        k = self.alphabet.size
-        for i in self.indices:
-            if not 0 <= i < k:
-                raise AlphabetError(f"letter index {i} out of range for {self.alphabet.letters}")
+        _check_indices(self.alphabet, self.indices)
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, indices: tuple[int, ...]) -> "Word":
+        """A word of letters already checked where they entered the library.
+
+        Skips ``__post_init__``'s per-letter check: for slices, images,
+        closures and stream prefixes, whose letters come from checked words,
+        directives, morphism images or stream buffers.
+        """
+        w = object.__new__(cls)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "indices", indices)
+        return w
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -129,13 +147,13 @@ class Word:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word(self.alphabet, self.indices[item])
+            return Word._trusted(self.alphabet, self.indices[item])
         return self.alphabet.letters[self.indices[item]]
 
     def __add__(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise AlphabetError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.indices + other.indices)
+        return Word._trusted(self.alphabet, self.indices + other.indices)
 
     def __str__(self) -> str:
         toks = [self.alphabet.letters[i] for i in self.indices]
@@ -150,7 +168,7 @@ class Word:
         return tuple(self.alphabet.letters[i] for i in self.indices)
 
     def reversal(self) -> "Word":
-        return Word(self.alphabet, self.indices[::-1])
+        return Word._trusted(self.alphabet, self.indices[::-1])
 
     def raw(self, n: int) -> list[int]:
         """The first ``n`` letter indices, as a fresh list."""
@@ -232,6 +250,12 @@ class WordStream:
     in time linear in what it consumes.  ``_minima`` maps an order's ranks to
     the least factor computed so far, a prefix of min(t) (see
     :func:`~epilex.extremal.min_factor`); it too only ever grows, under the lock.
+
+    Letters are checked where they enter the library, not where they are read:
+    a subclass's ``_extend`` appends only indices in range for its alphabet,
+    which is why ``prefix`` builds its :class:`Word` without re-checking them.
+    The one stream whose letters come from outside, :class:`CallbackStream`,
+    checks its callback's letters as they enter the buffer.
     """
 
     kind = "abstract"
@@ -263,7 +287,7 @@ class WordStream:
         return self.raw_range(0, n)
 
     def prefix(self, n: int) -> Word:
-        return Word(self.alphabet, tuple(self.raw(n)))
+        return Word._trusted(self.alphabet, tuple(self.raw(n)))
 
     def directive(self) -> DirectiveWord | None:
         """The directive of the standard episturmian word this stream is, if its kind states one."""
@@ -357,7 +381,9 @@ class CallbackStream(WordStream):
     """A stream backed by an arbitrary prefix function.  Unstable, library-level only.
 
     ``fn(n)`` must return the first ``n`` letter indices and be prefix-consistent;
-    nothing here checks that beyond length.
+    nothing here checks that beyond length.  Each letter index is checked
+    once, as it enters the buffer, and one out of range for the alphabet
+    raises :class:`AlphabetError`.
     """
 
     kind = "callback"
@@ -375,7 +401,9 @@ class CallbackStream(WordStream):
         out = list(self._fn(want))
         if len(out) < want:
             raise ValueError("callback returned a too-short prefix")
-        self._buf.extend(out[have:want])
+        new = out[have:want]
+        _check_indices(self.alphabet, new)
+        self._buf.extend(new)
 
 
 def factors(w: Word, k: int) -> set[Word]:
@@ -385,7 +413,7 @@ def factors(w: Word, k: int) -> set[Word]:
     if k > len(w):
         return set()
     seen = {w.indices[i : i + k] for i in range(len(w) - k + 1)}
-    return {Word(w.alphabet, t) for t in seen}
+    return {Word._trusted(w.alphabet, t) for t in seen}
 
 
 def complexity(stream: WordStream, n: int, horizon: int) -> int:

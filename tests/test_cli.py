@@ -311,3 +311,41 @@ def test_min_reads_only_its_horizon_on_a_long_preperiod(capsys):
     # just under the caps, the same specs still run
     code, out, _ = run(capsys, "classify", "--alphabet", "a,b,c", "--directive", "ab" * 3 + "(c)", "--depth", "5")
     assert (code, out) == (0, "classification: NotFine\n")
+
+
+def test_one_parser_serves_many_calls_in_one_process(capsys, monkeypatch):
+    import subprocess
+    import sys
+
+    from epilex.cli import build_parser
+
+    # importing the CLI builds no parser; the first call does
+    probe = "import epilex.cli as c; print(c.build_parser.cache_info().currsize)"
+    assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout == "0\n"
+    monkeypatch.delenv("ETK_HORIZON", raising=False)
+    tri = ("--alphabet", "a,b,c", "--directive", "(abc)")
+    code, out, err = run(capsys, "min", *tri, "--all-orders", "--k", "3", "--horizon", "500")
+    assert (code, err) == (0, "")
+    assert out == "a<b<c\taab\na<c<b\taab\nb<a<c\tbab\nb<c<a\tbab\nc<a<b\tcab\nc<b<a\tcab\n"
+    # the default horizon is read when a command runs, not when the parser is built
+    monkeypatch.setenv("ETK_HORIZON", "700")
+    code, out, err = run(capsys, "min", *tri, "--order", "b<a<c", "--k", "4", "--output", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "spec": {"kind": "directive", "text": "(abc)"},
+        "word": "baba", "k": 4, "order": "b<a<c", "horizon": 700, "exact": True,
+    }
+    code, out, err = run(capsys, "min", *tri, "--order", "b<a<c", "--all-orders", "--k", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: argument --all-orders: not allowed with argument --order\n"
+    code, out, err = run(capsys, "classify", "--alphabet", "a,b,c", "--directive", "c(ab)", "--depth", "15")
+    assert (code, err) == (0, "")
+    assert out == "classification: NotFine\nwitness: order=c<a<b k=2 factor=ca required=cc reason=required-missing\n"
+    skew = "skew v=(ab) x=c p=0 mu=psi:c suffix=full"
+    code, out, err = run(capsys, "construct", "--alphabet", "a,b,c", "--skew", skew, "--prefix", "29", "--output", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "word": "ccacbcacacbcacbcacacbcacacbca", "length": 29,
+        "skew": {"directive": "(ab)", "x": "c", "p": 0, "morphism": "psi:c", "suffix_len": 1},
+    }
+    assert build_parser() is build_parser()

@@ -142,6 +142,35 @@ def test_min_stream_checks_as_min_factor_does():
             fn(fib(), LexOrder.default(ABC), 10)
 
 
+def test_min_and_max_stream_look_up_the_bound_once_per_call():
+    class Counting(LiteralPeriodicStream):
+        calls = 0
+
+        def exact_horizon(self, k):
+            Counting.calls += 1
+            return super().exact_horizon(k)
+
+    class Unbounded(CallbackStream):
+        calls = 0
+
+        def exact_horizon(self, k):
+            Unbounded.calls += 1
+            return None
+
+    bounded = Counting(AB.word("b"), AB.word("aab"))
+    unbounded = Unbounded(AB, lambda n: [i % 2 for i in range(n)])
+    for fn in (min_stream, max_stream):
+        for order in all_orders(AB):
+            fn(bounded, order, 200)  # fills the memo: the scan reads its own bound
+    for t, want in ((bounded, "aabaabaaba"), (unbounded, "ababababab")):
+        for fn in (min_stream, max_stream):
+            for order in all_orders(AB):
+                type(t).calls = 0
+                fn(t, order, 20)
+                assert type(t).calls == 1, (fn, order)
+        assert str(min_stream(t, LexOrder.default(AB), 20)) == want
+
+
 def test_chain_holds_one_length_of_starts_at_a_time():
     import tracemalloc
 

@@ -4,15 +4,21 @@ from hypothesis import given, strategies as st
 from epilex import (
     Alphabet,
     AlphabetError,
+    CallbackStream,
+    DirectiveWord,
     LiteralPeriodicStream,
+    MorphicImageStream,
+    PureEpistandardMorphism,
     Word,
     all_orders,
     complexity,
     construct_skew,
     factors,
+    psi,
     standard_word,
 )
-from epilex.textio import parse_directive, parse_skew
+from epilex import words
+from epilex.textio import ParseError, parse_directive, parse_literal, parse_skew
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -145,3 +151,68 @@ def test_concurrent_stream_extension_is_safe():
         long = s.prefix(800)
         for r in results:
             assert r == long[: len(r)]
+
+
+# --- where letters are checked ------------------------------------------------
+
+def test_every_entry_point_still_refuses_out_of_range_letters():
+    for bad in ((3,), (-1,), (0, 1, 7)):
+        with pytest.raises(AlphabetError):
+            Word(ABC, bad)
+        with pytest.raises(AlphabetError):
+            DirectiveWord(ABC, (), bad)
+        with pytest.raises(AlphabetError):
+            PureEpistandardMorphism(ABC, bad)
+    with pytest.raises(AlphabetError):
+        ABC.word("abd")
+    with pytest.raises((ParseError, AlphabetError)):
+        parse_directive(ABC, "a(bd)")
+    with pytest.raises((ParseError, AlphabetError)):
+        parse_literal(ABC, "ab(d)")
+
+
+def test_callback_letters_are_checked_as_they_enter_the_buffer():
+    # an out-of-range letter is refused by raw itself, and so never reaches
+    # a stream built on the callback (images[-1] would be the last letter's)
+    for bad in (-1, 3):
+        with pytest.raises(AlphabetError):
+            CallbackStream(ABC, lambda n, bad=bad: [bad] * n).raw(3)
+        with pytest.raises(AlphabetError):
+            MorphicImageStream(psi(ABC, "a"), CallbackStream(ABC, lambda n, bad=bad: [bad] * n)).prefix(6)
+    late = CallbackStream(ABC, lambda n: [i % 3 if i < 40 else 5 for i in range(n)])
+    assert late.raw(20) == [i % 3 for i in range(20)]
+    with pytest.raises(AlphabetError):
+        late.raw(41)
+
+
+def test_callback_letters_are_checked_once_each(monkeypatch):
+    want = Word(ABC, tuple(i % 3 for i in range(17)))
+    checked = []
+    check = words._check_indices
+    monkeypatch.setattr(words, "_check_indices", lambda a, idx: checked.append(len(idx)) or check(a, idx))
+    t = CallbackStream(ABC, lambda n: [i % 3 for i in range(n)])
+    for n in (10, 10, 5, 17, 17, 3):
+        t.raw(n)
+    assert t.prefix(17) == want
+    assert sum(checked) == len(t._buf) == 20
+
+
+def test_stream_prefixes_are_ordinary_words_built_without_a_recheck(monkeypatch):
+    fib3 = standard_word(parse_directive(ABC, "(ab)"))
+    streams = (
+        standard_word(parse_directive(ABC, "c(ab)")),
+        LiteralPeriodicStream(ABC.word("ab"), ABC.word("cab")),
+        construct_skew(parse_skew(ABC, "skew v=(ab) x=c p=4 mu=psi:c suffix=full")),
+        psi(ABC, "c").apply(fib3),
+    )
+    expected = [(n, Word(ABC, tuple(s.raw(n)))) for s in streams for n in (0, 1, 57)]
+    checks = []
+    post_init = Word.__post_init__
+    monkeypatch.setattr(Word, "__post_init__", lambda w: checks.append(w) or post_init(w))
+    got = [(n, s.prefix(n)) for s in streams for n in (0, 1, 57)]
+    assert checks == []
+    for (n, want), (_, w) in zip(expected, got):
+        assert type(w) is Word and len(w) == n
+        assert w == want and hash(w) == hash(want)
+        assert w[2:9] == want[2:9] and w.reversal() == want.reversal() and w + want == want + w
+    assert checks == []
