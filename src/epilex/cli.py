@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 from typing import Any
 
 from .engine import (
@@ -109,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = subs.add_parser("generate", help="emit a prefix of a word")
     _add_common(gen)
     gen.add_argument("--prefix", type=_letter_count, default=50, help="prefix length to emit")
+    gen.set_defaults(run=_cmd_generate)
 
     for name in ("min", "max"):
         sub = subs.add_parser(name, help=f"{name}imal factor of the given length")
@@ -117,21 +118,25 @@ def build_parser() -> argparse.ArgumentParser:
         ordergroup = sub.add_mutually_exclusive_group(required=True)
         ordergroup.add_argument("--order", help="total order, e.g. \"a<b<c\"")
         ordergroup.add_argument("--all-orders", action="store_true", help="scan every order")
+        sub.set_defaults(run=partial(_cmd_extremal, greatest=name == "max"))
 
     cls = subs.add_parser("classify", help="fineness classification of a structured spec")
     _add_common(cls)
     cls.add_argument("--depth", type=_letter_count, default=DEFAULT_DEPTH)
+    cls.set_defaults(run=_cmd_classify)
 
     con = subs.add_parser("construct", help="build a skew word and emit a prefix")
     con.add_argument("--alphabet", required=True)
     con.add_argument("--output", choices=("text", "json"), default="text")
     con.add_argument("--skew", required=True)
     con.add_argument("--prefix", type=_letter_count, default=50)
+    con.set_defaults(run=_cmd_construct)
 
     ver = subs.add_parser("verify", help="run internal consistency checks")
     _add_common(ver)
     ver.add_argument("--i", type=int, default=3, help="verify shift-chain links 1..i (directives)")
     ver.add_argument("--depth", type=_letter_count, default=20)
+    ver.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -306,19 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "min":
-            return _cmd_extremal(args, greatest=False)
-        if args.command == "max":
-            return _cmd_extremal(args, greatest=True)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise CLIError(f"unknown command {args.command!r}")
+        return args.run(args)
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from itertools import cycle, islice
 from typing import Iterator, Sequence
 
 from .morphisms import MorphicImageStream, PureEpistandardMorphism
-from .words import Alphabet, AlphabetError, Word, WordStream
+from .words import Alphabet, Word, WordStream, _check_indices
 
 __all__ = [
     "DirectiveWord",
@@ -59,10 +59,7 @@ class DirectiveWord:
     def __post_init__(self) -> None:
         if not self.period:
             raise ValueError("directive period must be non-empty")
-        k = self.alphabet.size
-        for i in self.preperiod + self.period:
-            if not 0 <= i < k:
-                raise AlphabetError(f"letter index {i} out of range")
+        _check_indices(self.alphabet, self.preperiod + self.period)
 
     @classmethod
     def parse(cls, alphabet: Alphabet, preperiod: str | Sequence[str], period: str | Sequence[str]) -> "DirectiveWord":

@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import compress
 from typing import Sequence
 
-from .words import AlphabetError, LengthError, LexOrder, Word, WordStream, scan_prefix
+from .words import AlphabetError, LengthError, LexOrder, Word, WordStream, scan_length
 
 __all__ = [
     "Exactness",
@@ -96,7 +96,7 @@ def _least_factor(w: WordStream, rank: tuple[int, ...], k: int) -> tuple[int, ..
     held = w._minima.get(rank, ())
     if len(held) < k:
         depth = max(k, 2 * len(held))
-        deeper = _least_window(scan_prefix(w, depth, None), rank, depth)
+        deeper = _least_window(w.raw(scan_length(w, depth, None)[0]), rank, depth)
         with w._lock:
             held = w._minima.get(rank, ())
             if len(deeper) > len(held):
@@ -104,26 +104,19 @@ def _least_factor(w: WordStream, rank: tuple[int, ...], k: int) -> tuple[int, ..
     return held[:k]
 
 
-def _bound(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None) -> int | None:
-    """Check a query's arguments, then look up ``w.exact_horizon(k)``: once per query."""
+def _extremal(
+    w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, invert: bool, *, deepen: bool = False
+) -> ExtremalResult:
+    """Check a query's arguments, then answer it from the one :func:`scan_length` of it."""
     if k < 0:
         raise ValueError("factor length must be >= 0")
     if w.alphabet != order.alphabet:
         raise AlphabetError("order alphabet does not match the word alphabet")
     if horizon is not None and horizon < k:
         raise LengthError(f"horizon {horizon} is smaller than factor length {k}")
-    return w.exact_horizon(k)
-
-
-def _extremal(
-    w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, bound: int | None, invert: bool
-) -> ExtremalResult:
-    """The extremal factor for a query that :func:`_bound` checked and bounded by ``bound``."""
-    exact = bound is not None and (horizon is None or horizon >= bound)
+    n, exact = scan_length(w, k, horizon, deepen=deepen)
     if horizon is None:
-        if bound is None:
-            raise ValueError(f"a {w.kind} stream states no exact horizon; pass one")
-        horizon = bound
+        horizon = n
     if k == 0:
         return ExtremalResult(
             word=Word._trusted(w.alphabet, ()), k=0, order=order, horizon=horizon, exactness=Exactness.EXACT
@@ -134,7 +127,7 @@ def _extremal(
     else:
         # Horizon-limited, or a finite word, whose least factors do not nest
         # (in ``ba`` the least is ``a``, then ``ba``): scan what the query reads.
-        seq = w.raw(bound if exact else horizon)
+        seq = w.raw(n)
         if len(seq) < k:
             raise LengthError(f"factor length {k} exceeds word length {len(seq)}")
         letters = _least_window(seq, rank, k)
@@ -158,20 +151,18 @@ def min_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | Non
     letters, and a finite word is scanned whole; a ``k`` longer than a finite
     word raises :class:`LengthError` whatever the horizon.
     """
-    return _extremal(w, k, order, horizon, _bound(w, k, order, horizon), invert=False)
+    return _extremal(w, k, order, horizon, invert=False)
 
 
 def max_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None = None) -> ExtremalResult:
     """The lexicographically greatest length-``k`` factor seen within the horizon."""
-    return _extremal(w, k, order, horizon, _bound(w, k, order, horizon), invert=True)
+    return _extremal(w, k, order, horizon, invert=True)
 
 
 def _limit_word(w: WordStream, order: LexOrder, horizon: int, invert: bool) -> Word:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    k = max(1, horizon // 2)
-    bound = _bound(w, k, order, horizon)
-    return _extremal(w, k, order, None if bound is not None else horizon, bound, invert).word
+    return _extremal(w, max(1, horizon // 2), order, horizon, invert, deepen=True).word
 
 
 def min_stream(w: WordStream, order: LexOrder, horizon: int) -> Word:

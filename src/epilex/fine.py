@@ -33,7 +33,7 @@ from .words import (
     Word,
     WordStream,
     all_orders,
-    scan_prefix,
+    scan_length,
 )
 from .extremal import minimal_window_positions
 
@@ -206,13 +206,13 @@ def is_fine_empirical(
     length-k factor with k <= depth is a prefix of a length-``depth`` factor,
     and all of those have occurred by then.  With no horizon, or with
     ``deepen``, the scan reads that bound however short the horizon (see
-    :func:`~epilex.words.scan_prefix`).
+    :func:`~epilex.words.scan_length`).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if horizon is not None and horizon < 2 * depth:
         raise ValueError("horizon must be at least twice the depth")
-    seq = scan_prefix(t, depth, horizon, deepen=deepen)
+    seq = t.raw(scan_length(t, depth, horizon, deepen=deepen)[0])
     present = _present_tokens(t, seq)
     orders = all_orders(t.alphabet, subset=present)
     s_ref: list[int] | None = None
@@ -253,25 +253,14 @@ def is_fine_empirical(
 
 
 def common_s(t: WordStream, depth: int, horizon: int) -> Word | None:
-    """The shared minimal-factor tail, when the word is fine up to ``depth``.
+    """The shared minimal-factor tail s, when the word is fine up to ``depth``.
 
-    Over a two-letter alphabet the maximal factors must pair up with the same
-    tail under the greatest letter; that is verified too, and a mismatch means
-    no common word is reported.
+    Over two letters a < b, Pirillo's characterization also asks max(t) = b·s.
+    The greatest factors under an order are the least under the reversed
+    one, which :func:`is_fine_empirical` scans as well, so that pairing is
+    already checked and the scan's tail is the answer.
     """
-    verdict = is_fine_empirical(t, depth, horizon)
-    if not verdict.fine_to_depth or verdict.s_prefix is None:
-        return None
-    seq = scan_prefix(t, depth, horizon)
-    present = _present_tokens(t, seq)
-    if len(present) == 2:
-        s_ref = list(verdict.s_prefix.indices)
-        for order in all_orders(t.alphabet, subset=present):
-            chain = minimal_window_positions(seq, order.reversed().ranks, depth)
-            b_idx = max((i for i in set(seq)), key=lambda i: order.ranks[i])
-            if _chain_mismatch(seq, chain, [b_idx] + s_ref) is not None:
-                return None
-    return verdict.s_prefix
+    return is_fine_empirical(t, depth, horizon).s_prefix
 
 
 def verify_min_transfer(
@@ -289,9 +278,10 @@ def verify_min_transfer(
     a_idx = alphabet.index(a)
     z_idx = alphabet.index(z)
     gen = psi(alphabet, z)
-    t_seq = scan_prefix(MorphicImageStream(gen, t1), depth, horizon)
+    t = MorphicImageStream(gen, t1)
+    t_seq = t.raw(scan_length(t, depth, horizon)[0])
     s_img = MorphicImageStream(gen, s1).raw(depth + 2)
-    t1_seq = scan_prefix(t1, depth, horizon)
+    t1_seq = t1.raw(scan_length(t1, depth, horizon)[0])
     s1_pref = s1.raw(depth + 1)
     lhs_expected = [a_idx] + s1_pref
 
@@ -313,25 +303,32 @@ def verify_min_transfer(
     return True
 
 
+def _cross_checked(emp: FinenessVerdict, s: WordStream, claim: str, **fields) -> FinenessVerdict:
+    """The structural verdict ``fields``, once the empirical one agrees with it.
+
+    ``claim`` names the structure that says the word is fine with tail ``s``;
+    the empirical verdict ``emp`` must be fine with ``s`` as its common tail,
+    or the two decision paths disagree and :class:`InternalConsistencyError`
+    is raised.
+    """
+    if not emp.fine_to_depth:
+        raise InternalConsistencyError(f"{claim} failed the empirical scan: {emp.witness}")
+    if emp.s_prefix != s.prefix(emp.depth - 1):
+        raise InternalConsistencyError(f"{claim}: common tail differs from the structural one")
+    return replace(emp, **fields)
+
+
 def _classify_directive(directive: DirectiveWord, depth: int) -> FinenessVerdict:
     stream = standard_word(directive)
     emp = is_fine_empirical(stream, depth)
     report = strictness(directive)
     if report.strict:
-        if not emp.fine_to_depth:
-            raise InternalConsistencyError(
-                f"strict directive {directive} failed the empirical scan: {emp.witness}"
-            )
-        expected_s = stream.prefix(depth - 1)
-        if emp.s_prefix != expected_s:
-            raise InternalConsistencyError(
-                f"strict directive {directive}: common tail differs from the word itself"
-            )
-        return FinenessVerdict(
+        return _cross_checked(
+            emp,
+            stream,
+            f"strict directive {directive}",
             classification=Classification.STRICT_EPISTURMIAN,
-            depth=depth,
             strict_alphabet=report.strict_over,
-            s_prefix=emp.s_prefix,
         )
     # A non-strict directive never yields a fine word; the scan supplies the
     # witness when one exists within the checked depth.
@@ -344,21 +341,12 @@ def _classify_directive(directive: DirectiveWord, depth: int) -> FinenessVerdict
 
 def _classify_skew(spec: SkewSpec, depth: int) -> FinenessVerdict:
     stream = construct_skew(spec)
-    emp = is_fine_empirical(stream, depth)
-    if not emp.fine_to_depth:
-        raise InternalConsistencyError(
-            f"skew spec {spec} failed the empirical scan: {emp.witness}"
-        )
-    expected_s = stream.tail.prefix(depth - 1)
-    if emp.s_prefix != expected_s:
-        raise InternalConsistencyError(
-            f"skew spec {spec}: common tail differs from the morphic core image"
-        )
-    return FinenessVerdict(
+    return _cross_checked(
+        is_fine_empirical(stream, depth),
+        stream.tail,
+        f"skew spec {spec}",
         classification=Classification.SKEW_EPISTURMIAN,
-        depth=depth,
         skew=spec,
-        s_prefix=emp.s_prefix,
     )
 
 
@@ -373,17 +361,15 @@ def _classify_literal(
     )
     # One scan serves as the fineness gate, the witness and the unknown verdict.
     emp = is_fine_empirical(stream, depth, h)
-    letters = set(stream.raw(h))
+    letters = {*stream.head, *stream.cycle}
     if len(letters) == 1:
-        # The one-letter periodic word is the degenerate strict case.
-        tok = stream.alphabet.letters[next(iter(letters))]
-        if not emp.fine_to_depth:
-            raise InternalConsistencyError("one-letter word failed the empirical scan")
-        return FinenessVerdict(
+        # The one-letter periodic word is the degenerate strict case: s is the word.
+        return _cross_checked(
+            emp,
+            stream,
+            f"one-letter word {stream.head}({stream.cycle})",
             classification=Classification.STRICT_EPISTURMIAN,
-            depth=depth,
-            strict_alphabet=frozenset((tok,)),
-            s_prefix=emp.s_prefix,
+            strict_alphabet=frozenset(letters),
         )
     if not emp.fine_to_depth:
         return FinenessVerdict(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-from .words import Alphabet, AlphabetError, Word, WordStream
+from .words import Alphabet, AlphabetError, Word, WordStream, _check_indices
 
 if TYPE_CHECKING:
     from .engine import DirectiveWord
@@ -40,10 +40,7 @@ class PureEpistandardMorphism:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        k = self.alphabet.size
-        for z in self.letters:
-            if not 0 <= z < k:
-                raise AlphabetError(f"generator index {z} out of range")
+        _check_indices(self.alphabet, self.letters)
 
     @property
     def is_identity(self) -> bool:

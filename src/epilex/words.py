@@ -30,7 +30,7 @@ __all__ = [
     "all_orders",
     "complexity",
     "factors",
-    "scan_prefix",
+    "scan_length",
 ]
 
 # Letters may not contain these: the text formats' punctuation, whitespace,
@@ -302,26 +302,28 @@ class WordStream:
         return None
 
 
-def scan_prefix(
+def scan_length(
     w: Word | WordStream, k: int, horizon: int | None, *, deepen: bool = False
-) -> list[int]:
-    """The letters a scan for factors of length at most ``k`` reads.
+) -> tuple[int, bool]:
+    """How many letters a scan for factors of length at most ``k`` reads, and
+    whether that prefix holds them all.
 
     The scan stops at ``w.exact_horizon(k)``: every length-``k`` factor has
     occurred by then, and every shorter factor is a prefix of one.  It reads
     ``horizon`` letters cut at that bound, so a horizon past the bound costs
     nothing and changes no result.  With ``deepen``, or no horizon, it reads
     the bound itself however short the horizon.  Without a bound it reads
-    ``horizon`` letters, and raises ``ValueError`` when there is none.
+    ``horizon`` letters, inexactly, and raises ``ValueError`` when there is
+    none.  The one bound lookup is all it does: it reads no letter.
     """
     bound = w.exact_horizon(k)
     if bound is None:
         if horizon is None:
             raise ValueError(f"a {w.kind} stream states no exact horizon; pass one")
-        return w.raw(horizon)
-    if horizon is None or deepen:
-        return w.raw(bound)
-    return w.raw(min(horizon, bound))
+        return horizon, False
+    if horizon is None or deepen or horizon >= bound:
+        return bound, True
+    return horizon, False
 
 
 class LiteralPeriodicStream(WordStream):

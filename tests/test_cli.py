@@ -301,6 +301,31 @@ def test_skew_commands_build_the_seed_once_per_stream(capsys, monkeypatch):
         assert (code, err, len(built)) == (0, "", seeds), argv
 
 
+def test_cross_check_failures_exit_two(capsys, monkeypatch):
+    from dataclasses import replace
+
+    import epilex.fine as fine
+    from epilex import Classification
+
+    # every empirical scan refutes fineness, against the structural verdict
+    scan = fine.is_fine_empirical
+    monkeypatch.setattr(
+        fine,
+        "is_fine_empirical",
+        lambda *a, **kw: replace(scan(*a, **kw), classification=Classification.NOT_FINE, s_prefix=None),
+    )
+    skew = "skew v=(ab) x=c p=4 mu=psi:c suffix=full"
+    for argv in (
+        ("classify", "--alphabet", "a,b", "--directive", "(ab)", "--depth", "12"),
+        ("classify", "--alphabet", "a,b,c", "--skew", skew, "--depth", "12"),
+        ("classify", "--alphabet", "a,b", "--literal", "(a)", "--depth", "12"),
+        ("verify", "--alphabet", "a,b,c", "--skew", skew, "--horizon", "6000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("internal consistency failure: "), argv
+
+
 def test_min_reads_only_its_horizon_on_a_long_preperiod(capsys):
     import time
 

@@ -449,6 +449,88 @@ def test_min_factor_generates_no_letter_past_the_bound():
     assert res.word == oracle_min(t.prefix(200), 50, order)
 
 
+# (stream kind, horizon, deepen) -> the (letters read, exact) of a scan for
+# factors of length 4, or None when the scan raises ValueError.  The bounded
+# stream states 16 letters, the finite word has 16, the callback states none.
+_SCAN_RULE = [
+    ("bounded", None, False, (16, True)),
+    ("bounded", 9, False, (9, False)),
+    ("bounded", 16, False, (16, True)),
+    ("bounded", 40, False, (16, True)),
+    ("bounded", None, True, (16, True)),
+    ("bounded", 9, True, (16, True)),
+    ("bounded", 16, True, (16, True)),
+    ("bounded", 40, True, (16, True)),
+    ("callback", None, False, None),
+    ("callback", 9, False, (9, False)),
+    ("callback", 16, False, (16, False)),
+    ("callback", 40, False, (40, False)),
+    ("callback", None, True, None),
+    ("callback", 9, True, (9, False)),
+    ("callback", 16, True, (16, False)),
+    ("callback", 40, True, (40, False)),
+    ("word", None, False, (16, True)),
+    ("word", 9, False, (9, False)),
+    ("word", 16, False, (16, True)),
+    ("word", 40, False, (16, True)),
+    ("word", None, True, (16, True)),
+    ("word", 9, True, (16, True)),
+    ("word", 16, True, (16, True)),
+    ("word", 40, True, (16, True)),
+]
+
+
+def test_every_scan_reads_what_scan_length_says():
+    from epilex.words import scan_length
+
+    reads = []
+
+    def recording(cls):
+        class Recording(cls):
+            def raw(self, n):
+                reads.append(n)
+                return super().raw(n)
+
+        return Recording
+
+    make = {
+        "bounded": lambda: recording(LiteralPeriodicStream)(AB.word("babaababaa"), AB.word("bab")),
+        "callback": lambda: recording(CallbackStream)(AB, lambda n: [i % 3 % 2 for i in range(n)]),
+        "word": lambda: recording(Word)(AB, (0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0)),
+    }
+    assert make["bounded"]().exact_horizon(4) == 16
+    k, order = 4, LexOrder.from_letters(AB, "ba")
+    for kind, horizon, deepen, want in _SCAN_RULE:
+        row = (kind, horizon, deepen)
+        t = make[kind]()
+        reads.clear()
+        if want is None:
+            for scan in (
+                lambda: scan_length(t, k, horizon, deepen=deepen),
+                lambda: is_fine_empirical(t, k, horizon, deepen=deepen),
+                lambda: min_factor(t, k, order, horizon),
+            ):
+                with pytest.raises(ValueError):
+                    scan()
+            assert reads == [], row
+            continue
+        n, exact = want
+        assert scan_length(t, k, horizon, deepen=deepen) == want, row
+        assert reads == [], row  # the rule reads no letter
+        is_fine_empirical(t, k, horizon, deepen=deepen)
+        assert max(reads) == n, row
+        reads.clear()
+        if deepen:
+            if horizon is not None and horizon // 2 == k:
+                # min_stream at this horizon is the deepened scan for length k
+                min_stream(make[kind](), order, horizon)
+                assert max(reads) == n, row
+        else:
+            res = min_factor(make[kind](), k, order, horizon)
+            assert max(reads) == n, row
+            assert res.exact is exact and res.horizon == (n if horizon is None else horizon), row
+
+
 # --- one memo of min(t) per (stream, order) -----------------------------------
 
 

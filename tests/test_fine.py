@@ -184,6 +184,70 @@ def test_classify_unary_degenerate():
     assert v.strict_alphabet == frozenset("a")
 
 
+# --- a structural verdict the empirical scan contradicts is an internal error ---
+
+SKEW_SPEC = parse_skew(ABC, "skew v=(ab) x=c p=4 mu=psi:c suffix=full")
+ONE_LETTER = LiteralPeriodicStream(AB.word("a"), AB.word("a"))
+
+
+def _plant(monkeypatch, disagree):
+    """Route every empirical scan ``classify`` runs through ``disagree(t, verdict)``."""
+    import epilex.fine as fine
+
+    scan = fine.is_fine_empirical
+    monkeypatch.setattr(fine, "is_fine_empirical", lambda t, *a, **kw: disagree(t, scan(t, *a, **kw)))
+
+
+def _refuted(t, verdict):
+    from dataclasses import replace
+
+    from epilex import LexOrder, Witness
+
+    first = t.prefix(1)
+    witness = Witness(order=LexOrder.default(t.alphabet), k=1, factor=first, required=first, reason="smaller-factor")
+    return replace(verdict, classification=Classification.NOT_FINE, s_prefix=None, witness=witness)
+
+
+def _wrong_tail(t, verdict):
+    from dataclasses import replace
+
+    # the alphabet's last letter throughout: no fine word's tail in these cases
+    return replace(verdict, s_prefix=Word(t.alphabet, (t.alphabet.size - 1,) * (verdict.depth - 1)))
+
+
+def test_classify_raises_when_the_empirical_scan_disagrees(monkeypatch):
+    from dataclasses import replace
+
+    import epilex.fine as fine
+    from epilex import InternalConsistencyError
+
+    claims = ((FIB, "strict directive \\(ab\\)"), (SKEW_SPEC, "skew spec"), (ONE_LETTER, "one-letter word"))
+    for spec, claim in claims:
+        with monkeypatch.context() as m:
+            _plant(m, _refuted)
+            with pytest.raises(InternalConsistencyError, match=claim):
+                classify(spec, 12)
+    for spec, claim in claims[:2]:
+        with monkeypatch.context() as m:
+            _plant(m, _wrong_tail)
+            with pytest.raises(InternalConsistencyError, match=claim):
+                classify(spec, 12)
+    # a non-strict directive reported strict: its scan finds the witness
+    with monkeypatch.context() as m:
+        strictness = fine.strictness
+        m.setattr(fine, "strictness", lambda d: replace(strictness(d), strict_over=frozenset("ab")))
+        with pytest.raises(InternalConsistencyError, match="strict directive c\\(ab\\)"):
+            classify(parse_directive(ABC, "c(ab)"), 12)
+
+
+def test_one_letter_literal_checks_its_common_tail(monkeypatch):
+    from epilex import InternalConsistencyError
+
+    _plant(monkeypatch, _wrong_tail)
+    with pytest.raises(InternalConsistencyError):
+        classify(ONE_LETTER, 12)
+
+
 def test_structural_and_empirical_verdicts_cohere():
     # the two decision paths must agree on 300 random structured specs:
     # a structural Strict/Skew verdict is cross-checked inside classify (a
