@@ -80,28 +80,45 @@ def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int
     return out
 
 
-def _least_window(seq: Sequence[int], rank: Sequence[int], k: int) -> tuple[int, ...]:
-    p = minimal_window_positions(seq, rank, k)[-1]
-    return tuple(seq[p : p + k])
+def _least_window(seq: Sequence[int], rank: Sequence[int], k: int) -> tuple[tuple[int, ...], list[int]]:
+    """The least length-``k`` window of ``seq`` and the chain's starts up to ``k``."""
+    starts = minimal_window_positions(seq, rank, k)
+    return tuple(seq[starts[-1] : starts[-1] + k]), starts
 
 
-def _least_factor(w: WordStream, rank: tuple[int, ...], k: int) -> tuple[int, ...]:
+def _least_factor(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
     """The least length-``k`` factor of ``w`` under ``rank``, from the memo of min(w).
 
-    Least factors of an infinite word nest, so one word per order answers
-    every shorter length.  A longer ``k`` runs the chain once, to
-    ``max(k, 2 * held)``, outside the lock, over that length's exact prefix;
-    the longer of its word and the one held is kept.
+    ``n`` is ``w.exact_horizon(k)``.  Least factors of an infinite word nest,
+    so one word per order answers every shorter length.  A longer ``k`` runs
+    the chain once, to ``max(k, 2 * held)``, outside the lock, over that
+    length's exact prefix; the longer of its word and the one held is kept,
+    together with the chain's starts, the first occurrence of each of its
+    prefixes in ``w``.
     """
-    held = w._minima.get(rank, ())
+    held = w._minima.get(rank, ((), ()))[0]
     if len(held) < k:
         depth = max(k, 2 * len(held))
-        deeper = _least_window(w.raw(scan_length(w, depth, None)[0]), rank, depth)
+        seq = w.raw(n if depth == k else scan_length(w, depth, None)[0])
+        deeper, starts = _least_window(seq, rank, depth)
         with w._lock:
-            held = w._minima.get(rank, ())
+            held = w._minima.get(rank, ((), ()))[0]
             if len(deeper) > len(held):
-                w._minima[rank] = held = deeper
+                w._minima[rank] = (deeper, tuple(starts))
+                held = deeper
     return held[:k]
+
+
+def _held_within(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> tuple[int, ...] | None:
+    """min(w)[:k] from the memo when its first occurrence ends within ``n`` letters, else ``None``.
+
+    Every window of ``w.raw(n)`` is a factor of ``w``, so none is less than
+    min(w)[:k]; when that word occurs among them, it is their least.
+    """
+    letters, starts = w._minima.get(rank, ((), ()))
+    if len(letters) >= k and starts[k - 1] + k <= n:
+        return letters[:k]
+    return None
 
 
 def _extremal(
@@ -122,15 +139,18 @@ def _extremal(
             word=Word._trusted(w.alphabet, ()), k=0, order=order, horizon=horizon, exactness=Exactness.EXACT
         )
     rank = (order.reversed() if invert else order).ranks
-    if exact and isinstance(w, WordStream):
-        letters = _least_factor(w, rank, k)
-    else:
-        # Horizon-limited, or a finite word, whose least factors do not nest
-        # (in ``ba`` the least is ``a``, then ``ba``): scan what the query reads.
+    letters = None
+    if isinstance(w, WordStream):
+        # Only an exact query fills the memo; a horizon-limited one only reads it.
+        letters = _least_factor(w, rank, k, n) if exact else _held_within(w, rank, k, n)
+    if letters is None:
+        # A horizon-limited query the memo cannot answer, or a finite word,
+        # whose least factors do not nest (in ``ba`` the least is ``a``, then
+        # ``ba``): scan what the query reads.
         seq = w.raw(n)
         if len(seq) < k:
             raise LengthError(f"factor length {k} exceeds word length {len(seq)}")
-        letters = _least_window(seq, rank, k)
+        letters = _least_window(seq, rank, k)[0]
     return ExtremalResult(
         word=Word._trusted(w.alphabet, letters),
         k=k,
@@ -147,9 +167,13 @@ def min_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | Non
     is also the default horizon; the reported ``horizon`` is still the one
     requested.  An exact answer on a stream is read from the stream's memo of
     min(t), one word per order, at most twice the longest ``k`` asked.  A
-    horizon short of the bound, or a stream without one, scans ``horizon``
-    letters, and a finite word is scanned whole; a ``k`` longer than a finite
-    word raises :class:`LengthError` whatever the horizon.
+    horizon short of the bound is read from the memo too when the memo holds
+    min(t)[:k] and its first occurrence ends within the horizon: no window of
+    the prefix is less than a least factor of t, so that word is the prefix's
+    least.  Only exact queries fill the memo.  Any other horizon-limited
+    query, or one on a stream without a bound, scans ``horizon`` letters, and
+    a finite word is scanned whole; a ``k`` longer than a finite word raises
+    :class:`LengthError` whatever the horizon.
     """
     return _extremal(w, k, order, horizon, invert=False)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import compress
 from typing import Sequence
 
 from .engine import (
@@ -136,8 +137,13 @@ def construct_skew(spec: SkewSpec) -> ConcatStream:
 
 
 def skew_common_word(spec: SkewSpec) -> WordStream:
-    """The word shared by all minimal factors of the skew word: the morphic core image."""
-    return MorphicImageStream(spec.morphism, standard_word(spec.directive))
+    """The word shared by all minimal factors of the skew word: the morphic core image.
+
+    The image of a standard episturmian word under generators ``gens`` is the
+    standard word of ``gens`` followed by its directive, so the engine builds it.
+    """
+    d = spec.directive
+    return standard_word(replace(d, preperiod=spec.morphism.letters + d.preperiod))
 
 
 class Classification(Enum):
@@ -409,27 +415,13 @@ def classify(
 def _peel(seq: list[int], z: int) -> list[int]:
     """Invert one generator on a prefix known to have ``z`` separating.
 
-    The image of every letter starts with ``z``, so the preimage is read off
-    by splitting at each ``z``; a trailing lone ``z`` is ambiguous (it may be
-    a truncated two-letter image) and is dropped.
+    The image of every letter starts with ``z``, and no two other letters
+    touch, so the preimage is the letter after each ``z``; a trailing lone
+    ``z`` is ambiguous (it may be a truncated two-letter image) and is dropped.
     """
     if seq[0] != z:
         seq = [z] + seq
-    out: list[int] = []
-    i = 0
-    n = len(seq)
-    while i < n:
-        if seq[i] != z:
-            raise NotSkewForm("peeling desynchronized; letter is not separating")
-        if i + 1 >= n:
-            break
-        if seq[i + 1] == z:
-            out.append(z)
-            i += 1
-        else:
-            out.append(seq[i + 1])
-            i += 2
-    return out
+    return list(compress(seq[1:], map(z.__eq__, seq)))
 
 
 def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:

@@ -248,8 +248,10 @@ class WordStream:
     copies out just the letters asked for, which lets a stream built on
     another one (a concatenation, a morphic image) read its source by range
     in time linear in what it consumes.  ``_minima`` maps an order's ranks to
-    the least factor computed so far, a prefix of min(t) (see
-    :func:`~epilex.extremal.min_factor`); it too only ever grows, under the lock.
+    the pair (least factor computed so far, a prefix of min(t); the first
+    start in t of each of its prefixes), which exact queries fill and
+    horizon-limited ones only read (see :func:`~epilex.extremal.min_factor`);
+    a pair is published whole and replaced only by a longer one, under the lock.
 
     Letters are checked where they enter the library, not where they are read:
     a subclass's ``_extend`` appends only indices in range for its alphabet,
@@ -264,7 +266,7 @@ class WordStream:
         self.alphabet = alphabet
         self._buf: list[int] = []
         self._lock = threading.Lock()
-        self._minima: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._minima: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     def _extend(self, n: int) -> None:
         """Grow ``self._buf`` to at least ``n`` letters.  Called under the lock."""

@@ -145,6 +145,32 @@ def chain_words(seq: list[int], ranks, depth: int) -> list[list[int]]:
     return [seq[p : p + k] for k, p in enumerate(chain, start=1)]
 
 
+def peel_by_splitting(seq: list[int], z: int) -> list[int]:
+    """Invert the ``z`` generator by walking the prefix image block by image block.
+
+    Every image starts with ``z``: ``z`` alone is the image of ``z``, ``z c``
+    that of ``c``.  A trailing lone ``z`` may be a truncated image, so it is
+    dropped; a letter other than ``z`` where a block should start raises.
+    """
+    if seq[0] != z:
+        seq = [z] + seq
+    out: list[int] = []
+    i = 0
+    n = len(seq)
+    while i < n:
+        if seq[i] != z:
+            raise ValueError("peeling desynchronized; letter is not separating")
+        if i + 1 >= n:
+            break
+        if seq[i + 1] == z:
+            out.append(z)
+            i += 1
+        else:
+            out.append(seq[i + 1])
+            i += 2
+    return out
+
+
 def run_limited(args: list[str], timeout: float = 30.0, memory: int = 1 << 30):
     """``python *args`` in a child process with the library on its path.
 

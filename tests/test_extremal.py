@@ -599,6 +599,56 @@ def test_memo_answers_equal_fresh_streams_and_the_oracle(seed, queries):
         assert got == _scanned_extremum(t, fn, k, order, horizon)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("min_factor", "max_factor")),
+            st.integers(0, 5),
+            st.integers(1, 30),
+            st.integers(1, 60),
+            st.integers(0, 10**6),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_horizon_limited_answers_from_a_warm_memo_equal_fresh_scans(seed, queries):
+    # The shared stream's memo is filled by exact queries at another depth,
+    # under the query's order and its reversal; the fresh stream holds none,
+    # so it scans.  k <= h < bound: every query is horizon-limited.
+    t = _memo_stream(seed)
+    orders = all_orders(t.alphabet)
+    for fn, o, k, warm, frac in queries:
+        order = orders[o % len(orders)]
+        for each in (order, order.reversed()):
+            assert min_factor(t, warm, each).exact
+        bound = t.exact_horizon(k)
+        if bound <= k:
+            continue
+        h = k + frac % (bound - k)
+        got = _QUERIES[fn](t, k, order, h)
+        assert got.exactness is Exactness.HORIZON_LIMITED and got.horizon == h
+        assert got == _QUERIES[fn](_memo_stream(seed), k, order, h)
+
+
+def test_first_exact_query_looks_up_the_bound_once():
+    class Counting(LiteralPeriodicStream):
+        calls = 0
+
+        def exact_horizon(self, k):
+            Counting.calls += 1
+            return super().exact_horizon(k)
+
+    t = Counting(AB.word("b"), AB.word("aab"))
+    order = LexOrder.default(AB)
+    for _ in range(2):  # a miss, then a memo hit
+        Counting.calls = 0
+        assert min_factor(t, 6, order).exact
+        assert Counting.calls == 1
+
+
 def test_least_factors_of_a_finite_word_do_not_nest():
     order = LexOrder.default(AB)
     w = AB.word("ba")
@@ -638,9 +688,23 @@ def test_exact_queries_within_the_memo_run_no_chain(monkeypatch):
     # a longer factor deepens the memo to twice what it held
     min_factor(t, 21, order)
     assert depths == [40]
-    # a horizon short of the bound still scans
+    # a horizon short of the bound that holds the first occurrence of the
+    # memo's word runs no chain and answers as a fresh stream's scan does
+    starts = t._minima[order.ranks][1]
+    horizons = range(starts[4] + 5, t.exact_horizon(5))
+    assert horizons
     depths.clear()
-    min_factor(t, 5, order, t.exact_horizon(5) - 1)
+    read = [min_factor(t, 5, order, h) for h in horizons]
+    assert depths == []
+    assert read == [min_factor(trib(), 5, order, h) for h in horizons]
+    assert not any(res.exact for res in read)
+    # one that ends before it scans: in b^50 a^w under a < b the memo holds
+    # a^5, first at 50, but the least window of the first 20 letters is b^5
+    u = LiteralPeriodicStream(AB.word("b" * 50), AB.word("a"))
+    under = LexOrder.default(AB)
+    assert str(min_factor(u, 20, under).word) == "a" * 20
+    depths.clear()
+    assert str(min_factor(u, 5, under, 20).word) == "bbbbb"
     assert depths == [5]
 
 
@@ -708,9 +772,11 @@ def test_memo_is_shared_safely_across_threads(monkeypatch):
             if stream is t:
                 longest[ranks] = max(longest.get(ranks, 0), depth)
         assert t._minima.keys() == longest.keys()
-        for ranks, letters in t._minima.items():
+        for ranks, (letters, starts) in t._minima.items():
             assert len(letters) == longest[ranks]
             assert letters == min_factor(builders[name](), len(letters), LexOrder(ABC, ranks)).word.indices
+            fresh = builders[name]()
+            assert list(starts) == chain(fresh.raw(fresh.exact_horizon(len(letters))), ranks, len(letters))
 
 
 def test_memo_keeps_the_longer_word_when_fills_race(monkeypatch):
@@ -738,5 +804,8 @@ def test_memo_keeps_the_longer_word_when_fills_race(monkeypatch):
     long_published.set()
     short.join(timeout=60)
     assert not short.is_alive()
-    assert t._minima == {order.ranks: out["long"].word.indices}
+    assert t._minima.keys() == {order.ranks}
+    letters, starts = t._minima[order.ranks]
+    assert letters == out["long"].word.indices
+    assert list(starts) == chain(trib().raw(trib().exact_horizon(20)), order.ranks, 20)
     assert out["short"].word.indices == out["long"].word.indices[:5]

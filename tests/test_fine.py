@@ -24,10 +24,11 @@ from epilex import (
     standard_word,
     verify_min_transfer,
 )
-from epilex.fine import skew_common_word
+from epilex.fine import _peel, skew_common_word
+from epilex.morphisms import MorphicImageStream, separates
 from epilex.textio import parse_directive, parse_skew
 
-from helpers import random_canonical_skew, random_strict_directive
+from helpers import peel_by_splitting, random_canonical_skew, random_strict_directive
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -404,6 +405,33 @@ def test_reconstruct_round_trips_canonical_specs():
         assert rec.x == spec.x and rec.p == spec.p
         assert len(rec.morphism.letters) == len(spec.morphism.letters)
         assert construct_skew(rec).raw(2000) == t.raw(2000)
+
+
+def test_peel_reads_the_letter_after_each_separator():
+    rng = random.Random(71)
+    for _ in range(500):
+        size = rng.randint(2, 4)
+        z = rng.randrange(size)
+        others = [c for c in range(size) if c != z]
+        seq: list[int] = []
+        for _ in range(rng.randint(1, 40)):  # images of a random preimage
+            seq += [z] if rng.random() < 0.4 else [z, rng.choice(others)]
+        if seq[0] == z and len(seq) > 1 and seq[1] != z and rng.random() < 0.5:
+            seq = seq[1:]  # starts inside an image, with a letter other than z
+        seq += [[], [z], [z, z]][rng.randrange(3)]
+        assert separates(z, seq)
+        assert _peel(seq, z) == peel_by_splitting(seq, z), (seq, z)
+
+
+def test_skew_common_word_is_the_morphic_image_of_the_core():
+    rng = random.Random(73)
+    for _ in range(30):
+        spec = random_canonical_skew(rng)
+        tail = skew_common_word(spec)
+        image = MorphicImageStream(spec.morphism, standard_word(spec.directive))
+        assert tail.raw(5000) == image.raw(5000)
+        assert tail.directive() == image.directive()
+        assert all(tail.exact_horizon(k) == image.exact_horizon(k) for k in range(1, 41))
 
 
 # --- structural invariants ----------------------------------------------------------------
