@@ -615,7 +615,7 @@ def test_memo_answers_equal_fresh_streams_and_the_oracle(seed, queries):
     ),
 )
 def test_horizon_limited_answers_from_a_warm_memo_equal_fresh_scans(seed, queries):
-    # The shared stream's memo is filled by exact queries at another depth,
+    # The shared stream's memo is filled by exact queries at a random depth,
     # under the query's order and its reversal; the fresh stream holds none,
     # so it scans.  k <= h < bound: every query is horizon-limited.
     t = _memo_stream(seed)
@@ -628,9 +628,13 @@ def test_horizon_limited_answers_from_a_warm_memo_equal_fresh_scans(seed, querie
         if bound <= k:
             continue
         h = k + frac % (bound - k)
+        held = dict(t._minima)
         got = _QUERIES[fn](t, k, order, h)
         assert got.exactness is Exactness.HORIZON_LIMITED and got.horizon == h
-        assert got == _QUERIES[fn](_memo_stream(seed), k, order, h)
+        fresh = _memo_stream(seed)
+        assert got == _QUERIES[fn](fresh, k, order, h)
+        # a horizon-limited query only reads the memo
+        assert t._minima == held and not fresh._minima
 
 
 def test_first_exact_query_looks_up_the_bound_once():
