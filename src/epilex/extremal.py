@@ -2,8 +2,11 @@
 
 The smallest length-k factor is computed by tracking every occurrence of the
 current minimum and extending one letter at a time, which also yields the
-whole chain of minima cheaply.  The brute-force oracles the tests compare
-against live with the tests; they share no code with this module.
+whole chain of minima cheaply.  The occurrences are held as an ``int`` bitset
+of their end positions while they are dense and as a sorted list of their
+starts once they are sparse (:func:`minimal_window_positions`).  The
+brute-force oracles the tests compare against live with the tests; they
+share no code with this module.
 """
 
 from __future__ import annotations
@@ -50,29 +53,58 @@ class ExtremalResult:
 def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int) -> list[int]:
     """For each k = 1..k_max, the first start of the rank-minimal window.
 
-    The starts for k+1 are the extendable starts for k that continue with the
-    smallest letter.  If none extends (each least window ends flush with a
-    horizon-limited prefix), every window is compared as a slice of the rank
-    list.  Only the current length's starts are held, in order, so the first
-    one is the first occurrence and the ones too close to the end to extend
-    are a suffix.
+    The least windows of length k+1 are the least windows of length k that
+    extend by the least letter any of them is followed by.  While they are
+    dense, their end positions are one ``int`` bitset, ``live``: bit i of
+    ``ends[j]`` is set where ``seq[i]`` is the j-th least letter present, and
+    one length is a shift of ``live`` and an ``&`` with ``ends[j]`` for each
+    letter tried until one is nonzero, each one C-level pass over n bits.
+    Once at most one position in 64 is live, they become the sorted list of
+    their starts, and one length is a pass over that list.  If no least
+    window extends (each ends flush with a horizon-limited prefix), every
+    window is compared as a slice of the rank list, which is O(n*k).  Only
+    the current length is held, so memory stays O(n + k_max).  Letter
+    indices must be below ``sys.maxunicode`` + 1, the range of ``chr``.
     """
     n = len(seq)
     k_max = min(k_max, n)
     if k_max < 1:
         return []
-    r = [rank[c] for c in seq]
-    best = min(r)
-    positions = list(compress(range(n), map(best.__eq__, r)))
-    out = [positions[0]]
-    for k in range(2, k_max + 1):
-        live = positions[: bisect_right(positions, n - k)]
-        if live:
+    letters = sorted(set(seq), key=rank.__getitem__)
+    # One character per letter, last letter first, so int(..., 2) of its
+    # translation to "0"/"1" puts position i at bit i.
+    text = "".join(map(chr, seq))[::-1]
+    zeros = dict.fromkeys(letters, "0")
+    ends = [int(text.translate({**zeros, c: "1"}), 2) for c in letters]
+    live = ends[0]
+    out = [(live & -live).bit_length() - 1]
+    k = 1
+    while k < k_max and live.bit_count() * 64 > n:
+        shifted = live << 1
+        longer = next(filter(None, map(shifted.__and__, ends)), 0)
+        if not longer:
+            break
+        live = longer
+        k += 1
+        out.append((live & -live).bit_length() - k)
+    if k == k_max:
+        return out
+    # The live starts: bit i of ``live`` ends a window that starts at i + 1 - k.
+    bits = format(live, "b")[::-1]
+    positions = []
+    i = bits.find("1")
+    while i >= 0:
+        positions.append(i + 1 - k)
+        i = bits.find("1", i + 1)
+    for k in range(k + 1, k_max + 1):
+        extendable = positions[: bisect_right(positions, n - k)]
+        if extendable:
             j = k - 1
-            nxt = [r[p + j] for p in live]
+            nxt = [rank[seq[p + j]] for p in extendable]
             best = min(nxt)
-            positions = list(compress(live, map(best.__eq__, nxt)))
+            positions = list(compress(extendable, map(best.__eq__, nxt)))
         else:
+            r = [rank[c] for c in seq]
             starts = range(n - k + 1)
             least = min(r[p : p + k] for p in starts)
             positions = [p for p in starts if r[p : p + k] == least]
@@ -138,7 +170,11 @@ def _extremal(
         return ExtremalResult(
             word=Word._trusted(w.alphabet, ()), k=0, order=order, horizon=horizon, exactness=Exactness.EXACT
         )
-    rank = (order.reversed() if invert else order).ranks
+    rank = order.ranks
+    if invert:
+        # The greatest factors are the least under the reversed order.
+        top = order.alphabet.size - 1
+        rank = tuple(top - r for r in rank)
     letters = None
     if isinstance(w, WordStream):
         # Only an exact query fills the memo; a horizon-limited one only reads it.

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress
-from typing import Sequence
 
 from .engine import (
     DirectiveWord,
@@ -178,9 +177,8 @@ class FinenessVerdict:
         return self.classification is not Classification.NOT_FINE
 
 
-def _present_tokens(stream: WordStream, seq: Sequence[int]) -> list[str]:
+def _present_tokens(stream: WordStream, seen: set[int]) -> list[str]:
     toks = stream.alphabet.letters
-    seen = set(seq)
     return [toks[i] for i in range(len(toks)) if i in seen]
 
 
@@ -219,13 +217,13 @@ def is_fine_empirical(
     if horizon is not None and horizon < 2 * depth:
         raise ValueError("horizon must be at least twice the depth")
     seq = t.raw(scan_length(t, depth, horizon, deepen=deepen)[0])
-    present = _present_tokens(t, seq)
-    orders = all_orders(t.alphabet, subset=present)
+    seen = set(seq)
+    orders = all_orders(t.alphabet, subset=_present_tokens(t, seen))
     s_ref: list[int] | None = None
     for order in orders:
         rank = order.ranks
         chain = minimal_window_positions(seq, rank, depth)
-        a_idx = min((i for i in set(seq)), key=lambda i: rank[i])
+        a_idx = min(seen, key=rank.__getitem__)
         if s_ref is None:
             p = chain[depth - 1]
             s_ref = seq[p + 1 : p + depth]

@@ -231,6 +231,17 @@ def test_verify_link_count_times_horizon_is_capped(capsys):
     assert out == "check=shift-chain i=1 letter=a ok=True\ncheck=shift-chain i=2 letter=b ok=True\ncheck=shift-chain i=3 letter=b ok=True\n"
 
 
+def test_classify_on_a_periodic_word_at_depth_runs_in_seconds():
+    # a(b) directs (ab)^ω: under b < a every odd start stays live at every
+    # length, which took 23 s when the chain looped over the live starts.
+    from helpers import run_limited
+
+    argv = ["classify", "--alphabet", "a,b", "--directive", "a(b)", "--depth", "10000", "--horizon", "20000"]
+    done = run_limited(["-m", "epilex.cli", *argv], timeout=20)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "classification: NotFine\nwitness: order=b<a k=2 factor=ba required=bb reason=required-missing\n"
+
+
 def test_oversized_inputs_exit_one_before_anything_is_built():
     # Each of these ran for 18-27 s, or died of MemoryError under a 2 GiB
     # cap, when it was checked only after building; the child process is

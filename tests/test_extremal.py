@@ -1,4 +1,5 @@
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -231,6 +232,62 @@ def test_chain_starts_are_first_occurrences_of_the_least_windows(case):
         least = oracle_min(w, k, order).indices
         first = next(p for p in range(len(seq) - k + 1) if seq[p : p + k] == least)
         assert start == first, (str(w), order.describe(), k)
+
+
+def long_chain_case(rng: random.Random, kind: str) -> tuple[list[int], list[int], int]:
+    """A sequence of 200-3000 letters, the ranks of an order, and a chain length.
+
+    ``periodic`` and ``one-letter`` sequences keep half or all of their
+    windows live at every length, so the chain holds them as bitsets to the
+    end.  ``flush`` ends a free sequence with a run of its least letter
+    longer than any before it, so the least windows become few, then end
+    flush and are compared anew.  ``prefix`` cuts a standard word short of
+    its exact horizon, and ``wide`` draws its letters from 300, so that
+    indices exceed 255.
+    """
+    n = rng.randint(200, 3000)
+    if kind == "prefix":
+        directive = random_directive(rng, min_alpha=2)
+        size = directive.alphabet.size
+    else:
+        size = {"one-letter": 1, "wide": 300}.get(kind, rng.randint(2, 4))
+    ranks = list(range(size))
+    rng.shuffle(ranks)
+    least = ranks.index(0)
+    if kind == "periodic":
+        period = [rng.randrange(size) for _ in range(rng.randint(1, 6))]
+        seq = (period * n)[:n]
+    elif kind == "flush":
+        seq = [rng.randrange(size) for _ in range(n)]
+        longest = max((len(list(run)) for c, run in groupby(seq) if c == least), default=0)
+        seq += [least] * (longest + 1)
+    elif kind == "prefix":
+        seq = standard_word(directive).raw(n)
+    elif kind == "wide":
+        pool = rng.sample(range(256, size), 1) + rng.sample(range(size), rng.randint(1, size - 1))
+        seq = [rng.choice(pool) for _ in range(n)]
+    else:
+        seq = [0] * n if kind == "one-letter" else [rng.randrange(size) for _ in range(n)]
+    k_max = rng.randint(1, len(seq) if kind in ("periodic", "one-letter") else min(len(seq), 300))
+    return seq, ranks, k_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("free", "periodic", "flush", "prefix", "one-letter", "wide")), st.integers(0, 2**32))
+def test_long_chains_match_a_brute_force_first_occurrence(kind, seed):
+    from epilex.extremal import minimal_window_positions
+
+    rng = random.Random(seed)
+    seq, ranks, k_max = long_chain_case(rng, kind)
+    chain = minimal_window_positions(seq, ranks, k_max)
+    assert len(chain) == k_max
+    r = [ranks[c] for c in seq]
+    # Every short length, and a sample of the long ones: the brute force
+    # costs O(n * k) per length.
+    ks = sorted({*range(1, min(k_max, 24) + 1), *rng.sample(range(1, k_max + 1), min(k_max, 6)), k_max})
+    for k in ks:
+        first = min(range(len(r) - k + 1), key=lambda p: r[p : p + k])
+        assert chain[k - 1] == first, (kind, seed, k)
 
 
 def test_exactness_labels_for_directive_streams():
