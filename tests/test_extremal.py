@@ -237,13 +237,14 @@ def test_chain_starts_are_first_occurrences_of_the_least_windows(case):
 def long_chain_case(rng: random.Random, kind: str) -> tuple[list[int], list[int], int]:
     """A sequence of 200-3000 letters, the ranks of an order, and a chain length.
 
-    ``periodic`` and ``one-letter`` sequences keep half or all of their
-    windows live at every length, so the chain holds them as bitsets to the
-    end.  ``flush`` ends a free sequence with a run of its least letter
-    longer than any before it, so the least windows become few, then end
-    flush and are compared anew.  ``prefix`` cuts a standard word short of
-    its exact horizon, and ``wide`` draws its letters from 300, so that
-    indices exceed 255.
+    ``periodic`` and ``one-letter`` sequences keep a fixed share of their
+    windows live at every length, so the chain holds them as a bitset until
+    the windows near the end drop out.  ``flush`` ends a free sequence with
+    a run of its least letter longer than any before it, so the least
+    windows become few (the chain turns to its list of starts), then end
+    flush and are compared anew.  ``prefix`` is a prefix of a standard word,
+    mostly short of the exact horizon of the chain length, and ``wide``
+    draws its letters from 300, so that indices exceed 255.
     """
     n = rng.randint(200, 3000)
     if kind == "prefix":
