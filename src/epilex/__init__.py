@@ -55,7 +55,6 @@ from .fine import (
     SpecError,
     Witness,
     classify,
-    common_s,
     construct_skew,
     is_fine_empirical,
     reconstruct_skew,

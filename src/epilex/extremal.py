@@ -2,19 +2,16 @@
 
 The smallest length-k factor is computed by tracking every occurrence of the
 current minimum and extending one letter at a time, which also yields the
-whole chain of minima cheaply.  The occurrences are held as an ``int`` bitset
-of their end positions while they are dense and as a sorted list of their
-starts once they are sparse (:func:`minimal_window_positions`).  The
-brute-force oracles the tests compare against live with the tests; they
-share no code with this module.
+whole chain of minima cheaply.  The occurrences are held as one ``int``
+bitset of their end positions, from the first length to the last
+(:func:`minimal_window_positions`).  The brute-force oracles the tests
+compare against live with the tests; they share no code with this module.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from typing import Sequence
 
 from .words import AlphabetError, LengthError, LexOrder, Word, WordStream, scan_length
@@ -54,61 +51,43 @@ def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int
     """For each k = 1..k_max, the first start of the rank-minimal window.
 
     The least windows of length k+1 are the least windows of length k that
-    extend by the least letter any of them is followed by.  While they are
-    dense, their end positions are one ``int`` bitset, ``live``: bit i of
-    ``ends[j]`` is set where ``seq[i]`` is the j-th least letter present, and
-    one length is a shift of ``live`` and an ``&`` with ``ends[j]`` for each
-    letter tried until one is nonzero, each one C-level pass over n bits.
-    Once at most one position in 64 is live, they become the sorted list of
-    their starts, and one length is a pass over that list.  If no least
+    extend by the least letter any of them is followed by.  Their end
+    positions are one ``int`` bitset, ``live``, with position i at bit
+    n - 1 - i: bit n - 1 - i of ``ends[j]`` is set where ``seq[i]`` is the
+    j-th least letter present.  One length is ``live >> 1``, which moves
+    every window's end to the letter after it, and an ``&`` with ``ends[j]``
+    for each letter tried until one is nonzero, each one C-level pass over n
+    bits; the first start is read off ``live.bit_length()``.  If no least
     window extends (each ends flush with a horizon-limited prefix), every
-    window is compared as a slice of the rank list, which is O(n*k).  Only
-    the current length is held, so memory stays O(n + k_max).  Letter
-    indices must be below ``sys.maxunicode`` + 1, the range of ``chr``.
+    window is compared as a slice of the rank list, which is O(n*k), and the
+    starts of the least become the next ``live``.  Only the current length
+    is held, so memory stays O(n + k_max).  Letter indices must be below
+    ``sys.maxunicode`` + 1, the range of ``chr``.
     """
     n = len(seq)
     k_max = min(k_max, n)
     if k_max < 1:
         return []
     letters = sorted(set(seq), key=rank.__getitem__)
-    # One character per letter, last letter first, so int(..., 2) of its
-    # translation to "0"/"1" puts position i at bit i.
-    text = "".join(map(chr, seq))[::-1]
+    # One character per letter, so int(..., 2) of its translation to
+    # "0"/"1" puts position i at bit n - 1 - i.
+    text = "".join(map(chr, seq))
     zeros = dict.fromkeys(letters, "0")
     ends = [int(text.translate({**zeros, c: "1"}), 2) for c in letters]
     live = ends[0]
-    out = [(live & -live).bit_length() - 1]
-    k = 1
-    while k < k_max and live.bit_count() * 64 > n:
-        shifted = live << 1
-        longer = next(filter(None, map(shifted.__and__, ends)), 0)
-        if not longer:
-            break
-        live = longer
-        k += 1
-        out.append((live & -live).bit_length() - k)
-    if k == k_max:
-        return out
-    # The live starts: bit i of ``live`` ends a window that starts at i + 1 - k.
-    bits = format(live, "b")[::-1]
-    positions = []
-    i = bits.find("1")
-    while i >= 0:
-        positions.append(i + 1 - k)
-        i = bits.find("1", i + 1)
-    for k in range(k + 1, k_max + 1):
-        extendable = positions[: bisect_right(positions, n - k)]
-        if extendable:
-            j = k - 1
-            nxt = [rank[seq[p + j]] for p in extendable]
-            best = min(nxt)
-            positions = list(compress(extendable, map(best.__eq__, nxt)))
-        else:
+    out = [n - live.bit_length()]
+    for k in range(2, k_max + 1):
+        shifted = live >> 1
+        live = next(filter(None, map(shifted.__and__, ends)), 0)
+        if not live:
+            # Bit n - 1 - (p + k - 1) = n - k - p marks the window that
+            # starts at p, so the starts' digits, first start first, read
+            # as the bitset of their ends.
             r = [rank[c] for c in seq]
             starts = range(n - k + 1)
             least = min(r[p : p + k] for p in starts)
-            positions = [p for p in starts if r[p : p + k] == least]
-        out.append(positions[0])
+            live = int("".join("1" if r[p : p + k] == least else "0" for p in starts), 2)
+        out.append(n - live.bit_length() - k + 1)
     return out
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "SpecError",
     "Witness",
     "classify",
-    "common_s",
     "construct_skew",
     "is_fine_empirical",
     "reconstruct_skew",
@@ -211,6 +210,11 @@ def is_fine_empirical(
     and all of those have occurred by then.  With no horizon, or with
     ``deepen``, the scan reads that bound however short the horizon (see
     :func:`~epilex.words.scan_length`).
+
+    The tail is the common s of min(t) = a·s.  Over two letters a < b,
+    Pirillo's characterization also asks max(t) = b·s.  The greatest factors
+    under an order are the least under the reversed one, which this scan
+    covers as well, so that pairing is already checked.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -254,17 +258,6 @@ def is_fine_empirical(
         depth=depth,
         s_prefix=Word._trusted(t.alphabet, tuple(s_ref)),
     )
-
-
-def common_s(t: WordStream, depth: int, horizon: int) -> Word | None:
-    """The shared minimal-factor tail s, when the word is fine up to ``depth``.
-
-    Over two letters a < b, Pirillo's characterization also asks max(t) = b·s.
-    The greatest factors under an order are the least under the reversed
-    one, which :func:`is_fine_empirical` scans as well, so that pairing is
-    already checked and the scan's tail is the answer.
-    """
-    return is_fine_empirical(t, depth, horizon).s_prefix
 
 
 def verify_min_transfer(
@@ -383,7 +376,14 @@ def _classify_literal(
         spec = reconstruct_skew(stream, 0, h)
     except NotSkewForm:
         return emp
-    return _classify_skew(spec, depth)
+    # The spec's word is the literal word, so the scan above is its scan.
+    return _cross_checked(
+        emp,
+        skew_common_word(spec),
+        f"skew spec {spec}",
+        classification=Classification.SKEW_EPISTURMIAN,
+        skew=spec,
+    )
 
 
 def classify(

@@ -14,7 +14,6 @@ from epilex import (
     SpecError,
     Word,
     classify,
-    common_s,
     construct_skew,
     factors,
     identity,
@@ -173,6 +172,14 @@ def test_classify_literal_scans_once_when_not_fine(monkeypatch):
     assert calls == [(8, 196)]
 
 
+def test_classify_literal_skew_word_scans_once(monkeypatch):
+    calls = []
+    _plant(monkeypatch, lambda t, verdict: calls.append(t) or verdict)
+    v = classify(LiteralPeriodicStream(AB.word("ba"), AB.word("a")), 8)
+    assert v.classification is Classification.SKEW_EPISTURMIAN and v.skew is not None
+    assert len(calls) == 1
+
+
 def test_classify_rejects_unknown_types():
     with pytest.raises(TypeError):
         classify("not a spec", 10)
@@ -277,19 +284,19 @@ def test_structural_and_empirical_verdicts_cohere():
 # --- the common tail -----------------------------------------------------------------
 
 def test_common_s_examples():
-    s = common_s(standard_word(FIB), 30, 300)
+    s = is_fine_empirical(standard_word(FIB), 30, 300).s_prefix
     assert s == standard_word(FIB).prefix(29)
     t = ConcatStream(ABC.word("c"), standard_word(FIB3))
-    s = common_s(t, 30, 300)
+    s = is_fine_empirical(t, 30, 300).s_prefix
     assert s == standard_word(FIB3).prefix(29)
     one = Alphabet.of("a")
     aaa = standard_word(parse_directive(one, "(a)"))
-    s = common_s(aaa, 10, 20)
+    s = is_fine_empirical(aaa, 10, 20).s_prefix
     assert s is not None and str(s) == "a" * 9
 
 
 def test_common_s_absent_for_unfine_words():
-    assert common_s(standard_word(parse_directive(ABC, "c(ab)")), 20, 200) is None
+    assert is_fine_empirical(standard_word(parse_directive(ABC, "c(ab)")), 20, 200).s_prefix is None
 
 
 # --- transfer of minimal factors -------------------------------------------------------
@@ -344,7 +351,7 @@ def test_witnesses_and_tails_are_frozen_on_a_random_corpus():
         v = is_fine_empirical(t, 12, 400)
         w = v.witness
         wit = f"{w.order.describe()} {w.k} {w.factor} {w.required} {w.reason}" if w else "-"
-        lines.append(f"{v.classification.value} {v.s_prefix} {wit} {common_s(t, 12, 400)}")
+        lines.append(f"{v.classification.value} {v.s_prefix} {wit} {is_fine_empirical(t, 12, 400).s_prefix}")
     for case in range(30):
         d = random_directive(rng, max_alpha=3, max_pre=2, max_per=4) if case % 2 else random_strict_directive(rng, max_alpha=3)
         t1 = standard_word(d)
