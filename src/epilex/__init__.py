@@ -18,7 +18,6 @@ from .morphisms import (
     MorphicImageStream,
     PureEpistandardMorphism,
     identity,
-    is_separating,
     psi,
 )
 from .engine import (

@@ -403,16 +403,28 @@ def recover_directive_letters(seq: Sequence[int]) -> list[int]:
 
     Each directive letter sits immediately after the previous palindromic
     prefix; lengths advance by the same last-occurrence rule the engine uses.
-    Content is not revalidated here, so callers must check any inferred
-    directive by regeneration.
+    While directive letter x repeats, every |u_n| grows by the same
+    q = |u_{n-1}| - |u_{n-2}| (Justin-Pirillo 2002, TCS 276; see
+    :class:`_EngineState`), so a run of x after |u_n| = L is the leading
+    x's of ``text[L::q]`` on the ``chr`` text of ``seq``, read with one
+    ``lstrip`` and appended at once.  Letter indices must be at most
+    ``sys.maxunicode``.  Content is not revalidated here, so callers must
+    check any inferred directive by regeneration.
     """
+    text = "".join(map(chr, seq))
     lengths = [0]
     last: dict[int, int] = {}
     letters: list[int] = []
-    while lengths[-1] < len(seq):
-        x = seq[lengths[-1]]
-        letters.append(x)
-        _next_prefix_length(lengths, last, x)
+    while lengths[-1] < len(text):
+        c = text[lengths[-1]]
+        x = ord(c)
+        length = _next_prefix_length(lengths, last, x)
+        q = length - lengths[-2]
+        run = text[length::q]
+        r = len(run) - len(run.lstrip(c))
+        letters += [x] * (r + 1)
+        lengths += range(length + q, length + r * q + 1, q)
+        last[x] = len(lengths) - 1
     return letters
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import compress
+from itertools import compress, count
+from operator import add, ne
 
 from .engine import (
     DirectiveWord,
@@ -24,7 +25,7 @@ from .engine import (
     standard_word,
     strictness,
 )
-from .morphisms import MorphicImageStream, PureEpistandardMorphism, psi, separates
+from .morphisms import MorphicImageStream, PureEpistandardMorphism, _separates_text, psi
 from .words import (
     Alphabet,
     ConcatStream,
@@ -186,7 +187,19 @@ def _chain_mismatch(seq: list[int], chain: list[int], expected: list[int]) -> tu
 
     ``chain`` is ``minimal_window_positions(seq, rank, depth)`` for the order
     in question; ``None`` means the two agree at every k the chain reaches.
+    The chain rescans at length k+1 exactly when its first least k-window
+    ends at the last letter, ``chain[k-1] + k == len(seq)``.  Without such a
+    k the least windows nest, so each min(seq|k) is a prefix of the last and
+    one comparison of that word with ``expected`` finds the first k, in
+    O(depth); otherwise each k is compared in turn.
     """
+    if not chain:
+        return None
+    if len(seq) not in map(add, chain[:-1], count(1)):
+        p, depth = chain[-1], len(chain)
+        word = seq[p : p + depth]
+        k = next(compress(count(1), map(ne, word, expected)), len(expected) + 1)
+        return (k, word[:k]) if k <= depth else None
     for k, p in enumerate(chain, start=1):
         actual = seq[p : p + k]
         if actual != expected[:k]:
@@ -411,15 +424,26 @@ def classify(
 
 
 def _peel(seq: list[int], z: int) -> list[int]:
-    """Invert one generator on a prefix known to have ``z`` separating.
+    """A list front-end of :func:`_peel_text` on the ``chr`` text of ``seq``."""
+    text = "".join(map(chr, seq))
+    return list(map(ord, _peel_text(text, chr(z), set(text))))
 
-    The image of every letter starts with ``z``, and no two other letters
-    touch, so the preimage is the letter after each ``z``; a trailing lone
-    ``z`` is ambiguous (it may be a truncated two-letter image) and is dropped.
+
+def _peel_text(text: str, z: str, letters: set[str]) -> str:
+    """Invert the generator of ``z`` on a text known to have ``z`` separating.
+
+    ``letters`` is ``set(text)``.  The generator maps ``z`` to ``z`` and
+    every other y to ``zy``.  With ``z`` prepended when the text starts
+    inside an image, every image starts with ``z`` and no two other letters
+    touch, so replacing each ``zy`` by ``y`` leaves one letter per image.  A
+    trailing lone ``z`` is ambiguous (it may be a truncated two-letter
+    image) and is dropped.
     """
-    if seq[0] != z:
-        seq = [z] + seq
-    return list(compress(seq[1:], map(z.__eq__, seq)))
+    if not text.startswith(z):
+        text = z + text
+    for y in letters - {z}:
+        text = text.replace(z + y, y)
+    return text[:-1] if text.endswith(z) else text
 
 
 def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
@@ -430,8 +454,18 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     the longest seed suffix that regenerates the scanned prefix.  ``depth``
     (when positive) runs the empirical fineness scan first as a cheap gate.
     Raises :class:`NotSkewForm` whenever any stage fails.
+
+    The prefix becomes its ``chr`` text once (letter indices at most
+    ``sys.maxunicode``), and each peel level runs C-level string operations
+    on it: a letter occurs once when ``find`` and ``rfind`` agree; a
+    separating letter lies in every length-2 factor, so only the first two
+    letters can separate (:func:`_separates_text`); the peel is one
+    ``replace`` per letter (:func:`_peel_text`).  Only the text past the
+    unique letter turns back into indices, and the core directive is read
+    off it by the last-occurrence rule (Justin-Pirillo 2002, TCS 276;
+    :func:`~epilex.engine.recover_directive_letters`).
     """
-    seq = t.raw(horizon)
+    text = "".join(map(chr, t.raw(horizon)))
     if depth > 0:
         # Deepened to the exact bound, so a fine word is not refuted for want
         # of letters however short the horizon.
@@ -441,28 +475,28 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     alphabet = t.alphabet
     gens: list[int] = []
     for _ in range(64):
-        counts = Counter(seq)
-        unique = [c for c, n in counts.items() if n == 1]
+        letters = set(text)
+        unique = [c for c in letters if text.find(c) == text.rfind(c)]
         if len(unique) > 1:
             raise NotSkewForm("several letters occur exactly once in the scanned prefix")
         if len(unique) == 1:
             x = unique[0]
-            i = seq.index(x)
-            head, tail = seq[:i], seq[i + 1 :]
+            i = text.index(x)
+            head, tail = text[:i], text[i + 1 :]
             if len(tail) <= len(head) or len(tail) < 4:
                 raise HorizonTooShort("horizon too short past the unique letter")
             if head != tail[: len(head)][::-1]:
                 raise NotSkewForm("prefix before the unique letter does not mirror the core")
-            return _assemble_spec(t, alphabet, gens, x, head, tail, horizon)
-        seps = [c for c in set(seq) if separates(c, seq)]
+            return _assemble_spec(t, alphabet, gens, ord(x), i, list(map(ord, tail)), horizon)
+        seps = [z for z in set(text[:2]) if _separates_text(z, text, letters)]
         if not seps:
             raise NotSkewForm("no separating letter to peel")
         if len(seps) > 1:
             raise NotSkewForm("prefix alternates two letters; periodic, not skew")
         z = seps[0]
-        seq = _peel(seq, z)
-        gens.append(z)
-        if len(seq) < 8:
+        text = _peel_text(text, z, letters)
+        gens.append(ord(z))
+        if len(text) < 8:
             raise HorizonTooShort("horizon exhausted while peeling")
     raise NotSkewForm("peeling did not terminate")
 
@@ -472,7 +506,7 @@ def _assemble_spec(
     alphabet: Alphabet,
     gens: list[int],
     x: int,
-    head: list[int],
+    p: int,
     tail: list[int],
     horizon: int,
 ) -> SkewSpec:
@@ -484,7 +518,7 @@ def _assemble_spec(
     base = SkewSpec(
         directive=core,
         x=alphabet.letters[x],
-        p=len(head),
+        p=p,
         morphism=morphism,
         suffix_len=1,
     )

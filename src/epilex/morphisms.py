@@ -21,7 +21,6 @@ __all__ = [
     "MorphicImageStream",
     "PureEpistandardMorphism",
     "identity",
-    "is_separating",
     "psi",
 ]
 
@@ -150,10 +149,21 @@ class MorphicImageStream(WordStream):
 
 
 def separates(a: int, seq: Sequence[int]) -> bool:
-    """Whether every length-2 factor of ``seq`` contains the letter index ``a``."""
-    return all(seq[i] == a or seq[i + 1] == a for i in range(len(seq) - 1))
+    """Whether every length-2 factor of ``seq`` contains the letter index ``a``.
+
+    A list front-end over :func:`_separates_text` on the ``chr`` text of
+    ``seq``, so letter indices must be at most ``sys.maxunicode``.
+    """
+    text = "".join(map(chr, seq))
+    return _separates_text(chr(a), text, set(text))
 
 
-def is_separating(letter: str, w: Word) -> bool:
-    """Whether every length-2 factor of ``w`` contains ``letter``."""
-    return separates(w.alphabet.index(letter), w.indices)
+def _separates_text(z: str, text: str, letters: set[str]) -> bool:
+    """Whether every length-2 factor of ``text`` contains the character ``z``.
+
+    ``letters`` is ``set(text)``.  ``z`` separates exactly when no factor
+    ``xy`` of two other letters occurs, and each ``in`` is one C-level
+    search that stops at its first hit.
+    """
+    others = letters - {z}
+    return all(x + y not in text for x in others for y in others)

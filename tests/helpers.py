@@ -171,6 +171,39 @@ def peel_by_splitting(seq: list[int], z: int) -> list[int]:
     return out
 
 
+def separates_by_pairs(a: int, seq: list[int]) -> bool:
+    """Whether every length-2 factor of ``seq`` contains ``a``: each adjacent pair in turn."""
+    return all(seq[i] == a or seq[i + 1] == a for i in range(len(seq) - 1))
+
+
+def directive_letters_by_steps(seq: list[int]) -> list[int]:
+    """The directive letters of a standard word read off a prefix, one step at a time.
+
+    Letter n is the letter at |u_{n-1}|, and |u_n| = 2|u_{n-1}| - |u_{j-1}|
+    with j the letter's last earlier directive position, or 2|u_{n-1}| + 1
+    for a new letter (Justin-Pirillo 2002, TCS 276).
+    """
+    lengths = [0]
+    last: dict[int, int] = {}
+    letters: list[int] = []
+    while lengths[-1] < len(seq):
+        x = seq[lengths[-1]]
+        letters.append(x)
+        j = last.get(x)
+        lengths.append(2 * lengths[-1] + 1 if j is None else 2 * lengths[-1] - lengths[j - 1])
+        last[x] = len(lengths) - 1
+    return letters
+
+
+def chain_mismatch_by_length(seq: list[int], chain: list[int], expected: list[int]):
+    """The first k with ``seq[chain[k-1]:][:k] != expected[:k]``, with that window, or None."""
+    for k, p in enumerate(chain, start=1):
+        actual = seq[p : p + k]
+        if actual != expected[:k]:
+            return k, actual
+    return None
+
+
 def run_limited(args: list[str], timeout: float = 30.0, memory: int = 1 << 30):
     """``python *args`` in a child process with the library on its path.
 

@@ -29,7 +29,7 @@ from epilex.engine import (
 )
 from epilex.textio import parse_directive
 
-from helpers import brute_closure, random_directive, run_limited
+from helpers import brute_closure, directive_letters_by_steps, random_directive, run_limited
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -184,13 +184,13 @@ def test_shift_chain_examples():
 
 
 def test_first_letter_is_separating():
-    from epilex import is_separating
+    from epilex.morphisms import separates
 
     rng = random.Random(37)
     for _ in range(40):
         d = random_directive(rng)
         first = d.alphabet.letters[d.letter(1)]
-        assert is_separating(first, standard_word(d).prefix(300))
+        assert separates(d.alphabet.index(first), standard_word(d).prefix(300).indices)
 
 
 # --- directive recovery -------------------------------------------------------------
@@ -206,6 +206,38 @@ def test_recover_directive_letters_round_trip():
         assert letters == [d.letter(i) for i in range(1, len(letters) + 1)]
         inferred = infer_eventually_periodic(d.alphabet, letters)
         assert standard_word(inferred).raw(8000) == seq
+
+
+@st.composite
+def run_sequences(draw):
+    """Sequences made of runs of one letter, up to 80 long."""
+    size = draw(st.integers(1, 4))
+    runs = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(1, 80)), max_size=12))
+    return [c for c, r in runs for _ in range(r)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_sequences())
+def test_recover_directive_letters_reads_runs_like_single_steps(seq):
+    assert recover_directive_letters(seq) == directive_letters_by_steps(seq)
+
+
+def test_recover_directive_letters_on_long_directive_runs():
+    # directives whose letters come in runs of up to 12, so every run of the
+    # standard word is read in bulk; prefixes of every length up to 6000
+    rng = random.Random(43)
+    for _ in range(60):
+        size = rng.randint(1, 3)
+        alphabet = Alphabet(tuple("abc"[:size]))
+
+        def runs(count: int) -> tuple[int, ...]:
+            return tuple(c for _ in range(count) for c in [rng.randrange(size)] * rng.randint(1, 12))
+
+        d = DirectiveWord(alphabet, runs(rng.randint(0, 4)), runs(rng.randint(1, 3)))
+        seq = standard_word(d).raw(rng.randint(1, 6000))
+        letters = recover_directive_letters(seq)
+        assert letters == directive_letters_by_steps(seq)
+        assert letters == [d.letter(i) for i in range(1, len(letters) + 1)]
 
 
 def test_as_directive_normalizes_morphic_images():

@@ -1,6 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epilex import (
     Alphabet,
@@ -13,6 +15,7 @@ from epilex import (
     SkewSpec,
     SpecError,
     Word,
+    all_orders,
     classify,
     construct_skew,
     factors,
@@ -23,11 +26,19 @@ from epilex import (
     standard_word,
     verify_min_transfer,
 )
-from epilex.fine import _peel, skew_common_word
+from epilex.extremal import minimal_window_positions
+from epilex.fine import _chain_mismatch, _peel, _peel_text, skew_common_word
 from epilex.morphisms import MorphicImageStream, separates
 from epilex.textio import parse_directive, parse_skew
 
-from helpers import peel_by_splitting, random_canonical_skew, random_strict_directive
+from helpers import (
+    chain_mismatch_by_length,
+    peel_by_splitting,
+    random_canonical_skew,
+    random_directive,
+    random_strict_directive,
+    separates_by_pairs,
+)
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -428,6 +439,74 @@ def test_peel_reads_the_letter_after_each_separator():
         seq += [[], [z], [z, z]][rng.randrange(3)]
         assert separates(z, seq)
         assert _peel(seq, z) == peel_by_splitting(seq, z), (seq, z)
+
+
+@st.composite
+def peel_cases(draw):
+    """A separating letter and the image of a random preimage under its
+    generator, maybe started inside an image, ending in no, one or two lone
+    separators; indices start at 0 or at 300, past the one-byte range."""
+    size = draw(st.integers(2, 5))
+    offset = draw(st.sampled_from((0, 300)))
+    z = draw(st.integers(0, size - 1))
+    preimage = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=30))
+    seq = [c for y in preimage for c in ((z,) if y == z else (z, y))]
+    if len(seq) > 1 and seq[1] != z and draw(st.booleans()):
+        seq = seq[1:]
+    seq += draw(st.sampled_from(([], [z], [z, z])))
+    return z + offset, [c + offset for c in seq]
+
+
+@settings(max_examples=400, deadline=None)
+@given(peel_cases())
+def test_text_peel_matches_splitting_image_by_image(case):
+    z, seq = case
+    assert separates_by_pairs(z, seq)
+    text = "".join(map(chr, seq))
+    assert list(map(ord, _peel_text(text, chr(z), set(text)))) == peel_by_splitting(seq, z)
+
+
+def test_reconstruct_round_trips_random_skew_specs():
+    # Up to four letters, so one- to three-letter cores; a one-letter core
+    # gives one long run of one directive letter.  A shorter suffix may start
+    # the word inside an image, where only the second letter separates; its
+    # spec need not come back, but its word must.
+    rng = random.Random(79)
+    for _ in range(40):
+        spec = random_canonical_skew(rng, max_alpha=4)
+        budget = (2 ** len(spec.morphism.letters)) * 2400 + 4 * spec.suffix_len + 64
+        t = construct_skew(spec)
+        rec = reconstruct_skew(t, 0, budget)
+        assert (rec.x, rec.p, rec.morphism) == (spec.x, spec.p, spec.morphism)
+        core = standard_word(spec.directive).raw(budget)
+        assert standard_word(rec.directive).raw(budget) == core
+        assert construct_skew(rec).raw(budget) == t.raw(budget)
+        t = construct_skew(replace(spec, suffix_len=rng.randint(1, spec.suffix_len)))
+        assert construct_skew(reconstruct_skew(t, 0, budget)).raw(budget) == t.raw(budget)
+
+
+def test_chain_mismatch_matches_the_per_length_loop():
+    # prefixes of standard words short of their exact bound, some ending in a
+    # run of one letter, so that many chains rescan where the least windows
+    # end flush with the prefix
+    rng = random.Random(83)
+    rescans = 0
+    for _ in range(300):
+        d = random_directive(rng, max_alpha=3, min_alpha=2)
+        seq = standard_word(d).raw(rng.randint(1, 120))
+        if rng.random() < 0.4:
+            seq += [rng.randrange(d.alphabet.size)] * rng.randint(1, 12)
+        for order in all_orders(d.alphabet):
+            chain = minimal_window_positions(seq, order.ranks, rng.randint(1, len(seq) + 2))
+            rescans += any(p + k == len(seq) for k, p in enumerate(chain[:-1], start=1))
+            last = seq[chain[-1] : chain[-1] + len(chain)]
+            noise = [rng.randrange(d.alphabet.size) for _ in range(len(chain) + 2)]
+            cut = rng.randint(0, len(last))
+            for expected in (last, last[:cut], last + noise[:2], last[:cut] + noise, noise):
+                assert _chain_mismatch(seq, chain, expected) == chain_mismatch_by_length(
+                    seq, chain, expected
+                ), (seq, order.ranks, len(chain), expected)
+    assert rescans >= 100
 
 
 def test_skew_common_word_is_the_morphic_image_of_the_core():

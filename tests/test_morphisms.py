@@ -12,13 +12,13 @@ from epilex import (
     PureEpistandardMorphism,
     Word,
     identity,
-    is_separating,
     psi,
     standard_word,
 )
+from epilex.morphisms import separates
 from epilex.textio import parse_directive
 
-from helpers import all_words, brute_preimage_exists
+from helpers import all_words, brute_preimage_exists, separates_by_pairs
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -181,15 +181,41 @@ def test_image_characterization_small():
                 if len(w) and w.indices[-1] != z:
                     continue
                 structural = (not len(w)) or (
-                    w.indices[0] == z and is_separating(tok, w)
+                    w.indices[0] == z and separates(alphabet.index(tok), w.indices)
                 )
                 assert structural == brute_preimage_exists(gen, w), (tok, str(w))
 
 
 def test_is_separating():
-    assert is_separating("a", fib().prefix(100))
-    assert not is_separating("b", AB.word("abaab"))
+    assert separates(AB.index("a"), fib().prefix(100).indices)
+    assert not separates(AB.index("b"), AB.word("abaab").indices)
     w = ABC.word("ccacbcacacbcacbcacacbcacacbca")
-    assert is_separating("c", w)
-    assert is_separating("a", ABC.word("a"))  # short words are trivially fine
-    assert is_separating("a", ABC.word(""))
+    assert separates(ABC.index("c"), w.indices)
+    assert separates(ABC.index("a"), ABC.word("a").indices)  # short words are trivially fine
+    assert separates(ABC.index("a"), ABC.word("").indices)
+
+
+@st.composite
+def separator_cases(draw):
+    """A letter and a sequence: free, or the image of a random preimage under
+    the letter's generator, maybe started inside an image or with one letter
+    changed.  Indices start at 0 or at 300, past the one-byte range."""
+    size = draw(st.integers(1, 5))
+    offset = draw(st.sampled_from((0, 300)))
+    letter = st.integers(0, size - 1)
+    a = draw(letter)
+    if draw(st.booleans()):
+        seq = draw(st.lists(letter, max_size=30))
+    else:
+        seq = [c for y in draw(st.lists(letter, max_size=20)) for c in ((a,) if y == a else (a, y))]
+        seq = seq[draw(st.integers(0, 1)) :]
+        if seq and draw(st.booleans()):
+            seq[draw(st.integers(0, len(seq) - 1))] = draw(letter)
+    return a + offset, [c + offset for c in seq]
+
+
+@settings(max_examples=400, deadline=None)
+@given(separator_cases())
+def test_separates_matches_the_pairwise_oracle(case):
+    a, seq = case
+    assert separates(a, seq) == separates_by_pairs(a, seq)
