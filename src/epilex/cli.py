@@ -14,6 +14,7 @@ import sys
 from functools import cache, partial
 from typing import Any
 
+from . import fine
 from .engine import (
     InternalConsistencyError,
     shift_chain,
@@ -22,7 +23,6 @@ from .engine import (
 )
 from .extremal import max_factor, min_factor
 from .fine import (
-    HorizonTooShort,
     NotSkewForm,
     SpecError,
     construct_skew,
@@ -277,14 +277,20 @@ def _cmd_verify(args) -> int:
         spec = parse_skew(alphabet, args.skew)
         stream = construct_skew(spec)
         _check_scan(stream.exact_horizon(args.depth), args.depth)
+        # The spec is validated, so a fineness refutation is an engine bug;
+        # past the gate, a failed peel means the prefix was too short.
+        if args.depth > 0:
+            gate = fine.is_fine_empirical(stream, args.depth)
+            if not gate.fine_to_depth:
+                raise InternalConsistencyError(
+                    f"skew spec {spec} is not fine within depth {args.depth}: {gate.witness}"
+                )
         try:
-            recovered = reconstruct_skew(stream, args.depth, horizon)
-        except HorizonTooShort as exc:
+            recovered = reconstruct_skew(stream, 0, horizon)
+        except NotSkewForm as exc:
             raise CLIError(
                 f"--horizon {horizon} is too short to reconstruct the skew word: {exc}"
             ) from None
-        except NotSkewForm as exc:
-            raise InternalConsistencyError(f"round-trip failed: {exc}") from None
         same = construct_skew(recovered).raw(horizon) == stream.raw(horizon)
         if not same:
             raise InternalConsistencyError("round-trip regenerated a different word")

@@ -398,20 +398,20 @@ def image_length(mu: PureEpistandardMorphism, y: int) -> int:
     return u_n1 - u_n
 
 
-def recover_directive_letters(seq: Sequence[int]) -> list[int]:
+def recover_directive_letters(text: str) -> list[int]:
     """Read the directive letters of a standard word off one of its prefixes.
 
-    Each directive letter sits immediately after the previous palindromic
-    prefix; lengths advance by the same last-occurrence rule the engine uses.
-    While directive letter x repeats, every |u_n| grows by the same
-    q = |u_{n-1}| - |u_{n-2}| (Justin-Pirillo 2002, TCS 276; see
+    ``text`` is the prefix's ``chr`` text, ``"".join(map(chr, seq))``, so
+    letter indices must be at most ``sys.maxunicode``; the letters come back
+    as indices.  Each directive letter sits immediately after the previous
+    palindromic prefix; lengths advance by the same last-occurrence rule the
+    engine uses.  While directive letter x repeats, every |u_n| grows by the
+    same q = |u_{n-1}| - |u_{n-2}| (Justin-Pirillo 2002, TCS 276; see
     :class:`_EngineState`), so a run of x after |u_n| = L is the leading
-    x's of ``text[L::q]`` on the ``chr`` text of ``seq``, read with one
-    ``lstrip`` and appended at once.  Letter indices must be at most
-    ``sys.maxunicode``.  Content is not revalidated here, so callers must
-    check any inferred directive by regeneration.
+    x's of ``text[L::q]``, read with one ``lstrip`` and appended at once.
+    Content is not revalidated here, so callers must check any inferred
+    directive by regeneration.
     """
-    text = "".join(map(chr, seq))
     lengths = [0]
     last: dict[int, int] = {}
     letters: list[int] = []
@@ -428,19 +428,20 @@ def recover_directive_letters(seq: Sequence[int]) -> list[int]:
     return letters
 
 
-def infer_eventually_periodic(
-    alphabet: Alphabet, letters: Sequence[int], max_period: int = 64
-) -> DirectiveWord:
+_MAX_PERIOD = 64
+
+
+def infer_eventually_periodic(alphabet: Alphabet, letters: Sequence[int]) -> DirectiveWord:
     """Smallest eventually periodic directive consistent with the observed letters.
 
     A candidate needs two full periods of evidence beyond the preperiod and a
     periodic tail covering at least half the observation, so an observation
     that merely ends in a repeated letter is not mistaken for an eventually
     constant directive.  Raises ``ValueError`` when no period up to
-    ``max_period`` fits.
+    ``_MAX_PERIOD`` fits.
     """
     n = len(letters)
-    for q in range(1, min(max_period, max(n // 2, 1)) + 1):
+    for q in range(1, min(_MAX_PERIOD, max(n // 2, 1)) + 1):
         r = 0
         for i in range(n - q - 1, -1, -1):
             if letters[i] != letters[i + q]:

@@ -423,12 +423,6 @@ def classify(
     raise TypeError(f"cannot classify {type(spec).__name__}")
 
 
-def _peel(seq: list[int], z: int) -> list[int]:
-    """A list front-end of :func:`_peel_text` on the ``chr`` text of ``seq``."""
-    text = "".join(map(chr, seq))
-    return list(map(ord, _peel_text(text, chr(z), set(text))))
-
-
 def _peel_text(text: str, z: str, letters: set[str]) -> str:
     """Invert the generator of ``z`` on a text known to have ``z`` separating.
 
@@ -460,12 +454,13 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     on it: a letter occurs once when ``find`` and ``rfind`` agree; a
     separating letter lies in every length-2 factor, so only the first two
     letters can separate (:func:`_separates_text`); the peel is one
-    ``replace`` per letter (:func:`_peel_text`).  Only the text past the
-    unique letter turns back into indices, and the core directive is read
-    off it by the last-occurrence rule (Justin-Pirillo 2002, TCS 276;
+    ``replace`` per letter (:func:`_peel_text`).  The core directive is
+    read off the text past the unique letter by the last-occurrence rule
+    (Justin-Pirillo 2002, TCS 276;
     :func:`~epilex.engine.recover_directive_letters`).
     """
-    text = "".join(map(chr, t.raw(horizon)))
+    seq = t.raw(horizon)
+    text = "".join(map(chr, seq))
     if depth > 0:
         # Deepened to the exact bound, so a fine word is not refuted for want
         # of letters however short the horizon.
@@ -487,7 +482,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
                 raise HorizonTooShort("horizon too short past the unique letter")
             if head != tail[: len(head)][::-1]:
                 raise NotSkewForm("prefix before the unique letter does not mirror the core")
-            return _assemble_spec(t, alphabet, gens, ord(x), i, list(map(ord, tail)), horizon)
+            return _assemble_spec(alphabet, gens, ord(x), i, tail, seq)
         seps = [z for z in set(text[:2]) if _separates_text(z, text, letters)]
         if not seps:
             raise NotSkewForm("no separating letter to peel")
@@ -502,14 +497,11 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
 
 
 def _assemble_spec(
-    t: WordStream,
-    alphabet: Alphabet,
-    gens: list[int],
-    x: int,
-    p: int,
-    tail: list[int],
-    horizon: int,
+    alphabet: Alphabet, gens: list[int], x: int, p: int, tail: str, seq: list[int]
 ) -> SkewSpec:
+    """The spec with core directive read off ``tail``, the ``chr`` text past
+    the unique letter ``x`` at position ``p``, and the longest seed suffix
+    that regenerates the scanned prefix ``seq``."""
     try:
         core = infer_eventually_periodic(alphabet, recover_directive_letters(tail))
     except ValueError as exc:
@@ -528,10 +520,9 @@ def _assemble_spec(
         raise NotSkewForm(str(exc)) from None
     seed = base.seed_word().indices
     image = skew_common_word(base)
-    t_seq = t.raw(horizon)
     for ell in range(len(seed), 0, -1):
-        if list(seed[len(seed) - ell :]) != t_seq[:ell]:
+        if list(seed[len(seed) - ell :]) != seq[:ell]:
             continue
-        if image.raw(horizon - ell) == t_seq[ell:]:
+        if image.raw(len(seq) - ell) == seq[ell:]:
             return replace(base, suffix_len=ell)
     raise NotSkewForm("no suffix of the seed regenerates the scanned prefix")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .words import Alphabet, AlphabetError, Word, WordStream, _check_indices
 
@@ -146,16 +146,6 @@ class MorphicImageStream(WordStream):
         # inner letters, which occur within the inner bound.
         inner = self.inner.exact_horizon(k)
         return None if inner is None else self._longest * inner
-
-
-def separates(a: int, seq: Sequence[int]) -> bool:
-    """Whether every length-2 factor of ``seq`` contains the letter index ``a``.
-
-    A list front-end over :func:`_separates_text` on the ``chr`` text of
-    ``seq``, so letter indices must be at most ``sys.maxunicode``.
-    """
-    text = "".join(map(chr, seq))
-    return _separates_text(chr(a), text, set(text))
 
 
 def _separates_text(z: str, text: str, letters: set[str]) -> bool:

@@ -171,6 +171,11 @@ def peel_by_splitting(seq: list[int], z: int) -> list[int]:
     return out
 
 
+def as_text(seq) -> str:
+    """The ``chr`` text of a letter-index sequence, the encoding the skew reconstruction reads."""
+    return "".join(map(chr, seq))
+
+
 def separates_by_pairs(a: int, seq: list[int]) -> bool:
     """Whether every length-2 factor of ``seq`` contains ``a``: each adjacent pair in turn."""
     return all(seq[i] == a or seq[i + 1] == a for i in range(len(seq) - 1))

@@ -154,15 +154,21 @@ def test_verify_skew_round_trip_on_a_short_horizon(capsys):
 
 
 def test_verify_skew_on_a_too_short_horizon_is_a_user_error(capsys):
-    code, out, err = run(
-        capsys,
-        "verify", "--alphabet", "a,b,c",
-        "--skew", "skew v=(ab) x=c p=4 mu=psi:c suffix=full",
-        "--horizon", "20",
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: --horizon 20 is too short")
+    # The spec is validated and passes the fineness gate, so whatever stops
+    # the peel short of the round trip (no separator yet, several unique
+    # letters, a prefix too short to show the core's period) is the horizon's
+    # fault: exit 1 with the peel's reason, never exit 2.
+    skew = "skew v=(ab) x=c p=4 mu=psi:c suffix=full"
+    for horizon in range(23):
+        code, out, err = run(capsys, "verify", "--alphabet", "a,b,c", "--skew", skew, "--horizon", str(horizon))
+        assert (code, out) == (1, ""), horizon
+        assert err.startswith(f"error: --horizon {horizon} is too short to reconstruct the skew word: "), err
+    code, out, err = run(capsys, "verify", "--alphabet", "a,b,c", "--skew", skew, "--horizon", "23")
+    assert (code, out, err) == (0, "check=skew-round-trip ok=True\n", "")
+    skew = "skew v=(ab) x=c p=0 mu=id suffix=full"
+    for horizon in (0, 2, 3, 4, 5):
+        code, _, err = run(capsys, "verify", "--alphabet", "a,b,c", "--skew", skew, "--horizon", str(horizon))
+        assert code == 1 and err.startswith(f"error: --horizon {horizon} is too short"), (horizon, err)
 
 
 def test_letter_counts_over_the_cap_exit_one(capsys, monkeypatch):
@@ -337,6 +343,25 @@ def test_cross_check_failures_exit_two(capsys, monkeypatch):
         assert err.startswith("internal consistency failure: "), argv
 
 
+def test_verify_directive_exits_two_on_a_diverging_shift_chain_link(capsys, monkeypatch):
+    import epilex.engine as engine
+    from epilex import PureEpistandardMorphism
+
+    # the image stream of each link is built under the next letter's
+    # generator instead of the peeled letter's, so link 1 of c(ab) diverges
+    real = engine.MorphicImageStream
+
+    def planted(morphism, inner):
+        (x,) = morphism.letters
+        wrong = PureEpistandardMorphism(morphism.alphabet, ((x + 1) % morphism.alphabet.size,))
+        return real(wrong, inner)
+
+    monkeypatch.setattr(engine, "MorphicImageStream", planted)
+    code, out, err = run(capsys, "verify", "--alphabet", "a,b,c", "--directive", "c(ab)", "--i", "3", "--horizon", "300")
+    assert (code, out) == (2, "")
+    assert err == "internal consistency failure: shift chain link 1 of c(ab) diverges within horizon 300\n"
+
+
 def test_min_reads_only_its_horizon_on_a_long_preperiod(capsys):
     import time
 
@@ -350,14 +375,13 @@ def test_min_reads_only_its_horizon_on_a_long_preperiod(capsys):
 
 
 def test_one_parser_serves_many_calls_in_one_process(capsys, monkeypatch):
-    import subprocess
-    import sys
-
     from epilex.cli import build_parser
+    from helpers import run_limited
 
     # importing the CLI builds no parser; the first call does
     probe = "import epilex.cli as c; print(c.build_parser.cache_info().currsize)"
-    assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout == "0\n"
+    done = run_limited(["-c", probe], timeout=30)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
     monkeypatch.delenv("ETK_HORIZON", raising=False)
     tri = ("--alphabet", "a,b,c", "--directive", "(abc)")
     code, out, err = run(capsys, "min", *tri, "--all-orders", "--k", "3", "--horizon", "500")

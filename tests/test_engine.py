@@ -29,7 +29,7 @@ from epilex.engine import (
 )
 from epilex.textio import parse_directive
 
-from helpers import brute_closure, directive_letters_by_steps, random_directive, run_limited
+from helpers import as_text, brute_closure, directive_letters_by_steps, random_directive, run_limited
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -184,13 +184,13 @@ def test_shift_chain_examples():
 
 
 def test_first_letter_is_separating():
-    from epilex.morphisms import separates
+    from epilex.morphisms import _separates_text
 
     rng = random.Random(37)
     for _ in range(40):
         d = random_directive(rng)
-        first = d.alphabet.letters[d.letter(1)]
-        assert separates(d.alphabet.index(first), standard_word(d).prefix(300).indices)
+        text = as_text(standard_word(d).raw(300))
+        assert _separates_text(chr(d.letter(1)), text, set(text))
 
 
 # --- directive recovery -------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_recover_directive_letters_round_trip():
     for _ in range(40):
         d = random_directive(rng)
         seq = standard_word(d).raw(8000)
-        letters = recover_directive_letters(seq)
+        letters = recover_directive_letters(as_text(seq))
         assert letters == [d.letter(i) for i in range(1, len(letters) + 1)]
         inferred = infer_eventually_periodic(d.alphabet, letters)
         assert standard_word(inferred).raw(8000) == seq
@@ -219,7 +219,7 @@ def run_sequences(draw):
 @settings(max_examples=300, deadline=None)
 @given(run_sequences())
 def test_recover_directive_letters_reads_runs_like_single_steps(seq):
-    assert recover_directive_letters(seq) == directive_letters_by_steps(seq)
+    assert recover_directive_letters(as_text(seq)) == directive_letters_by_steps(seq)
 
 
 def test_recover_directive_letters_on_long_directive_runs():
@@ -235,7 +235,7 @@ def test_recover_directive_letters_on_long_directive_runs():
 
         d = DirectiveWord(alphabet, runs(rng.randint(0, 4)), runs(rng.randint(1, 3)))
         seq = standard_word(d).raw(rng.randint(1, 6000))
-        letters = recover_directive_letters(seq)
+        letters = recover_directive_letters(as_text(seq))
         assert letters == directive_letters_by_steps(seq)
         assert letters == [d.letter(i) for i in range(1, len(letters) + 1)]
 
@@ -347,13 +347,29 @@ def test_exact_horizon_is_stable():
                 assert small[p1 : p1 + k] == big[p2 : p2 + k]
 
 
-def test_shift_chain_catches_divergence():
-    # feeding a deliberately wrong link must raise, not pass silently
+def test_shift_chain_catches_divergence(monkeypatch):
+    import epilex.engine as engine
+    from epilex import InternalConsistencyError
+
     d = parse_directive(AB, "(ab)")
     ok = shift_chain(d, 2, 64)
     assert ok.ok
     with pytest.raises(ValueError):
         shift_chain(d, 0, 10)
+    # feeding a deliberately wrong link must raise, not pass silently: the
+    # planted image stream flips the letter at position 40 as it is generated
+    class Planted(engine.MorphicImageStream):
+        def _extend(self, n: int) -> None:
+            had = len(self._buf)
+            super()._extend(n)
+            if had <= 40 < len(self._buf):
+                self._buf[40] ^= 1
+
+    monkeypatch.setattr(engine, "MorphicImageStream", Planted)
+    assert shift_chain(d, 2, 40).ok  # the planted letter lies past this horizon
+    with pytest.raises(InternalConsistencyError) as raised:
+        shift_chain(d, 2, 41)
+    assert str(raised.value) == "shift chain link 2 of (ab) diverges within horizon 41"
 
 
 # --- bulk fill of a constant tail ------------------------------------------------

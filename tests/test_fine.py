@@ -27,11 +27,12 @@ from epilex import (
     verify_min_transfer,
 )
 from epilex.extremal import minimal_window_positions
-from epilex.fine import _chain_mismatch, _peel, _peel_text, skew_common_word
-from epilex.morphisms import MorphicImageStream, separates
+from epilex.fine import _chain_mismatch, _peel_text, skew_common_word
+from epilex.morphisms import MorphicImageStream, _separates_text
 from epilex.textio import parse_directive, parse_skew
 
 from helpers import (
+    as_text,
     chain_mismatch_by_length,
     peel_by_splitting,
     random_canonical_skew,
@@ -437,8 +438,9 @@ def test_peel_reads_the_letter_after_each_separator():
         if seq[0] == z and len(seq) > 1 and seq[1] != z and rng.random() < 0.5:
             seq = seq[1:]  # starts inside an image, with a letter other than z
         seq += [[], [z], [z, z]][rng.randrange(3)]
-        assert separates(z, seq)
-        assert _peel(seq, z) == peel_by_splitting(seq, z), (seq, z)
+        text = as_text(seq)
+        assert _separates_text(chr(z), text, set(text))
+        assert list(map(ord, _peel_text(text, chr(z), set(text)))) == peel_by_splitting(seq, z), (seq, z)
 
 
 @st.composite
@@ -462,7 +464,7 @@ def peel_cases(draw):
 def test_text_peel_matches_splitting_image_by_image(case):
     z, seq = case
     assert separates_by_pairs(z, seq)
-    text = "".join(map(chr, seq))
+    text = as_text(seq)
     assert list(map(ord, _peel_text(text, chr(z), set(text)))) == peel_by_splitting(seq, z)
 
 

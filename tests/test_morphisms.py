@@ -15,10 +15,10 @@ from epilex import (
     psi,
     standard_word,
 )
-from epilex.morphisms import separates
+from epilex.morphisms import _separates_text
 from epilex.textio import parse_directive
 
-from helpers import all_words, brute_preimage_exists, separates_by_pairs
+from helpers import all_words, as_text, brute_preimage_exists, separates_by_pairs
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -180,19 +180,23 @@ def test_image_characterization_small():
             for w in all_words(alphabet, max_len):
                 if len(w) and w.indices[-1] != z:
                     continue
+                text = as_text(w.indices)
                 structural = (not len(w)) or (
-                    w.indices[0] == z and separates(alphabet.index(tok), w.indices)
+                    w.indices[0] == z and _separates_text(chr(z), text, set(text))
                 )
                 assert structural == brute_preimage_exists(gen, w), (tok, str(w))
 
 
 def test_is_separating():
-    assert separates(AB.index("a"), fib().prefix(100).indices)
-    assert not separates(AB.index("b"), AB.word("abaab").indices)
-    w = ABC.word("ccacbcacacbcacbcacacbcacacbca")
-    assert separates(ABC.index("c"), w.indices)
-    assert separates(ABC.index("a"), ABC.word("a").indices)  # short words are trivially fine
-    assert separates(ABC.index("a"), ABC.word("").indices)
+    for tok, w, expected in (
+        ("a", fib().prefix(100), True),
+        ("b", AB.word("abaab"), False),
+        ("c", ABC.word("ccacbcacacbcacbcacacbcacacbca"), True),
+        ("a", ABC.word("a"), True),  # short words are trivially fine
+        ("a", ABC.word(""), True),
+    ):
+        text = as_text(w.indices)
+        assert _separates_text(chr(w.alphabet.index(tok)), text, set(text)) is expected, (tok, str(w))
 
 
 @st.composite
@@ -218,4 +222,5 @@ def separator_cases(draw):
 @given(separator_cases())
 def test_separates_matches_the_pairwise_oracle(case):
     a, seq = case
-    assert separates(a, seq) == separates_by_pairs(a, seq)
+    text = as_text(seq)
+    assert _separates_text(chr(a), text, set(text)) == separates_by_pairs(a, seq)
