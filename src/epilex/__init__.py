@@ -25,7 +25,6 @@ from .engine import (
     DirectiveWord,
     InternalConsistencyError,
     NothingToDecompose,
-    ShiftChainRecord,
     StrictnessReport,
     builder_word,
     decompose_nonstrict,
@@ -48,7 +47,7 @@ from .extremal import (
 from .fine import (
     Classification,
     FinenessVerdict,
-    HorizonTooShort,
+    NotFine,
     NotSkewForm,
     SkewSpec,
     SpecError,

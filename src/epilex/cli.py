@@ -14,7 +14,6 @@ import sys
 from functools import cache, partial
 from typing import Any
 
-from . import fine
 from .engine import (
     InternalConsistencyError,
     shift_chain,
@@ -23,6 +22,7 @@ from .engine import (
 )
 from .extremal import max_factor, min_factor
 from .fine import (
+    NotFine,
     NotSkewForm,
     SpecError,
     construct_skew,
@@ -271,22 +271,18 @@ def _cmd_verify(args) -> int:
             )
         d = parse_directive(alphabet, args.directive)
         for i in range(1, args.i + 1):
-            rec = shift_chain(d, i, horizon)
-            checks.append({"check": "shift-chain", "i": i, "letter": rec.peeled_letter, "ok": rec.ok})
+            letter = shift_chain(d, i, horizon)
+            checks.append({"check": "shift-chain", "i": i, "letter": letter, "ok": True})
     elif args.skew is not None:
         spec = parse_skew(alphabet, args.skew)
         stream = construct_skew(spec)
         _check_scan(stream.exact_horizon(args.depth), args.depth)
         # The spec is validated, so a fineness refutation is an engine bug;
         # past the gate, a failed peel means the prefix was too short.
-        if args.depth > 0:
-            gate = fine.is_fine_empirical(stream, args.depth)
-            if not gate.fine_to_depth:
-                raise InternalConsistencyError(
-                    f"skew spec {spec} is not fine within depth {args.depth}: {gate.witness}"
-                )
         try:
-            recovered = reconstruct_skew(stream, 0, horizon)
+            recovered = reconstruct_skew(stream, args.depth, horizon)
+        except NotFine as exc:
+            raise InternalConsistencyError(f"skew spec {spec} is {exc}") from None
         except NotSkewForm as exc:
             raise CLIError(
                 f"--horizon {horizon} is too short to reconstruct the skew word: {exc}"

@@ -23,7 +23,6 @@ __all__ = [
     "DirectiveStream",
     "InternalConsistencyError",
     "NothingToDecompose",
-    "ShiftChainRecord",
     "StrictnessReport",
     "builder_word",
     "decompose_nonstrict",
@@ -147,64 +146,46 @@ def _prefix_lengths(directive: DirectiveWord) -> Iterator[int]:
         yield _next_prefix_length(lengths, last, directive.letter(len(lengths)))
 
 
-class _EngineState:
-    """Growing palindromic-prefix chain of a standard word.
+class DirectiveStream(WordStream):
+    """The standard episturmian word directed by an eventually periodic sequence.
 
-    ``buf`` always holds the largest computed palindromic prefix;
-    ``prefix_lengths[i]`` is the length of the (i+1)-th palindromic prefix
-    (the first has length 0).  One step consumes one directive letter x and
-    appends x, then the last |u_n| - |u_{n-1}| - 1 letters of the old prefix
-    u_{n-1}, the lengths coming from the last-occurrence rule.
+    ``_buf`` always holds the largest computed palindromic prefix;
+    ``_lengths[i]`` is the length of the (i+1)-th palindromic prefix (the
+    first has length 0) and ``_last`` maps each letter to its last directive
+    position.  One step consumes one directive letter x and appends x, then
+    the last |u_n| - |u_{n-1}| - 1 letters of the old prefix u_{n-1}, the
+    lengths coming from the last-occurrence rule.
 
     Constant tail y: once a tail letter is consumed, every step appends the
     q = L - L_prev letters the previous step appended, so the word is
-    mu_m(y)^omega (Justin-Pirillo 2002, TCS 276) and ``extend_to`` fills it
-    in one call.
+    mu_m(y)^omega (Justin-Pirillo 2002, TCS 276) and ``_extend`` fills it
+    in one call from prefix count ``_fill_from`` on.
     """
-
-    def __init__(self, directive: DirectiveWord) -> None:
-        self.directive = directive
-        self.buf: list[int] = []
-        self.prefix_lengths: list[int] = [0]
-        self._last_occurrence: dict[int, int] = {}
-        # With a constant tail, the prefix count from which extend_to fills.
-        constant = len(set(directive.period)) == 1
-        self._fill_from = len(directive.preperiod) + 2 if constant else None
-
-    def step(self) -> None:
-        old = self.prefix_lengths[-1]
-        x = self.directive.letter(len(self.prefix_lengths))
-        new = _next_prefix_length(self.prefix_lengths, self._last_occurrence, x)
-        self.buf.append(x)
-        self.buf.extend(self.buf[2 * old + 1 - new : old])
-
-    def extend_to(self, n: int) -> None:
-        lengths = self.prefix_lengths
-        while lengths[-1] < n and (self._fill_from is None or len(lengths) < self._fill_from):
-            self.step()
-        if lengths[-1] < n:
-            length = lengths[-1]
-            q = length - lengths[-2]
-            steps = -((length - n) // q)
-            block = self.buf[length - q : length]
-            self.buf.extend(islice(cycle(block), steps * q))
-            lengths.extend(range(length + q, length + steps * q + 1, q))
-            self._last_occurrence[self.directive.period[0]] = len(lengths) - 1
-
-
-class DirectiveStream(WordStream):
-    """The standard episturmian word directed by an eventually periodic sequence."""
 
     kind = "episturmian"
 
     def __init__(self, directive: DirectiveWord) -> None:
         super().__init__(directive.alphabet)
         self._directive = directive
-        self._state = _EngineState(directive)
+        self._lengths: list[int] = [0]
+        self._last: dict[int, int] = {}
+        constant = len(set(directive.period)) == 1
+        self._fill_from = len(directive.preperiod) + 2 if constant else None
 
     def _extend(self, n: int) -> None:
-        self._state.extend_to(n)
-        self._buf = self._state.buf
+        buf, lengths = self._buf, self._lengths
+        while lengths[-1] < n and (self._fill_from is None or len(lengths) < self._fill_from):
+            old = lengths[-1]
+            x = self._directive.letter(len(lengths))
+            new = _next_prefix_length(lengths, self._last, x)
+            buf.append(x)
+            buf.extend(buf[2 * old + 1 - new : old])
+        if lengths[-1] < n:
+            length = lengths[-1]
+            q = length - lengths[-2]
+            steps = -((length - n) // q)
+            buf.extend(islice(cycle(buf[length - q : length]), steps * q))
+            lengths.extend(range(length + q, length + steps * q + 1, q))
 
     def directive(self) -> DirectiveWord:
         return self._directive
@@ -215,8 +196,8 @@ class DirectiveStream(WordStream):
     def palindromic_prefix_lengths(self, up_to: int) -> list[int]:
         """Lengths of the palindromic prefixes not exceeding ``up_to``."""
         with self._lock:
-            self._state.extend_to(up_to)
-            return [n for n in self._state.prefix_lengths if n <= up_to]
+            self._extend(up_to)
+            return [n for n in self._lengths if n <= up_to]
 
 
 def standard_word(directive: DirectiveWord) -> DirectiveStream:
@@ -307,23 +288,9 @@ def decompose_nonstrict(directive: DirectiveWord) -> tuple[PureEpistandardMorphi
     return mu, directive.shift(report.m)
 
 
-@dataclass(frozen=True)
-class ShiftChainRecord:
-    """Witness of one verified link of the shift chain."""
-
-    i: int
-    peeled_letter: str
-    horizon: int
-    parent_prefix: Word
-    image_prefix: Word
-
-    @property
-    def ok(self) -> bool:
-        return self.parent_prefix == self.image_prefix
-
-
-def shift_chain(directive: DirectiveWord, i: int, horizon: int) -> ShiftChainRecord:
-    """Check that the i-th shifted word, mapped back through one generator, matches.
+def shift_chain(directive: DirectiveWord, i: int, horizon: int) -> str:
+    """Check that the i-th shifted word, mapped back through one generator,
+    matches the (i-1)-th within ``horizon`` letters; returns the peeled letter.
 
     Raises :class:`InternalConsistencyError` on mismatch: the two construction
     paths must agree letter for letter.
@@ -333,21 +300,12 @@ def shift_chain(directive: DirectiveWord, i: int, horizon: int) -> ShiftChainRec
     parent = standard_word(directive.shift(i - 1))
     child = standard_word(directive.shift(i))
     x = directive.letter(i)
-    image = MorphicImageStream(
-        PureEpistandardMorphism(directive.alphabet, (x,)), child
-    )
-    rec = ShiftChainRecord(
-        i=i,
-        peeled_letter=directive.alphabet.letters[x],
-        horizon=horizon,
-        parent_prefix=parent.prefix(horizon),
-        image_prefix=image.prefix(horizon),
-    )
-    if not rec.ok:
+    image = MorphicImageStream(PureEpistandardMorphism(directive.alphabet, (x,)), child)
+    if parent.raw(horizon) != image.raw(horizon):
         raise InternalConsistencyError(
             f"shift chain link {i} of {directive} diverges within horizon {horizon}"
         )
-    return rec
+    return directive.alphabet.letters[x]
 
 
 def as_directive(stream: WordStream) -> DirectiveWord | None:
@@ -407,7 +365,7 @@ def recover_directive_letters(text: str) -> list[int]:
     palindromic prefix; lengths advance by the same last-occurrence rule the
     engine uses.  While directive letter x repeats, every |u_n| grows by the
     same q = |u_{n-1}| - |u_{n-2}| (Justin-Pirillo 2002, TCS 276; see
-    :class:`_EngineState`), so a run of x after |u_n| = L is the leading
+    :class:`DirectiveStream`), so a run of x after |u_n| = L is the leading
     x's of ``text[L::q]``, read with one ``lstrip`` and appended at once.
     Content is not revalidated here, so callers must check any inferred
     directive by regeneration.

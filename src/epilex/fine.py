@@ -41,7 +41,7 @@ from .extremal import minimal_window_positions
 __all__ = [
     "Classification",
     "FinenessVerdict",
-    "HorizonTooShort",
+    "NotFine",
     "NotSkewForm",
     "SkewSpec",
     "SpecError",
@@ -62,8 +62,8 @@ class NotSkewForm(ValueError):
     """The scanned word cannot be peeled into the skew normal form."""
 
 
-class HorizonTooShort(NotSkewForm):
-    """The scanned prefix ran out before the skew normal form could be read off."""
+class NotFine(NotSkewForm):
+    """The word failed the fineness scan, so it is no skew word."""
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,10 @@ def _chain_mismatch(seq: list[int], chain: list[int], expected: list[int]) -> tu
     ends at the last letter, ``chain[k-1] + k == len(seq)``.  Without such a
     k the least windows nest, so each min(seq|k) is a prefix of the last and
     one comparison of that word with ``expected`` finds the first k, in
-    O(depth); otherwise each k is compared in turn.
+    O(depth); otherwise each k is compared in turn.  A scan to the exact
+    bound of ``depth`` never takes the second path: every length-``depth``
+    factor, min(t)[:depth] among them, occurs within the bound, so for each
+    k < depth some least k-window is followed by a letter of ``seq``.
     """
     if not chain:
         return None
@@ -446,8 +449,9 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     Peels one generator at a time until some letter occurs exactly once in the
     scanned prefix, reads the core directive off the remainder, and chooses
     the longest seed suffix that regenerates the scanned prefix.  ``depth``
-    (when positive) runs the empirical fineness scan first as a cheap gate.
-    Raises :class:`NotSkewForm` whenever any stage fails.
+    (when positive) runs the empirical fineness scan first as a cheap gate,
+    which raises :class:`NotFine` with the scan's witness.  Raises
+    :class:`NotSkewForm` whenever any stage fails.
 
     The prefix becomes its ``chr`` text once (letter indices at most
     ``sys.maxunicode``), and each peel level runs C-level string operations
@@ -466,7 +470,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
         # of letters however short the horizon.
         gate = is_fine_empirical(t, depth, max(horizon, 2 * depth), deepen=True)
         if not gate.fine_to_depth:
-            raise NotSkewForm(f"not fine within depth {depth}: {gate.witness}")
+            raise NotFine(f"not fine within depth {depth}: {gate.witness}")
     alphabet = t.alphabet
     gens: list[int] = []
     for _ in range(64):
@@ -479,7 +483,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
             i = text.index(x)
             head, tail = text[:i], text[i + 1 :]
             if len(tail) <= len(head) or len(tail) < 4:
-                raise HorizonTooShort("horizon too short past the unique letter")
+                raise NotSkewForm("horizon too short past the unique letter")
             if head != tail[: len(head)][::-1]:
                 raise NotSkewForm("prefix before the unique letter does not mirror the core")
             return _assemble_spec(alphabet, gens, ord(x), i, tail, seq)
@@ -492,7 +496,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
         text = _peel_text(text, z, letters)
         gens.append(ord(z))
         if len(text) < 8:
-            raise HorizonTooShort("horizon exhausted while peeling")
+            raise NotSkewForm("horizon exhausted while peeling")
     raise NotSkewForm("peeling did not terminate")
 
 
@@ -505,7 +509,7 @@ def _assemble_spec(
     try:
         core = infer_eventually_periodic(alphabet, recover_directive_letters(tail))
     except ValueError as exc:
-        raise HorizonTooShort(str(exc)) from None
+        raise NotSkewForm(str(exc)) from None
     morphism = PureEpistandardMorphism(alphabet, tuple(gens))
     base = SkewSpec(
         directive=core,

@@ -172,15 +172,13 @@ def test_decompose_rebuilds_the_word():
 # --- shift chain -----------------------------------------------------------------
 
 def test_shift_chain_examples():
-    rec = shift_chain(parse_directive(AB, "(ab)"), 1, 100)
-    assert rec.ok and rec.peeled_letter == "a"
-    rec = shift_chain(parse_directive(ABC, "c(ab)"), 1, 100)
-    assert rec.ok
+    assert shift_chain(parse_directive(AB, "(ab)"), 1, 100) == "a"
+    assert shift_chain(parse_directive(ABC, "c(ab)"), 1, 100) == "c"
     # the peeled core of c(ab) is the plain two-letter standard word
     assert standard_word(parse_directive(ABC, "c(ab)").shift(1)).prefix(14) == standard_word(
         parse_directive(ABC, "(ab)")
     ).prefix(14)
-    assert shift_chain(parse_directive(AB, "(a)"), 1, 10).ok
+    assert shift_chain(parse_directive(AB, "(a)"), 1, 10) == "a"
 
 
 def test_first_letter_is_separating():
@@ -352,8 +350,7 @@ def test_shift_chain_catches_divergence(monkeypatch):
     from epilex import InternalConsistencyError
 
     d = parse_directive(AB, "(ab)")
-    ok = shift_chain(d, 2, 64)
-    assert ok.ok
+    assert shift_chain(d, 2, 64) == "b"
     with pytest.raises(ValueError):
         shift_chain(d, 0, 10)
     # feeding a deliberately wrong link must raise, not pass silently: the
@@ -366,7 +363,7 @@ def test_shift_chain_catches_divergence(monkeypatch):
                 self._buf[40] ^= 1
 
     monkeypatch.setattr(engine, "MorphicImageStream", Planted)
-    assert shift_chain(d, 2, 40).ok  # the planted letter lies past this horizon
+    assert shift_chain(d, 2, 40) == "b"  # the planted letter lies past this horizon
     with pytest.raises(InternalConsistencyError) as raised:
         shift_chain(d, 2, 41)
     assert str(raised.value) == "shift chain link 2 of (ab) diverges within horizon 41"
@@ -413,7 +410,7 @@ def test_constant_tail_fill_matches_closure_iteration(d, reads):
             assert t.palindromic_prefix_lengths(a) == [len(u) for u in ups if len(u) <= a]
             reached = max(reached, a)
         # growth stops at the first palindromic prefix reaching the read
-        assert t._state.prefix_lengths[-1] == min(len(u) for u in ups if len(u) >= reached)
+        assert t._lengths[-1] == min(len(u) for u in ups if len(u) >= reached)
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,14 +437,15 @@ def test_literal_fill_matches_repeated_cycle(word, reads):
 def test_constant_tail_is_filled_without_stepping(monkeypatch):
     import epilex.engine as engine
 
+    # each step applies the last-occurrence rule once; the fill does not
     steps = []
-    step = engine._EngineState.step
+    rule = engine._next_prefix_length
 
-    def counting(self):
-        steps.append(len(self.prefix_lengths))
-        step(self)
+    def counting(lengths, last, x):
+        steps.append(len(lengths))
+        return rule(lengths, last, x)
 
-    monkeypatch.setattr(engine._EngineState, "step", counting)
+    monkeypatch.setattr(engine, "_next_prefix_length", counting)
     d = parse_directive(AB, "ab(b)")
     word = standard_word(d).raw(10**5)
     assert len(steps) <= len(d.preperiod) + 3

@@ -459,6 +459,30 @@ def _stream_cases(rng):
         yield t, rng.randint(1, 8)
 
 
+def test_scans_to_the_exact_bound_never_rescan():
+    # The chain rescans at length j+1 exactly when its first least j-window
+    # ends at the last letter.  A scan to exact_horizon(k) holds every
+    # length-k factor, min(t)[:k] among them, so for each j < k some least
+    # j-window is followed by a letter of the scan and extends.
+    from epilex.extremal import minimal_window_positions
+
+    cases = 0
+    for seed in (71, 73):
+        for t, _ in _stream_cases(random.Random(seed)):
+            for k in range(1, 41):
+                seq = t.raw(t.exact_horizon(k))
+                for order in all_orders(t.alphabet):
+                    chain = minimal_window_positions(seq, order.ranks, k)
+                    assert len(chain) == k
+                    assert all(chain[j - 1] + j != len(seq) for j in range(1, k)), (t, k, order)
+                    cases += 1
+    assert cases > 1000
+    # A horizon-limited scan can end with its only least window: in abaab,
+    # the least 3-window under a<b, aab, ends at the last letter.
+    seq = fib().raw(5)
+    assert minimal_window_positions(seq, (0, 1), 4)[2] + 3 == len(seq)
+
+
 def test_capped_scans_match_the_oracle_over_the_requested_prefix():
     # Past the bound the scan stops, yet the answer is the extremum of the
     # whole prefix the caller asked for.

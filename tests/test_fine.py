@@ -11,6 +11,7 @@ from epilex import (
     ConcatStream,
     DirectiveWord,
     LiteralPeriodicStream,
+    NotFine,
     NotSkewForm,
     SkewSpec,
     SpecError,
@@ -404,6 +405,18 @@ def test_reconstruct_through_a_morphic_shell():
     assert spec.x == "c" and spec.p == 4
     assert spec.morphism.generator_tokens() == ("c",)
     assert construct_skew(spec).raw(2000) == t.raw(2000)
+
+
+def test_reconstruct_gate_refutes_a_word_that_is_not_fine():
+    # c(ab) is not strict, so its standard word is not fine: the gate raises
+    # before any peel, with the witness the scan to the same depth returns.
+    t = standard_word(parse_directive(ABC, "c(ab)"))
+    verdict = is_fine_empirical(t, 10)
+    assert verdict.classification is Classification.NOT_FINE
+    with pytest.raises(NotFine) as raised:
+        reconstruct_skew(t, 10, 4000)
+    assert isinstance(raised.value, NotSkewForm)
+    assert str(raised.value) == f"not fine within depth 10: {verdict.witness}"
 
 
 def test_reconstruct_rejects_recurrent_words():
