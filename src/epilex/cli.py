@@ -270,8 +270,7 @@ def _cmd_verify(args) -> int:
                 f"--i {args.i} times horizon {horizon} exceeds the limit of {MAX_LETTERS} letters"
             )
         d = parse_directive(alphabet, args.directive)
-        for i in range(1, args.i + 1):
-            letter = shift_chain(d, i, horizon)
+        for i, letter in enumerate(shift_chain(d, args.i, horizon), start=1):
             checks.append({"check": "shift-chain", "i": i, "letter": letter, "ok": True})
     elif args.skew is not None:
         spec = parse_skew(alphabet, args.skew)

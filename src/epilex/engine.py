@@ -288,24 +288,31 @@ def decompose_nonstrict(directive: DirectiveWord) -> tuple[PureEpistandardMorphi
     return mu, directive.shift(report.m)
 
 
-def shift_chain(directive: DirectiveWord, i: int, horizon: int) -> str:
-    """Check that the i-th shifted word, mapped back through one generator,
-    matches the (i-1)-th within ``horizon`` letters; returns the peeled letter.
+def shift_chain(directive: DirectiveWord, i: int, horizon: int) -> list[str]:
+    """Check shift-chain links 1..``i`` within ``horizon`` letters; returns the peeled letters.
 
-    Raises :class:`InternalConsistencyError` on mismatch: the two construction
-    paths must agree letter for letter.
+    Link j maps the j-th shifted word back through the generator of directive
+    letter j and checks that it matches the (j-1)-th.  Link j's shifted word
+    is link j+1's parent, so each one is built once: ``i`` + 1 standard words.
+
+    Raises :class:`InternalConsistencyError` at the first link that
+    diverges: the two construction paths must agree letter for letter.
     """
     if i < 1:
         raise ValueError("shift index must be >= 1")
-    parent = standard_word(directive.shift(i - 1))
-    child = standard_word(directive.shift(i))
-    x = directive.letter(i)
-    image = MorphicImageStream(PureEpistandardMorphism(directive.alphabet, (x,)), child)
-    if parent.raw(horizon) != image.raw(horizon):
-        raise InternalConsistencyError(
-            f"shift chain link {i} of {directive} diverges within horizon {horizon}"
-        )
-    return directive.alphabet.letters[x]
+    letters = []
+    parent = standard_word(directive)
+    for j in range(1, i + 1):
+        child = standard_word(directive.shift(j))
+        x = directive.letter(j)
+        image = MorphicImageStream(PureEpistandardMorphism(directive.alphabet, (x,)), child)
+        if parent.raw(horizon) != image.raw(horizon):
+            raise InternalConsistencyError(
+                f"shift chain link {j} of {directive} diverges within horizon {horizon}"
+            )
+        letters.append(directive.alphabet.letters[x])
+        parent = child
+    return letters
 
 
 def as_directive(stream: WordStream) -> DirectiveWord | None:

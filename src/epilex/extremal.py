@@ -63,17 +63,31 @@ def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int
     starts of the least become the next ``live``.  Only the current length
     is held, so memory stays O(n + k_max).  Letter indices must be below
     ``sys.maxunicode`` + 1, the range of ``chr``.
+
+    The letter bitsets depend on ``seq`` alone (:func:`_letter_bitsets`), so
+    a caller that runs the chain under several orders on one prefix builds
+    them once and runs :func:`_window_chain` per order.
     """
+    return _window_chain(seq, _letter_bitsets(seq), rank, k_max)
+
+
+def _letter_bitsets(seq: Sequence[int]) -> dict[int, int]:
+    """One ``int`` bitset per letter present in ``seq``, keyed by the letter:
+    bit n - 1 - i is set where ``seq[i]`` is that letter."""
+    # One character per letter, so int(..., 2) of its translation to
+    # "0"/"1" puts position i at bit n - 1 - i.
+    text = "".join(map(chr, seq))
+    zeros = dict.fromkeys(set(seq), "0")
+    return {c: int(text.translate({**zeros, c: "1"}), 2) for c in zeros}
+
+
+def _window_chain(seq: Sequence[int], bitsets: dict[int, int], rank: Sequence[int], k_max: int) -> list[int]:
+    """:func:`minimal_window_positions` on ``bitsets``, which is ``_letter_bitsets(seq)``."""
     n = len(seq)
     k_max = min(k_max, n)
     if k_max < 1:
         return []
-    letters = sorted(set(seq), key=rank.__getitem__)
-    # One character per letter, so int(..., 2) of its translation to
-    # "0"/"1" puts position i at bit n - 1 - i.
-    text = "".join(map(chr, seq))
-    zeros = dict.fromkeys(letters, "0")
-    ends = [int(text.translate({**zeros, c: "1"}), 2) for c in letters]
+    ends = [bitsets[c] for c in sorted(bitsets, key=rank.__getitem__)]
     live = ends[0]
     out = [n - live.bit_length()]
     for k in range(2, k_max + 1):

@@ -11,6 +11,7 @@ structural verdict against the empirical scan.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Container
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress, count
@@ -36,7 +37,7 @@ from .words import (
     all_orders,
     scan_length,
 )
-from .extremal import minimal_window_positions
+from .extremal import _letter_bitsets, _window_chain
 
 __all__ = [
     "Classification",
@@ -177,7 +178,7 @@ class FinenessVerdict:
         return self.classification is not Classification.NOT_FINE
 
 
-def _present_tokens(stream: WordStream, seen: set[int]) -> list[str]:
+def _present_tokens(stream: WordStream, seen: Container[int]) -> list[str]:
     toks = stream.alphabet.letters
     return [toks[i] for i in range(len(toks)) if i in seen]
 
@@ -218,7 +219,10 @@ def is_fine_empirical(
     Returns ``UNKNOWN`` with the common tail when the word is fine up to
     ``depth``, else ``NOT_FINE`` with the first offending (order, length,
     factor) found.  The number of orders is factorial in the number of
-    distinct letters; keep alphabets small.
+    distinct letters; keep alphabets small.  The letter bitsets of the
+    minimal-factor chain depend on the scanned prefix alone, so they are
+    built once per scan and shared by every order; each order runs only the
+    chain's loop (see :func:`~epilex.extremal.minimal_window_positions`).
 
     The scan stops at ``t.exact_horizon(depth)`` when the stream states it,
     so a horizon past that bound costs nothing and changes no verdict: every
@@ -237,13 +241,13 @@ def is_fine_empirical(
     if horizon is not None and horizon < 2 * depth:
         raise ValueError("horizon must be at least twice the depth")
     seq = t.raw(scan_length(t, depth, horizon, deepen=deepen)[0])
-    seen = set(seq)
-    orders = all_orders(t.alphabet, subset=_present_tokens(t, seen))
+    bitsets = _letter_bitsets(seq)
+    orders = all_orders(t.alphabet, subset=_present_tokens(t, bitsets))
     s_ref: list[int] | None = None
     for order in orders:
         rank = order.ranks
-        chain = minimal_window_positions(seq, rank, depth)
-        a_idx = min(seen, key=rank.__getitem__)
+        chain = _window_chain(seq, bitsets, rank, depth)
+        a_idx = min(bitsets, key=rank.__getitem__)
         if s_ref is None:
             p = chain[depth - 1]
             s_ref = seq[p + 1 : p + depth]
@@ -297,20 +301,22 @@ def verify_min_transfer(
     t1_seq = t1.raw(scan_length(t1, depth, horizon)[0])
     s1_pref = s1.raw(depth + 1)
     lhs_expected = [a_idx] + s1_pref
+    t_bits = _letter_bitsets(t_seq)
+    t1_bits = _letter_bitsets(t1_seq)
 
-    def matches(seq: list[int], rank: tuple[int, ...], expected: list[int]) -> bool:
+    def matches(seq: list[int], bitsets: dict[int, int], rank: tuple[int, ...], expected: list[int]) -> bool:
         # A chain short of depth (the scan read fewer letters) never matches.
-        chain = minimal_window_positions(seq, rank, depth)
+        chain = _window_chain(seq, bitsets, rank, depth)
         return len(chain) >= depth and _chain_mismatch(seq, chain, expected) is None
 
     for order in all_orders(alphabet):
         rank = order.ranks
-        lhs = matches(t1_seq, rank, lhs_expected)
+        lhs = matches(t1_seq, t1_bits, rank, lhs_expected)
         if rank[z_idx] < rank[a_idx]:
             rhs_expected = [z_idx, a_idx] + s_img
         else:
             rhs_expected = [a_idx] + s_img
-        rhs = matches(t_seq, rank, rhs_expected)
+        rhs = matches(t_seq, t_bits, rank, rhs_expected)
         if lhs != rhs:
             return False
     return True
@@ -450,8 +456,9 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     scanned prefix, reads the core directive off the remainder, and chooses
     the longest seed suffix that regenerates the scanned prefix.  ``depth``
     (when positive) runs the empirical fineness scan first as a cheap gate,
-    which raises :class:`NotFine` with the scan's witness.  Raises
-    :class:`NotSkewForm` whenever any stage fails.
+    which raises :class:`NotFine` with the scan's witness; it runs before
+    the ``horizon`` letters are read, so a refuted word costs only the scan.
+    Raises :class:`NotSkewForm` whenever any stage fails.
 
     The prefix becomes its ``chr`` text once (letter indices at most
     ``sys.maxunicode``), and each peel level runs C-level string operations
@@ -463,14 +470,14 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     (Justin-Pirillo 2002, TCS 276;
     :func:`~epilex.engine.recover_directive_letters`).
     """
-    seq = t.raw(horizon)
-    text = "".join(map(chr, seq))
     if depth > 0:
         # Deepened to the exact bound, so a fine word is not refuted for want
         # of letters however short the horizon.
         gate = is_fine_empirical(t, depth, max(horizon, 2 * depth), deepen=True)
         if not gate.fine_to_depth:
             raise NotFine(f"not fine within depth {depth}: {gate.witness}")
+    seq = t.raw(horizon)
+    text = "".join(map(chr, seq))
     alphabet = t.alphabet
     gens: list[int] = []
     for _ in range(64):

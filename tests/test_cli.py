@@ -362,6 +362,25 @@ def test_verify_directive_exits_two_on_a_diverging_shift_chain_link(capsys, monk
     assert err == "internal consistency failure: shift chain link 1 of c(ab) diverges within horizon 300\n"
 
 
+def test_verify_directive_builds_one_standard_word_per_shifted_directive(capsys, monkeypatch):
+    # link i's shifted word is link i+1's parent, so --i i builds i + 1 words
+    import epilex.engine as engine
+
+    built = []
+    init = engine.DirectiveStream.__init__
+
+    def counting(self, directive):
+        built.append(str(directive))
+        init(self, directive)
+
+    monkeypatch.setattr(engine.DirectiveStream, "__init__", counting)
+    for i in (1, 3, 5):
+        built.clear()
+        code, out, _ = run(capsys, "verify", "--alphabet", "a,b,c", "--directive", "c(ab)", "--i", str(i), "--horizon", "300")
+        assert code == 0 and out.count("ok=True") == i
+        assert built == ["c(ab)", "(ab)", "(ba)", "(ab)", "(ba)", "(ab)"][: i + 1]
+
+
 def test_min_reads_only_its_horizon_on_a_long_preperiod(capsys):
     import time
 

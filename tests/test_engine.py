@@ -172,13 +172,14 @@ def test_decompose_rebuilds_the_word():
 # --- shift chain -----------------------------------------------------------------
 
 def test_shift_chain_examples():
-    assert shift_chain(parse_directive(AB, "(ab)"), 1, 100) == "a"
-    assert shift_chain(parse_directive(ABC, "c(ab)"), 1, 100) == "c"
+    assert shift_chain(parse_directive(AB, "(ab)"), 1, 100) == ["a"]
+    assert shift_chain(parse_directive(ABC, "c(ab)"), 1, 100) == ["c"]
+    assert shift_chain(parse_directive(ABC, "c(ab)"), 4, 100) == ["c", "a", "b", "a"]
     # the peeled core of c(ab) is the plain two-letter standard word
     assert standard_word(parse_directive(ABC, "c(ab)").shift(1)).prefix(14) == standard_word(
         parse_directive(ABC, "(ab)")
     ).prefix(14)
-    assert shift_chain(parse_directive(AB, "(a)"), 1, 10) == "a"
+    assert shift_chain(parse_directive(AB, "(a)"), 1, 10) == ["a"]
 
 
 def test_first_letter_is_separating():
@@ -350,20 +351,22 @@ def test_shift_chain_catches_divergence(monkeypatch):
     from epilex import InternalConsistencyError
 
     d = parse_directive(AB, "(ab)")
-    assert shift_chain(d, 2, 64) == "b"
+    assert shift_chain(d, 2, 64) == ["a", "b"]
     with pytest.raises(ValueError):
         shift_chain(d, 0, 10)
     # feeding a deliberately wrong link must raise, not pass silently: the
-    # planted image stream flips the letter at position 40 as it is generated
+    # planted image stream of link 2 (generator b) flips the letter at
+    # position 40 as it is generated
     class Planted(engine.MorphicImageStream):
         def _extend(self, n: int) -> None:
             had = len(self._buf)
             super()._extend(n)
-            if had <= 40 < len(self._buf):
+            if self.morphism.letters == (1,) and had <= 40 < len(self._buf):
                 self._buf[40] ^= 1
 
     monkeypatch.setattr(engine, "MorphicImageStream", Planted)
-    assert shift_chain(d, 2, 40) == "b"  # the planted letter lies past this horizon
+    assert shift_chain(d, 2, 40) == ["a", "b"]  # the planted letter lies past this horizon
+    assert shift_chain(d, 1, 41) == ["a"]  # link 1 is not planted
     with pytest.raises(InternalConsistencyError) as raised:
         shift_chain(d, 2, 41)
     assert str(raised.value) == "shift chain link 2 of (ab) diverges within horizon 41"

@@ -290,6 +290,55 @@ def test_long_chains_match_a_brute_force_first_occurrence(kind, seed):
         assert chain[k - 1] == first, (kind, seed, k)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(("free", "periodic", "standard", "flush")),
+    st.integers(1, 4),
+    st.sampled_from((0, 300)),
+    st.integers(0, 2**32),
+)
+def test_one_bitset_build_serves_every_order(kind, size, base, seed):
+    # One build of the letter bitsets, then the chain's loop under every
+    # order of the letters present, against the one-call form and the
+    # brute-force least window.  "flush" ends the prefix with a run of one
+    # letter longer than any before it, so under the orders where that
+    # letter is least the chain rescans; "standard" cuts a standard word
+    # short of its exact horizon.
+    from itertools import permutations
+
+    from epilex.extremal import _letter_bitsets, _window_chain, minimal_window_positions
+
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    if kind == "periodic":
+        seq = [rng.randrange(size) for _ in range(rng.randint(1, 5))] * n
+    elif kind == "standard":
+        seq = standard_word(random_directive(rng, max_alpha=size, min_alpha=size)).raw(n)
+    else:
+        seq = [rng.randrange(size) for _ in range(n)]
+        if kind == "flush":
+            seq += [rng.randrange(size)] * rng.randint(1, 12)
+    seq = [base + c for c in seq[:60]]
+    alphabet = Alphabet(tuple(f"x{i}" for i in range(base + size)))
+    bitsets = _letter_bitsets(seq)
+    present = sorted(bitsets)
+    assert present == sorted(set(seq))
+    word = Word(alphabet, tuple(seq))
+    for perm in permutations(range(len(present))):
+        # the letters present take ranks 0.., the others rank above them
+        rank_of = dict(zip(present, perm))
+        others = iter(range(len(present), base + size))
+        order = LexOrder(alphabet, tuple(rank_of[c] if c in rank_of else next(others) for c in range(base + size)))
+        k_max = rng.randint(1, len(seq) + 2)
+        chain = _window_chain(seq, bitsets, order.ranks, k_max)
+        assert chain == minimal_window_positions(seq, order.ranks, k_max)
+        assert len(chain) == min(k_max, len(seq))
+        for k, p in enumerate(chain, start=1):
+            least = list(oracle_min(word, k, order).indices)
+            first = next(q for q in range(len(seq) - k + 1) if seq[q : q + k] == least)
+            assert p == first, (kind, seq, order.ranks, k)
+
+
 def test_exactness_labels_for_directive_streams():
     d = parse_directive(AB, "(ab)")
     stream = standard_word(d)

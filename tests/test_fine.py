@@ -31,6 +31,7 @@ from epilex.extremal import minimal_window_positions
 from epilex.fine import _chain_mismatch, _peel_text, skew_common_word
 from epilex.morphisms import MorphicImageStream, _separates_text
 from epilex.textio import parse_directive, parse_skew
+from epilex.words import scan_length
 
 from helpers import (
     as_text,
@@ -382,6 +383,103 @@ def test_witnesses_and_tails_are_frozen_on_a_random_corpus():
     assert digest == "04a91c2b12dec3c717b9e76c20f53007660ccd827b7bcd10f1fc173202a72dab"
 
 
+def fine_by_order(t, depth, horizon):
+    """is_fine_empirical's verdict, one full chain call per order."""
+    seq = t.raw(scan_length(t, depth, horizon)[0])
+    seen = set(seq)
+    s_ref = None
+    for order in all_orders(t.alphabet, subset=[x for i, x in enumerate(t.alphabet.letters) if i in seen]):
+        chain = minimal_window_positions(seq, order.ranks, depth)
+        a = min(seen, key=order.ranks.__getitem__)
+        if s_ref is None:
+            s_ref = seq[chain[depth - 1] + 1 : chain[depth - 1] + depth]
+        mismatch = chain_mismatch_by_length(seq, chain, [a] + s_ref)
+        if mismatch is not None:
+            return order, mismatch[0], tuple(mismatch[1])
+    return tuple(s_ref)
+
+
+def transfer_by_order(t1, s1, z, a, depth, horizon):
+    """verify_min_transfer's verdict, one full chain call per order and side."""
+    gen = psi(t1.alphabet, z)
+    t = MorphicImageStream(gen, t1)
+    z, a = t1.alphabet.index(z), t1.alphabet.index(a)
+    sides = [
+        (t1.raw(scan_length(t1, depth, horizon)[0]), lambda rank: [a] + s1.raw(depth + 1)),
+        (
+            t.raw(scan_length(t, depth, horizon)[0]),
+            lambda rank: [z] * (rank[z] < rank[a]) + [a] + MorphicImageStream(gen, s1).raw(depth + 2),
+        ),
+    ]
+    for order in all_orders(t1.alphabet):
+        verdicts = set()
+        for seq, expected in sides:
+            chain = minimal_window_positions(seq, order.ranks, depth)
+            verdicts.add(len(chain) >= depth and chain_mismatch_by_length(seq, chain, expected(order.ranks)) is None)
+        if len(verdicts) > 1:
+            return False
+    return True
+
+
+def test_shared_bitsets_give_the_per_order_verdicts():
+    # Scans short of the exact bound (horizon 2 * depth, often below it)
+    # make the chains rescan; the witness must be the first order's first k.
+    rng = random.Random(2031)
+    for case in range(90):
+        if case % 3 == 0:
+            t = standard_word(random_directive(rng, max_alpha=4, max_pre=3, max_per=4))
+        elif case % 3 == 1:
+            t = construct_skew(random_canonical_skew(rng, max_alpha=3))
+        else:
+            size = rng.randint(1, 3)
+            alphabet = Alphabet(tuple("abc"[:size]))
+            head = tuple(rng.randrange(size) for _ in range(rng.randint(0, 4)))
+            cyc = tuple(rng.randrange(size) for _ in range(rng.randint(1, 5)))
+            t = LiteralPeriodicStream(Word(alphabet, head), Word(alphabet, cyc))
+        depth = rng.randint(1, 14)
+        horizon = rng.choice((2 * depth, 3 * depth, 400))
+        v = is_fine_empirical(t, depth, horizon)
+        expected = fine_by_order(t, depth, horizon)
+        if v.fine_to_depth:
+            assert v.s_prefix.indices == expected
+        else:
+            w = v.witness
+            assert (w.order, w.k, w.factor.indices) == expected
+    for case in range(30):
+        d = random_directive(rng, max_alpha=3, max_pre=2, max_per=4)
+        t1 = standard_word(d)
+        s1 = t1 if case % 3 else standard_word(random_directive(rng, max_alpha=3, min_alpha=3))
+        if s1.alphabet != t1.alphabet:
+            s1 = t1
+        z, a = (d.alphabet.letters[rng.randrange(d.alphabet.size)] for _ in range(2))
+        args = (t1, s1, z, a, rng.randint(1, 15), rng.choice((3, 20, 60, 400)))
+        assert verify_min_transfer(*args) == transfer_by_order(*args), args
+
+
+def test_one_bitset_build_per_scanned_prefix(monkeypatch):
+    import epilex.extremal as extremal
+    import epilex.fine as fine
+
+    builds = []
+    build = extremal._letter_bitsets
+
+    def counting(seq):
+        builds.append(len(seq))
+        return build(seq)
+
+    monkeypatch.setattr(extremal, "_letter_bitsets", counting)
+    monkeypatch.setattr(fine, "_letter_bitsets", counting)
+    trib = standard_word(parse_directive(ABC, "(abc)"))
+    assert is_fine_empirical(trib, 20, 400).fine_to_depth  # all six orders
+    assert len(builds) == 1
+    builds.clear()
+    assert not is_fine_empirical(standard_word(parse_directive(ABC, "c(ab)")), 10, 400).fine_to_depth
+    assert len(builds) == 1
+    builds.clear()
+    verify_min_transfer(trib, trib, "a", "b", 20, 400)
+    assert len(builds) == 2
+
+
 # --- reconstruction ---------------------------------------------------------------------
 
 def test_reconstruct_plain_prepend():
@@ -417,6 +515,13 @@ def test_reconstruct_gate_refutes_a_word_that_is_not_fine():
         reconstruct_skew(t, 10, 4000)
     assert isinstance(raised.value, NotSkewForm)
     assert str(raised.value) == f"not fine within depth 10: {verdict.witness}"
+    # The gate runs before the prefix is read, so at a huge horizon the
+    # refuted word's buffer holds no more than the gate's own scan.
+    huge, gated = (standard_word(parse_directive(ABC, "c(ab)")) for _ in range(2))
+    with pytest.raises(NotFine):
+        reconstruct_skew(huge, 10, 2_000_000)
+    is_fine_empirical(gated, 10, 2_000_000, deepen=True)
+    assert len(huge._buf) <= len(gated._buf) < 10_000
 
 
 def test_reconstruct_rejects_recurrent_words():
