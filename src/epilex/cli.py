@@ -28,7 +28,6 @@ from .fine import (
     construct_skew,
     classify,
     reconstruct_skew,
-    skew_common_word,
 )
 from .textio import (
     MAX_LETTERS,
@@ -215,18 +214,15 @@ def _cmd_classify(args) -> int:
         raise CLIError(f"classify supports at most {MAX_ORDER_LETTERS} letters")
     if args.directive is not None:
         spec: Any = parse_directive(alphabet, args.directive)
-        _check_scan(spec.exact_horizon(args.depth), args.depth)
-        extra = {"strictness": strictness_to_dict(strictness(spec))}
     elif args.literal is not None:
-        head, cycle = parse_literal(alphabet, args.literal)
-        spec = LiteralPeriodicStream(head, cycle)
-        extra = {}
+        spec = LiteralPeriodicStream(*parse_literal(alphabet, args.literal))
     else:
         spec = parse_skew(alphabet, args.skew)
-        _check_scan(spec.suffix_len + skew_common_word(spec).exact_horizon(args.depth), args.depth)
-        extra = {}
+    _check_scan(spec.exact_horizon(args.depth), args.depth)
     verdict = classify(spec, args.depth, horizon)
-    payload = {**verdict_to_dict(verdict), **extra}
+    payload = verdict_to_dict(verdict)
+    if args.directive is not None:
+        payload["strictness"] = strictness_to_dict(strictness(spec))
     lines = [f"classification: {verdict.classification.value}"]
     if verdict.strict_alphabet is not None:
         lines.append("strict over: " + ",".join(sorted(verdict.strict_alphabet)))
@@ -274,8 +270,8 @@ def _cmd_verify(args) -> int:
             checks.append({"check": "shift-chain", "i": i, "letter": letter, "ok": True})
     elif args.skew is not None:
         spec = parse_skew(alphabet, args.skew)
+        _check_scan(spec.exact_horizon(args.depth), args.depth)
         stream = construct_skew(spec)
-        _check_scan(stream.exact_horizon(args.depth), args.depth)
         # The spec is validated, so a fineness refutation is an engine bug;
         # past the gate, a failed peel means the prefix was too short.
         try:

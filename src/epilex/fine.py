@@ -103,6 +103,11 @@ class SkewSpec:
         counts[self.alphabet.index(self.x)] += 1
         return sum(n * image_length(self.morphism, c) for c, n in counts.items())
 
+    def exact_horizon(self, k: int) -> int:
+        """The bound of the word ``construct_skew(self)``: the suffix length
+        plus the bound of its morphic core image, so no seed is built."""
+        return self.suffix_len + skew_common_word(self).exact_horizon(k)
+
     def suffix_word(self) -> Word:
         seed = self.seed_word()
         return seed[len(seed) - self.suffix_len :]
@@ -337,77 +342,6 @@ def _cross_checked(emp: FinenessVerdict, s: WordStream, claim: str, **fields) ->
     return replace(emp, **fields)
 
 
-def _classify_directive(directive: DirectiveWord, depth: int) -> FinenessVerdict:
-    stream = standard_word(directive)
-    emp = is_fine_empirical(stream, depth)
-    report = strictness(directive)
-    if report.strict:
-        return _cross_checked(
-            emp,
-            stream,
-            f"strict directive {directive}",
-            classification=Classification.STRICT_EPISTURMIAN,
-            strict_alphabet=report.strict_over,
-        )
-    # A non-strict directive never yields a fine word; the scan supplies the
-    # witness when one exists within the checked depth.
-    return FinenessVerdict(
-        classification=Classification.NOT_FINE,
-        depth=depth,
-        witness=emp.witness,
-    )
-
-
-def _classify_skew(spec: SkewSpec, depth: int) -> FinenessVerdict:
-    stream = construct_skew(spec)
-    return _cross_checked(
-        is_fine_empirical(stream, depth),
-        stream.tail,
-        f"skew spec {spec}",
-        classification=Classification.SKEW_EPISTURMIAN,
-        skew=spec,
-    )
-
-
-def _classify_literal(
-    stream: LiteralPeriodicStream, depth: int, horizon: int | None
-) -> FinenessVerdict:
-    # Not an exactness bound: enough letters for reconstruct_skew to peel.
-    h = max(
-        horizon or 0,
-        2 * depth,
-        4 * (len(stream.head) + len(stream.cycle)) + 8 * depth,
-    )
-    # One scan serves as the fineness gate, the witness and the unknown verdict.
-    emp = is_fine_empirical(stream, depth, h)
-    letters = {*stream.head, *stream.cycle}
-    if len(letters) == 1:
-        # The one-letter periodic word is the degenerate strict case: s is the word.
-        return _cross_checked(
-            emp,
-            stream,
-            f"one-letter word {stream.head}({stream.cycle})",
-            classification=Classification.STRICT_EPISTURMIAN,
-            strict_alphabet=frozenset(letters),
-        )
-    if not emp.fine_to_depth:
-        return FinenessVerdict(
-            classification=Classification.NOT_FINE, depth=depth, witness=emp.witness
-        )
-    try:
-        spec = reconstruct_skew(stream, 0, h)
-    except NotSkewForm:
-        return emp
-    # The spec's word is the literal word, so the scan above is its scan.
-    return _cross_checked(
-        emp,
-        skew_common_word(spec),
-        f"skew spec {spec}",
-        classification=Classification.SKEW_EPISTURMIAN,
-        skew=spec,
-    )
-
-
 def classify(
     spec: DirectiveWord | SkewSpec | LiteralPeriodicStream,
     depth: int,
@@ -415,21 +349,59 @@ def classify(
 ) -> FinenessVerdict:
     """Exact fineness classification of a structured description.
 
-    Directive words classify by strictness, skew specifications by their
-    invariants, and literal ultimately periodic words by attempted peeling.
-    Every structural verdict is cross-checked against the empirical scan, and
-    a disagreement raises :class:`InternalConsistencyError` rather than being
-    swallowed.  Directives and skew specifications state their exact bound,
-    so their scan reads exactly that many letters and ``horizon`` only sets
-    the letters a literal word is peeled from.
+    A fine word is a strict episturmian word or a strict skew episturmian
+    word, so there are two fine claims: a strict directive (or a one-letter
+    literal word, the degenerate strict case) and a skew specification.  A
+    literal ultimately periodic word reaches the skew claim by peeling
+    (:func:`reconstruct_skew`).  One empirical scan serves every kind: each
+    fine claim is cross-checked against it, and a disagreement raises
+    :class:`InternalConsistencyError` rather than being swallowed; a word the
+    scan refutes gets the scan's own ``NOT_FINE`` verdict and witness.  A
+    non-strict directive is ``NOT_FINE`` whatever the scan finds, and a fine
+    literal word that does not peel is ``UNKNOWN``.
+
+    Every kind states its exact bound, and the scan reads exactly that many
+    letters; ``horizon`` only sets the letters a literal word is peeled from.
     """
+    h = strict_over = skew = None
     if isinstance(spec, DirectiveWord):
-        return _classify_directive(spec, depth)
-    if isinstance(spec, SkewSpec):
-        return _classify_skew(spec, depth)
-    if isinstance(spec, LiteralPeriodicStream):
-        return _classify_literal(spec, depth, horizon)
-    raise TypeError(f"cannot classify {type(spec).__name__}")
+        t = tail = standard_word(spec)
+        report = strictness(spec)
+        if report.strict:
+            claim, strict_over = f"strict directive {spec}", report.strict_over
+    elif isinstance(spec, SkewSpec):
+        t = construct_skew(spec)
+        tail, skew = t.tail, spec
+    elif isinstance(spec, LiteralPeriodicStream):
+        t = tail = spec
+        # Not an exactness bound: enough letters for reconstruct_skew to peel.
+        h = max(horizon or 0, 4 * t.exact_horizon(depth) + 4 * depth + 4)
+        letters = {*t.head, *t.cycle}
+        if len(letters) == 1:
+            # The one-letter periodic word is the degenerate strict case: s is the word.
+            claim, strict_over = f"one-letter word {t.head}({t.cycle})", frozenset(letters)
+    else:
+        raise TypeError(f"cannot classify {type(spec).__name__}")
+    emp = is_fine_empirical(t, depth, h)
+    if h is not None and strict_over is None and emp.fine_to_depth:
+        # A literal word makes its skew claim by peeling; the spec's word is
+        # the literal word, so the scan above is its scan.
+        try:
+            skew = reconstruct_skew(t, 0, h)
+        except NotSkewForm:
+            return emp
+        tail = skew_common_word(skew)
+    if strict_over is not None:
+        return _cross_checked(
+            emp, tail, claim, classification=Classification.STRICT_EPISTURMIAN, strict_alphabet=strict_over
+        )
+    if skew is not None:
+        return _cross_checked(
+            emp, tail, f"skew spec {skew}", classification=Classification.SKEW_EPISTURMIAN, skew=skew
+        )
+    # A non-strict directive never yields a fine word; the scan supplies the
+    # witness when one exists within the checked depth.
+    return emp if not emp.fine_to_depth else FinenessVerdict(Classification.NOT_FINE, depth)
 
 
 def _peel_text(text: str, z: str, letters: set[str]) -> str:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from epilex.cli import MAX_LETTERS, main
 from epilex import Alphabet
 from epilex.textio import parse_directive, parse_morphism, parse_skew, skew_from_dict
@@ -275,6 +277,9 @@ def test_oversized_inputs_exit_one_before_anything_is_built():
          f"error: --depth 20 scans 24157816 letters, which {limit}"),
         (("classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", "--depth", "20"),
          f"error: --depth 20 scans 24157816 letters, which {limit}"),
+        # a literal word's bound, checked like the others (its peel ran past 25 s)
+        (("classify", "--alphabet", "a,b", "--literal", "a(b)", "--depth", "10000000", "--horizon", "10000000"),
+         f"error: --depth 10000000 scans 10000001 letters, which {limit}"),
         # p and every image under the cap, but p times the longest core image is not
         (("construct", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c p=2000000 mu=psi:ababababab", "--prefix", "5"),
          f"error: skew seed may reach 288000232 letters, which {limit}"),
@@ -292,6 +297,19 @@ def test_classify_skew_scan_cap_builds_no_seed(capsys, monkeypatch):
     monkeypatch.setattr(SkewSpec, "seed_word", lambda spec: built.append(spec) or seed_word(spec))
     code, out, err = run(
         capsys, "classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", "--depth", "20"
+    )
+    assert (code, out, built) == (1, "", [])
+    assert err.startswith("error: --depth 20 scans 24157816 letters")
+
+
+def test_verify_skew_scan_cap_builds_no_seed(capsys, monkeypatch):
+    from epilex.fine import SkewSpec
+
+    built = []
+    seed_word = SkewSpec.seed_word
+    monkeypatch.setattr(SkewSpec, "seed_word", lambda spec: built.append(spec) or seed_word(spec))
+    code, out, err = run(
+        capsys, "verify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", "--depth", "20"
     )
     assert (code, out, built) == (1, "", [])
     assert err.startswith("error: --depth 20 scans 24157816 letters")
@@ -428,3 +446,95 @@ def test_one_parser_serves_many_calls_in_one_process(capsys, monkeypatch):
         "skew": {"directive": "(ab)", "x": "c", "p": 0, "morphism": "psi:c", "suffix_len": 1},
     }
     assert build_parser() is build_parser()
+
+
+GOLDEN_SKEW = "skew v=(ab) x=c p=4 mu=psi:c suffix=full"
+GOLDEN_SKEW_JSON = '{"directive": "(ab)", "x": "c", "p": 4, "morphism": "psi:c", "suffix_len": 9}'
+GOLDEN_CAP = f"which exceeds the limit of {MAX_LETTERS} letters\n"
+
+# name: (argv, exit status, text stdout, JSON stdout, stderr); one row for
+# each branch of classify, the skew round trip and each scan-cap refusal.
+GOLDEN = {
+    "strict-directive": (
+        ("classify", "--alphabet", "a,b,c", "--directive", "(abc)", "--depth", "8"), 0,
+        "classification: StrictEpisturmian\nstrict over: a,b,c\ns: abacaba\n",
+        '{"classification": "StrictEpisturmian", "depth": 8, "B": ["a", "b", "c"], "skew": null, "s_prefix": "abacaba",'
+        ' "witness": null, "strictness": {"alph": ["a", "b", "c"], "ult": ["a", "b", "c"], "strict_over": ["a", "b", "c"],'
+        ' "m": 0}}\n',
+        "",
+    ),
+    "non-strict-directive": (
+        ("classify", "--alphabet", "a,b,c", "--directive", "c(ab)", "--depth", "8"), 0,
+        "classification: NotFine\nwitness: order=c<a<b k=2 factor=ca required=cc reason=required-missing\n",
+        '{"classification": "NotFine", "depth": 8, "B": null, "skew": null, "s_prefix": null, "witness": {"order": "c<a<b",'
+        ' "k": 2, "factor": "ca", "required": "cc", "reason": "required-missing"}, "strictness": {"alph": ["a", "b", "c"],'
+        ' "ult": ["a", "b"], "strict_over": null, "m": 1}}\n',
+        "",
+    ),
+    "non-strict-directive-fine-to-depth": (
+        ("classify", "--alphabet", "a,b,c", "--directive", "ababab(c)", "--depth", "5"), 0,
+        "classification: NotFine\n",
+        '{"classification": "NotFine", "depth": 5, "B": null, "skew": null, "s_prefix": null, "witness": null,'
+        ' "strictness": {"alph": ["a", "b", "c"], "ult": ["c"], "strict_over": null, "m": 6}}\n',
+        "",
+    ),
+    "skew-spec": (
+        ("classify", "--alphabet", "a,b,c", "--skew", GOLDEN_SKEW, "--depth", "8"), 0,
+        "classification: SkewEpisturmian\nskew: v=(ab) x=c p=4 mu=psi:c suffix=9\ns: cacbcac\n",
+        '{"classification": "SkewEpisturmian", "depth": 8, "B": null, "skew": ' + GOLDEN_SKEW_JSON + ','
+        ' "s_prefix": "cacbcac", "witness": null}\n',
+        "",
+    ),
+    "skew-literal": (
+        ("classify", "--alphabet", "a,b", "--literal", "ba(ab)", "--depth", "8"), 0,
+        "classification: SkewEpisturmian\nskew: v=(b) x=a p=1 mu=psi:a suffix=2\ns: abababa\n",
+        '{"classification": "SkewEpisturmian", "depth": 8, "B": null, "skew": {"directive": "(b)", "x": "a", "p": 1,'
+        ' "morphism": "psi:a", "suffix_len": 2}, "s_prefix": "abababa", "witness": null}\n',
+        "",
+    ),
+    "one-letter-literal": (
+        ("classify", "--alphabet", "a,b", "--literal", "(a)", "--depth", "6"), 0,
+        "classification: StrictEpisturmian\nstrict over: a\ns: aaaaa\n",
+        '{"classification": "StrictEpisturmian", "depth": 6, "B": ["a"], "skew": null, "s_prefix": "aaaaa", "witness": null}\n',
+        "",
+    ),
+    "not-fine-literal": (
+        ("classify", "--alphabet", "a,b,c", "--literal", "c(ab)", "--depth", "8"), 0,
+        "classification: NotFine\nwitness: order=b<a<c k=2 factor=ba required=bb reason=required-missing\n",
+        '{"classification": "NotFine", "depth": 8, "B": null, "skew": null, "s_prefix": null, "witness": {"order": "b<a<c",'
+        ' "k": 2, "factor": "ba", "required": "bb", "reason": "required-missing"}}\n',
+        "",
+    ),
+    "unknown-literal": (
+        ("classify", "--alphabet", "a,b", "--literal", "bab(aba)", "--depth", "4"), 0,
+        "classification: Unknown\ns: aba\n",
+        '{"classification": "Unknown", "depth": 4, "B": null, "skew": null, "s_prefix": "aba", "witness": null}\n',
+        "",
+    ),
+    "verify-skew": (
+        ("verify", "--alphabet", "a,b,c", "--skew", GOLDEN_SKEW, "--horizon", "6000"), 0,
+        "check=skew-round-trip ok=True\n",
+        '{"checks": [{"check": "skew-round-trip", "ok": true, "recovered": ' + GOLDEN_SKEW_JSON + "}]}\n",
+        "",
+    ),
+    "directive-cap": (
+        ("classify", "--alphabet", "a,b,c", "--directive", "ab" * 17 + "(c)", "--depth", "1"), 1, "", "",
+        "error: --depth 1 scans 24157820 letters, " + GOLDEN_CAP,
+    ),
+    "skew-cap": (
+        ("classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", "--depth", "20"),
+        1, "", "", "error: --depth 20 scans 24157816 letters, " + GOLDEN_CAP,
+    ),
+    "literal-cap": (
+        ("classify", "--alphabet", "a,b", "--literal", "a(b)", "--depth", "10000000", "--horizon", "10000000"),
+        1, "", "", "error: --depth 10000000 scans 10000001 letters, " + GOLDEN_CAP,
+    ),
+}
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_classify_and_verify_output_is_pinned(capsys, monkeypatch, name, output):
+    monkeypatch.delenv("ETK_HORIZON", raising=False)
+    argv, code, text, payload, err = GOLDEN[name]
+    assert run(capsys, *argv, "--output", output) == (code, text if output == "text" else payload, err)

@@ -170,20 +170,41 @@ def test_classify_literal_words():
 
 
 def test_classify_literal_scans_once_when_not_fine(monkeypatch):
+    # every branch of classify makes one scan and at most one peel
     import epilex.fine as fine
 
-    calls = []
-    scan = fine.is_fine_empirical
+    calls, peels = [], []
+    scan, peel = fine.is_fine_empirical, fine.reconstruct_skew
 
     def counting(*args):
         calls.append(args[1:])
         return scan(*args)
 
+    def counting_peel(*args):
+        peels.append(args)
+        return peel(*args)
+
     monkeypatch.setattr(fine, "is_fine_empirical", counting)
+    monkeypatch.setattr(fine, "reconstruct_skew", counting_peel)
     t = LiteralPeriodicStream(ABC.word("cacbcacacbcacbcac"), ABC.word("acbcacacbcacbcac"))
     v = classify(t, 8)
     assert v.classification is Classification.NOT_FINE and v.witness is not None
-    assert calls == [(8, 196)]
+    assert (calls, peels) == ([(8, 196)], [])
+    cases = [
+        (parse_directive(ABC, "(abc)"), 12, Classification.STRICT_EPISTURMIAN, 0),
+        (parse_directive(ABC, "c(ab)"), 12, Classification.NOT_FINE, 0),
+        (parse_directive(ABC, "ababab(c)"), 5, Classification.NOT_FINE, 0),
+        (SKEW_SPEC, 12, Classification.SKEW_EPISTURMIAN, 0),
+        (LiteralPeriodicStream(AB.word("ba"), AB.word("ab")), 12, Classification.SKEW_EPISTURMIAN, 1),
+        (ONE_LETTER, 12, Classification.STRICT_EPISTURMIAN, 0),
+        (LiteralPeriodicStream(ABC.word("c"), ABC.word("ab")), 12, Classification.NOT_FINE, 0),
+        (LiteralPeriodicStream(AB.word("bab"), AB.word("aba")), 4, Classification.UNKNOWN, 1),
+    ]
+    for spec, depth, label, peeled in cases:
+        calls.clear()
+        peels.clear()
+        assert classify(spec, depth).classification is label, spec
+        assert (len(calls), len(peels)) == (1, peeled), spec
 
 
 def test_classify_literal_skew_word_scans_once(monkeypatch):
@@ -638,6 +659,8 @@ def test_skew_common_word_is_the_morphic_image_of_the_core():
         assert tail.raw(5000) == image.raw(5000)
         assert tail.directive() == image.directive()
         assert all(tail.exact_horizon(k) == image.exact_horizon(k) for k in range(1, 41))
+        stream = construct_skew(spec)
+        assert all(spec.exact_horizon(k) == stream.exact_horizon(k) for k in range(1, 41))
 
 
 # --- structural invariants ----------------------------------------------------------------
