@@ -3,7 +3,6 @@
 from .words import (
     Alphabet,
     AlphabetError,
-    CallbackStream,
     ConcatStream,
     LengthError,
     LexOrder,

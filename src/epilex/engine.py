@@ -162,8 +162,6 @@ class DirectiveStream(WordStream):
     in one call from prefix count ``_fill_from`` on.
     """
 
-    kind = "episturmian"
-
     def __init__(self, directive: DirectiveWord) -> None:
         super().__init__(directive.alphabet)
         self._directive = directive
@@ -330,8 +328,9 @@ def exact_horizon(directive: DirectiveWord, k: int) -> int:
     preperiod+period+1 further steps.  With a single recurring letter the
     word is purely periodic (period: the image of the recurring letter under
     the preperiod morphism) and one period plus ``2k`` suffices.  Both are
-    read off palindromic-prefix lengths (see :func:`image_length`), which the
-    last-occurrence rule gives without building the word.
+    read off the directive's palindromic-prefix lengths, which the
+    last-occurrence rule gives without building the word; the period is
+    |mu_m(y)| = |u_{m+1}| - |u_m| (see :func:`image_length`).
 
     This bound is an empirical claim, not a derived one.
     ``tests/test_extremal.py::test_exact_horizons_hold_every_factor`` tries
@@ -352,7 +351,8 @@ def exact_horizon(directive: DirectiveWord, k: int) -> int:
         lag = len(directive.preperiod) + len(directive.period) + 1
         return next(islice(lengths, lag - 1, None))
     m = strictness(directive).m
-    return image_length(prefix_morphism(directive, m), directive.letter(m + 1)) + 2 * k + 2
+    u_m, u_m1 = islice(_prefix_lengths(directive), m, m + 2)
+    return u_m1 - u_m + 2 * k + 2
 
 
 def image_length(mu: PureEpistandardMorphism, y: int) -> int:

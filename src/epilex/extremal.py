@@ -146,9 +146,7 @@ def _held_within(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> tuple[
     return None
 
 
-def _extremal(
-    w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, invert: bool, *, deepen: bool = False
-) -> ExtremalResult:
+def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, invert: bool) -> ExtremalResult:
     """Check a query's arguments, then answer it from the one :func:`scan_length` of it."""
     if k < 0:
         raise ValueError("factor length must be >= 0")
@@ -156,7 +154,7 @@ def _extremal(
         raise AlphabetError("order alphabet does not match the word alphabet")
     if horizon is not None and horizon < k:
         raise LengthError(f"horizon {horizon} is smaller than factor length {k}")
-    n, exact = scan_length(w, k, horizon, deepen=deepen)
+    n, exact = scan_length(w, k, horizon)
     if horizon is None:
         horizon = n
     if k == 0:
@@ -200,9 +198,11 @@ def min_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | Non
     min(t)[:k] and its first occurrence ends within the horizon: no window of
     the prefix is less than a least factor of t, so that word is the prefix's
     least.  Only exact queries fill the memo.  Any other horizon-limited
-    query, or one on a stream without a bound, scans ``horizon`` letters, and
-    a finite word is scanned whole; a ``k`` longer than a finite word raises
-    :class:`LengthError` whatever the horizon.
+    query scans ``horizon`` letters.  A finite word states its length as its
+    bound, so a ``k`` longer than the word raises :class:`LengthError`
+    whatever the horizon.  A word with no stated structure is asked as its
+    finite prefix, ``Word(alphabet, letters)``, and the answer is exact for
+    that prefix.
     """
     return _extremal(w, k, order, horizon, invert=False)
 
@@ -215,16 +215,16 @@ def max_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | Non
 def _limit_word(w: WordStream, order: LexOrder, horizon: int, invert: bool) -> Word:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return _extremal(w, max(1, horizon // 2), order, horizon, invert, deepen=True).word
+    return _extremal(w, max(1, horizon // 2), order, None, invert).word
 
 
 def min_stream(w: WordStream, order: LexOrder, horizon: int) -> Word:
     """The longest prefix of the limit of minimal factors the horizon supports.
 
     The chain of minima extends letter by letter, so its element at length
-    ``horizon // 2`` is that prefix: :func:`min_factor` at that length, exact
-    when the stream states a bound for it and over ``horizon`` letters
-    otherwise, with the same checks and errors.
+    ``horizon // 2`` is that prefix: :func:`min_factor` at that length with
+    no horizon, which reads the stream's bound for it and is exact, with the
+    same checks and errors.
     """
     return _limit_word(w, order, horizon, invert=False)
 

@@ -26,7 +26,7 @@ from .engine import (
     standard_word,
     strictness,
 )
-from .morphisms import MorphicImageStream, PureEpistandardMorphism, _separates_text, psi
+from .morphisms import MorphicImageStream, PureEpistandardMorphism, psi
 from .words import (
     Alphabet,
     ConcatStream,
@@ -183,7 +183,7 @@ class FinenessVerdict:
         return self.classification is not Classification.NOT_FINE
 
 
-def _present_tokens(stream: WordStream, seen: Container[int]) -> list[str]:
+def _present_tokens(stream: Word | WordStream, seen: Container[int]) -> list[str]:
     toks = stream.alphabet.letters
     return [toks[i] for i in range(len(toks)) if i in seen]
 
@@ -216,9 +216,7 @@ def _chain_mismatch(seq: list[int], chain: list[int], expected: list[int]) -> tu
     return None
 
 
-def is_fine_empirical(
-    t: WordStream, depth: int, horizon: int | None = None, *, deepen: bool = False
-) -> FinenessVerdict:
+def is_fine_empirical(t: Word | WordStream, depth: int, horizon: int | None = None) -> FinenessVerdict:
     """Scan every order on the letters of ``t`` for a shared minimal-factor tail.
 
     Returns ``UNKNOWN`` with the common tail when the word is fine up to
@@ -229,12 +227,13 @@ def is_fine_empirical(
     built once per scan and shared by every order; each order runs only the
     chain's loop (see :func:`~epilex.extremal.minimal_window_positions`).
 
-    The scan stops at ``t.exact_horizon(depth)`` when the stream states it,
-    so a horizon past that bound costs nothing and changes no verdict: every
-    length-k factor with k <= depth is a prefix of a length-``depth`` factor,
-    and all of those have occurred by then.  With no horizon, or with
-    ``deepen``, the scan reads that bound however short the horizon (see
-    :func:`~epilex.words.scan_length`).
+    The scan stops at ``t.exact_horizon(depth)``, so a horizon past that
+    bound costs nothing and changes no verdict: every length-k factor with
+    k <= depth is a prefix of a length-``depth`` factor, and all of those
+    have occurred by then.  With no horizon the scan reads that bound (see
+    :func:`~epilex.words.scan_length`).  A word with no stated structure is
+    scanned as a finite :class:`~epilex.words.Word` prefix, whose bound is
+    its length.
 
     The tail is the common s of min(t) = a·s.  Over two letters a < b,
     Pirillo's characterization also asks max(t) = b·s.  The greatest factors
@@ -245,7 +244,7 @@ def is_fine_empirical(
         raise ValueError("depth must be >= 1")
     if horizon is not None and horizon < 2 * depth:
         raise ValueError("horizon must be at least twice the depth")
-    seq = t.raw(scan_length(t, depth, horizon, deepen=deepen)[0])
+    seq = t.raw(scan_length(t, depth, horizon)[0])
     bitsets = _letter_bitsets(seq)
     orders = all_orders(t.alphabet, subset=_present_tokens(t, bitsets))
     s_ref: list[int] | None = None
@@ -404,6 +403,17 @@ def classify(
     return emp if not emp.fine_to_depth else FinenessVerdict(Classification.NOT_FINE, depth)
 
 
+def _separates_text(z: str, text: str, letters: set[str]) -> bool:
+    """Whether every length-2 factor of ``text`` contains the character ``z``.
+
+    ``letters`` is ``set(text)``.  ``z`` separates exactly when no factor
+    ``xy`` of two other letters occurs, and each ``in`` is one C-level
+    search that stops at its first hit.
+    """
+    others = letters - {z}
+    return all(x + y not in text for x in others for y in others)
+
+
 def _peel_text(text: str, z: str, letters: set[str]) -> str:
     """Invert the generator of ``z`` on a text known to have ``z`` separating.
 
@@ -443,9 +453,9 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     :func:`~epilex.engine.recover_directive_letters`).
     """
     if depth > 0:
-        # Deepened to the exact bound, so a fine word is not refuted for want
-        # of letters however short the horizon.
-        gate = is_fine_empirical(t, depth, max(horizon, 2 * depth), deepen=True)
+        # No horizon: the scan reads the exact bound, so a fine word is not
+        # refuted for want of letters however short the horizon.
+        gate = is_fine_empirical(t, depth)
         if not gate.fine_to_depth:
             raise NotFine(f"not fine within depth {depth}: {gate.witness}")
     seq = t.raw(horizon)

@@ -62,9 +62,6 @@ class PureEpistandardMorphism:
             images = [head if c == z else head + image for c, image in enumerate(images)]
         return tuple(images)
 
-    def image_of(self, letter_index: int) -> tuple[int, ...]:
-        return self.images[letter_index]
-
     def apply_word(self, w: Word) -> Word:
         if w.alphabet != self.alphabet:
             raise AlphabetError("word alphabet does not match morphism alphabet")
@@ -103,8 +100,6 @@ class MorphicImageStream(WordStream):
     image to ``n`` letters costs time linear in ``n``.
     """
 
-    kind = "morphic-image"
-
     def __init__(self, morphism: PureEpistandardMorphism, inner: WordStream) -> None:
         if morphism.alphabet != inner.alphabet:
             raise AlphabetError("morphism and stream alphabets differ")
@@ -139,21 +134,9 @@ class MorphicImageStream(WordStream):
         """The inner stream's directive with this morphism's generators prepended."""
         return self._directive
 
-    def exact_horizon(self, k: int) -> int | None:
+    def exact_horizon(self, k: int) -> int:
         if self._directive is not None:
             return self._directive.exact_horizon(k)
         # A length-k window of the image lies inside the image of k consecutive
         # inner letters, which occur within the inner bound.
-        inner = self.inner.exact_horizon(k)
-        return None if inner is None else self._longest * inner
-
-
-def _separates_text(z: str, text: str, letters: set[str]) -> bool:
-    """Whether every length-2 factor of ``text`` contains the character ``z``.
-
-    ``letters`` is ``set(text)``.  ``z`` separates exactly when no factor
-    ``xy`` of two other letters occurs, and each ``in`` is one C-level
-    search that stops at its first hit.
-    """
-    others = letters - {z}
-    return all(x + y not in text for x in others for y in others)
+        return self._longest * self.inner.exact_horizon(k)

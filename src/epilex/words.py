@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import cycle, islice, permutations
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .engine import DirectiveWord
@@ -26,7 +26,6 @@ __all__ = [
     "WordStream",
     "LiteralPeriodicStream",
     "ConcatStream",
-    "CallbackStream",
     "all_orders",
     "complexity",
     "factors",
@@ -256,11 +255,11 @@ class WordStream:
     Letters are checked where they enter the library, not where they are read:
     a subclass's ``_extend`` appends only indices in range for its alphabet,
     which is why ``prefix`` builds its :class:`Word` without re-checking them.
-    The one stream whose letters come from outside, :class:`CallbackStream`,
-    checks its callback's letters as they enter the buffer.
-    """
 
-    kind = "abstract"
+    Every stream states its bound through ``exact_horizon(k)``.  A word with
+    no stated structure is not a stream: it is scanned as a finite
+    :class:`Word` prefix, whose answers are exact for that prefix.
+    """
 
     def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
@@ -295,43 +294,29 @@ class WordStream:
         """The directive of the standard episturmian word this stream is, if its kind states one."""
         return None
 
-    def exact_horizon(self, k: int) -> int | None:
-        """A prefix length by which every length-``k`` factor has occurred.
-
-        ``None`` when the kind cannot say; results scanned from such a stream
-        are horizon-limited.
-        """
-        return None
+    def exact_horizon(self, k: int) -> int:
+        """A prefix length by which every length-``k`` factor has occurred."""
+        raise NotImplementedError
 
 
-def scan_length(
-    w: Word | WordStream, k: int, horizon: int | None, *, deepen: bool = False
-) -> tuple[int, bool]:
+def scan_length(w: Word | WordStream, k: int, horizon: int | None) -> tuple[int, bool]:
     """How many letters a scan for factors of length at most ``k`` reads, and
     whether that prefix holds them all.
 
     The scan stops at ``w.exact_horizon(k)``: every length-``k`` factor has
     occurred by then, and every shorter factor is a prefix of one.  It reads
     ``horizon`` letters cut at that bound, so a horizon past the bound costs
-    nothing and changes no result.  With ``deepen``, or no horizon, it reads
-    the bound itself however short the horizon.  Without a bound it reads
-    ``horizon`` letters, inexactly, and raises ``ValueError`` when there is
-    none.  The one bound lookup is all it does: it reads no letter.
+    nothing and changes no result; with no horizon it reads the bound.  The
+    one bound lookup is all it does: it reads no letter.
     """
     bound = w.exact_horizon(k)
-    if bound is None:
-        if horizon is None:
-            raise ValueError(f"a {w.kind} stream states no exact horizon; pass one")
-        return horizon, False
-    if horizon is None or deepen or horizon >= bound:
+    if horizon is None or horizon >= bound:
         return bound, True
     return horizon, False
 
 
 class LiteralPeriodicStream(WordStream):
     """The ultimately periodic word ``head . cycle . cycle . ...``."""
-
-    kind = "literal-periodic"
 
     def __init__(self, head: Word, cycle: Word) -> None:
         if not cycle:
@@ -359,8 +344,6 @@ class LiteralPeriodicStream(WordStream):
 class ConcatStream(WordStream):
     """A finite word followed by another stream."""
 
-    kind = "concatenation"
-
     def __init__(self, head: Word, tail: WordStream) -> None:
         if head.alphabet != tail.alphabet:
             raise AlphabetError("head and tail must share an alphabet")
@@ -376,38 +359,8 @@ class ConcatStream(WordStream):
         if len(buf) < n:
             buf.extend(self.tail.raw_range(len(buf) - offset, n - offset))
 
-    def exact_horizon(self, k: int) -> int | None:
-        tail = self.tail.exact_horizon(k)
-        return None if tail is None else len(self.head) + tail
-
-
-class CallbackStream(WordStream):
-    """A stream backed by an arbitrary prefix function.  Unstable, library-level only.
-
-    ``fn(n)`` must return the first ``n`` letter indices and be prefix-consistent;
-    nothing here checks that beyond length.  Each letter index is checked
-    once, as it enters the buffer, and one out of range for the alphabet
-    raises :class:`AlphabetError`.
-    """
-
-    kind = "callback"
-
-    def __init__(self, alphabet: Alphabet, fn: Callable[[int], Sequence[int]]) -> None:
-        super().__init__(alphabet)
-        self._fn = fn
-
-    def _extend(self, n: int) -> None:
-        # ``fn`` can only hand out whole prefixes, so ask for at least twice
-        # what is buffered: a reader growing the stream in small steps then
-        # makes ``fn`` produce amortised-linear letters, not quadratic.
-        have = len(self._buf)
-        want = max(n, 2 * have)
-        out = list(self._fn(want))
-        if len(out) < want:
-            raise ValueError("callback returned a too-short prefix")
-        new = out[have:want]
-        _check_indices(self.alphabet, new)
-        self._buf.extend(new)
+    def exact_horizon(self, k: int) -> int:
+        return len(self.head) + self.tail.exact_horizon(k)
 
 
 def factors(w: Word, k: int) -> set[Word]:

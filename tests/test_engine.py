@@ -183,7 +183,7 @@ def test_shift_chain_examples():
 
 
 def test_first_letter_is_separating():
-    from epilex.morphisms import _separates_text
+    from epilex.fine import _separates_text
 
     rng = random.Random(37)
     for _ in range(40):
@@ -248,7 +248,7 @@ def test_as_directive_normalizes_morphic_images():
 
 
 def test_streams_state_their_directive():
-    from epilex import CallbackStream, ConcatStream, MorphicImageStream
+    from epilex import ConcatStream, MorphicImageStream
 
     d = parse_directive(ABC, "b(ab)")
     t = standard_word(d)
@@ -268,7 +268,6 @@ def test_streams_state_their_directive():
         literal,
         psi(ABC, "c").apply(literal),
         ConcatStream(ABC.word("c"), t),
-        CallbackStream(ABC, lambda n: [0] * n),
     ]
     for stream in others:
         assert stream.directive() is None
@@ -453,7 +452,7 @@ def test_constant_tail_is_filled_without_stepping(monkeypatch):
     word = standard_word(d).raw(10**5)
     assert len(steps) <= len(d.preperiod) + 3
     # the word is mu_m(y)^omega, mu_m the morphism of the preperiod
-    block = prefix_morphism(d, len(d.preperiod)).image_of(d.period[0])
+    block = prefix_morphism(d, len(d.preperiod)).images[d.period[0]]
     assert word == (list(block) * (10**5 // len(block) + 1))[: 10**5]
 
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from epilex import (
     Alphabet,
     AlphabetError,
-    CallbackStream,
     Classification,
     ConcatStream,
     DirectiveWord,
@@ -151,25 +150,16 @@ def test_min_and_max_stream_look_up_the_bound_once_per_call():
             Counting.calls += 1
             return super().exact_horizon(k)
 
-    class Unbounded(CallbackStream):
-        calls = 0
-
-        def exact_horizon(self, k):
-            Unbounded.calls += 1
-            return None
-
-    bounded = Counting(AB.word("b"), AB.word("aab"))
-    unbounded = Unbounded(AB, lambda n: [i % 2 for i in range(n)])
+    t = Counting(AB.word("b"), AB.word("aab"))
     for fn in (min_stream, max_stream):
         for order in all_orders(AB):
-            fn(bounded, order, 200)  # fills the memo: the scan reads its own bound
-    for t, want in ((bounded, "aabaabaaba"), (unbounded, "ababababab")):
-        for fn in (min_stream, max_stream):
-            for order in all_orders(AB):
-                type(t).calls = 0
-                fn(t, order, 20)
-                assert type(t).calls == 1, (fn, order)
-        assert str(min_stream(t, LexOrder.default(AB), 20)) == want
+            fn(t, order, 200)  # fills the memo: the scan reads its own bound
+    for fn in (min_stream, max_stream):
+        for order in all_orders(AB):
+            Counting.calls = 0
+            fn(t, order, 20)
+            assert Counting.calls == 1, (fn, order)
+    assert str(min_stream(t, LexOrder.default(AB), 20)) == "aabaabaaba"
 
 
 def test_chain_holds_one_length_of_starts_at_a_time():
@@ -390,15 +380,6 @@ def test_exact_literal_results_match_the_complete_prefix(u, v, k, extra):
             assert hi.word == oracle_max(complete, k, order) == oracle_max(deeper, k, order)
 
 
-def test_callback_streams_are_horizon_limited():
-    t = CallbackStream(AB, lambda n: [i % 2 for i in range(n)])
-    assert t.exact_horizon(3) is None
-    assert min_factor(t, 3, LexOrder.default(AB), 1000).exactness is Exactness.HORIZON_LIMITED
-    assert min_stream(t, LexOrder.default(AB), 20) == AB.word("ababababab")
-    with pytest.raises(ValueError):
-        min_factor(t, 3, LexOrder.default(AB))
-
-
 def test_exactness_for_skew_streams():
     core = standard_word(parse_directive(ABC, "(ab)"))
     t = ConcatStream(ABC.word("c"), core)
@@ -534,18 +515,20 @@ def test_scans_to_the_exact_bound_never_rescan():
 
 def test_capped_scans_match_the_oracle_over_the_requested_prefix():
     # Past the bound the scan stops, yet the answer is the extremum of the
-    # whole prefix the caller asked for.
+    # whole prefix the caller asked for.  Short of it, the answer is that of
+    # the finite prefix itself: a word with no stated structure is asked as
+    # its prefix.
     rng = random.Random(61)
     for t, k in _stream_cases(rng):
         bound = t.exact_horizon(k)
-        for h in (bound, 4 * bound + 7):
+        for h in (max(k, bound // 2), bound, 4 * bound + 7):
             requested = t.prefix(h)
             for order in all_orders(t.alphabet):
                 lo = min_factor(t, k, order, h)
                 hi = max_factor(t, k, order, h)
-                assert lo.exact and hi.exact and lo.horizon == hi.horizon == h
-                assert lo.word == oracle_min(requested, k, order)
-                assert hi.word == oracle_max(requested, k, order)
+                assert lo.exact is hi.exact is (h >= bound) and lo.horizon == hi.horizon == h
+                assert lo.word == min_factor(requested, k, order).word == oracle_min(requested, k, order)
+                assert hi.word == max_factor(requested, k, order).word == oracle_max(requested, k, order)
 
 
 def test_not_fine_witness_is_the_least_factor_of_the_requested_prefix():
@@ -553,6 +536,9 @@ def test_not_fine_witness_is_the_least_factor_of_the_requested_prefix():
     depth = 8
     witnesses = 0
     for t, _ in _stream_cases(rng):
+        # Short of the bound, the verdict is that of the finite prefix itself.
+        short = max(2 * depth, t.exact_horizon(depth) // 2)
+        assert is_fine_empirical(t.prefix(short), depth) == is_fine_empirical(t, depth, short)
         h = 4 * t.exact_horizon(depth) + 7
         verdict = is_fine_empirical(t, depth, h)
         if verdict.classification is Classification.NOT_FINE:
@@ -579,34 +565,17 @@ def test_min_factor_generates_no_letter_past_the_bound():
     assert res.word == oracle_min(t.prefix(200), 50, order)
 
 
-# (stream kind, horizon, deepen) -> the (letters read, exact) of a scan for
-# factors of length 4, or None when the scan raises ValueError.  The bounded
-# stream states 16 letters, the finite word has 16, the callback states none.
+# (stream kind, horizon) -> the (letters read, exact) of a scan for factors
+# of length 4.  The bounded stream states 16 letters, the finite word has 16.
 _SCAN_RULE = [
-    ("bounded", None, False, (16, True)),
-    ("bounded", 9, False, (9, False)),
-    ("bounded", 16, False, (16, True)),
-    ("bounded", 40, False, (16, True)),
-    ("bounded", None, True, (16, True)),
-    ("bounded", 9, True, (16, True)),
-    ("bounded", 16, True, (16, True)),
-    ("bounded", 40, True, (16, True)),
-    ("callback", None, False, None),
-    ("callback", 9, False, (9, False)),
-    ("callback", 16, False, (16, False)),
-    ("callback", 40, False, (40, False)),
-    ("callback", None, True, None),
-    ("callback", 9, True, (9, False)),
-    ("callback", 16, True, (16, False)),
-    ("callback", 40, True, (40, False)),
-    ("word", None, False, (16, True)),
-    ("word", 9, False, (9, False)),
-    ("word", 16, False, (16, True)),
-    ("word", 40, False, (16, True)),
-    ("word", None, True, (16, True)),
-    ("word", 9, True, (16, True)),
-    ("word", 16, True, (16, True)),
-    ("word", 40, True, (16, True)),
+    ("bounded", None, (16, True)),
+    ("bounded", 9, (9, False)),
+    ("bounded", 16, (16, True)),
+    ("bounded", 40, (16, True)),
+    ("word", None, (16, True)),
+    ("word", 9, (9, False)),
+    ("word", 16, (16, True)),
+    ("word", 40, (16, True)),
 ]
 
 
@@ -625,40 +594,29 @@ def test_every_scan_reads_what_scan_length_says():
 
     make = {
         "bounded": lambda: recording(LiteralPeriodicStream)(AB.word("babaababaa"), AB.word("bab")),
-        "callback": lambda: recording(CallbackStream)(AB, lambda n: [i % 3 % 2 for i in range(n)]),
         "word": lambda: recording(Word)(AB, (0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 0)),
     }
     assert make["bounded"]().exact_horizon(4) == 16
     k, order = 4, LexOrder.from_letters(AB, "ba")
-    for kind, horizon, deepen, want in _SCAN_RULE:
-        row = (kind, horizon, deepen)
+    for kind, horizon, want in _SCAN_RULE:
+        row = (kind, horizon)
         t = make[kind]()
         reads.clear()
-        if want is None:
-            for scan in (
-                lambda: scan_length(t, k, horizon, deepen=deepen),
-                lambda: is_fine_empirical(t, k, horizon, deepen=deepen),
-                lambda: min_factor(t, k, order, horizon),
-            ):
-                with pytest.raises(ValueError):
-                    scan()
-            assert reads == [], row
-            continue
         n, exact = want
-        assert scan_length(t, k, horizon, deepen=deepen) == want, row
+        assert scan_length(t, k, horizon) == want, row
         assert reads == [], row  # the rule reads no letter
-        is_fine_empirical(t, k, horizon, deepen=deepen)
+        is_fine_empirical(t, k, horizon)
         assert max(reads) == n, row
         reads.clear()
-        if deepen:
-            if horizon is not None and horizon // 2 == k:
-                # min_stream at this horizon is the deepened scan for length k
-                min_stream(make[kind](), order, horizon)
-                assert max(reads) == n, row
-        else:
-            res = min_factor(make[kind](), k, order, horizon)
-            assert max(reads) == n, row
-            assert res.exact is exact and res.horizon == (n if horizon is None else horizon), row
+        res = min_factor(make[kind](), k, order, horizon)
+        assert max(reads) == n, row
+        assert res.exact is exact and res.horizon == (n if horizon is None else horizon), row
+        if horizon is not None and horizon // 2 == k:
+            # min_stream at this horizon scans for length k with no horizon,
+            # so it reads the bound however short the horizon
+            reads.clear()
+            min_stream(make[kind](), order, horizon)
+            assert max(reads) == 16, row
 
 
 # --- one memo of min(t) per (stream, order) -----------------------------------

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from epilex import (
     Alphabet,
-    CallbackStream,
     Classification,
     ConcatStream,
     DirectiveWord,
@@ -28,8 +27,8 @@ from epilex import (
     verify_min_transfer,
 )
 from epilex.extremal import minimal_window_positions
-from epilex.fine import _chain_mismatch, _peel_text, skew_common_word
-from epilex.morphisms import MorphicImageStream, _separates_text
+from epilex.fine import _chain_mismatch, _peel_text, _separates_text, skew_common_word
+from epilex.morphisms import MorphicImageStream
 from epilex.textio import parse_directive, parse_skew
 from epilex.words import scan_length
 
@@ -126,13 +125,11 @@ def test_is_fine_empirical_reads_the_bound_without_a_horizon():
     t = LiteralPeriodicStream(AB.word(""), AB.word("ab"))
     assert t.exact_horizon(10) < 20
     assert is_fine_empirical(t, 10) == is_fine_empirical(t, 10, 40)
-    # Deepened, a horizon short of the bound still reads the bound.
+    # Without a horizon the scan reads the bound, past which no horizon
+    # changes the verdict.
     fib = standard_word(FIB)
     assert fib.exact_horizon(10) > 20
-    deep = is_fine_empirical(fib, 10, 20, deepen=True)
-    assert deep == is_fine_empirical(fib, 10) == is_fine_empirical(fib, 10, 10**6)
-    with pytest.raises(ValueError):
-        is_fine_empirical(CallbackStream(AB, lambda n: [0] * n), 10)
+    assert is_fine_empirical(fib, 10) == is_fine_empirical(fib, 10, 10**6)
 
 
 # --- structural classification ------------------------------------------------------
@@ -541,7 +538,7 @@ def test_reconstruct_gate_refutes_a_word_that_is_not_fine():
     huge, gated = (standard_word(parse_directive(ABC, "c(ab)")) for _ in range(2))
     with pytest.raises(NotFine):
         reconstruct_skew(huge, 10, 2_000_000)
-    is_fine_empirical(gated, 10, 2_000_000, deepen=True)
+    is_fine_empirical(gated, 10)
     assert len(huge._buf) <= len(gated._buf) < 10_000
 
 
@@ -687,7 +684,7 @@ def test_two_letter_specs_match_the_sturmian_skew_pattern():
         spec = random_canonical_skew(rng, max_alpha=2)
         t = construct_skew(spec)
         y = next(iter(spec.directive.ult()))
-        cycle = list(spec.morphism.image_of(y))
+        cycle = list(spec.morphism.images[y])
         v = list(spec.suffix_word().indices)
         n = 600
         repeated = (cycle * (n // len(cycle) + 1))[: n - len(v)]

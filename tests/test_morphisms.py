@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from epilex import (
     Alphabet,
-    CallbackStream,
     ConcatStream,
+    DirectiveStream,
     DirectiveWord,
     LiteralPeriodicStream,
     MorphicImageStream,
@@ -15,7 +15,7 @@ from epilex import (
     psi,
     standard_word,
 )
-from epilex.morphisms import _separates_text
+from epilex.fine import _separates_text
 from epilex.textio import parse_directive
 
 from helpers import all_words, as_text, brute_preimage_exists, separates_by_pairs
@@ -86,15 +86,15 @@ def test_morphic_image_reads_each_inner_letter_once():
     source = standard_word(parse_directive(ABC, "(ab)"))
     read = []
 
-    class Counting(CallbackStream):
+    class Counting(DirectiveStream):
         def raw_range(self, start, stop):
             out = super().raw_range(start, stop)
             read.append(len(out))
             return out
 
     m = PureEpistandardMorphism(ABC, (2, 0))
-    image = MorphicImageStream(m, Counting(ABC, source.raw))
-    lengths = [len(m.image_of(c)) for c in source.raw(200000)]
+    image = MorphicImageStream(m, Counting(source.directive()))
+    lengths = [len(m.images[c]) for c in source.raw(200000)]
     for n in (1, 100, 5000, 5001, 60000, 60100, 200000):
         image.prefix(n)
         needed, total = 0, 0
@@ -102,31 +102,6 @@ def test_morphic_image_reads_each_inner_letter_once():
             total += lengths[needed]
             needed += 1
         assert needed <= sum(read) <= needed + 4096
-
-
-def test_callback_stream_read_by_range_copies_linearly():
-    # A callback can only return whole prefixes; the stream asks for at least
-    # twice what it holds, so small range reads do not re-copy the prefix.
-    source = standard_word(parse_directive(ABC, "(ab)"))
-    returned = []
-    consumed = []
-
-    def fn(n):
-        out = source.raw(n)
-        returned.append(len(out))
-        return out
-
-    class Counting(CallbackStream):
-        def raw_range(self, start, stop):
-            out = super().raw_range(start, stop)
-            consumed.append(len(out))
-            return out
-
-    image = MorphicImageStream(PureEpistandardMorphism(ABC, (2, 0)), Counting(ABC, fn))
-    for stop in range(1000, 200_001, 1000):
-        image.raw_range(stop - 1000, stop)
-    assert image.prefix(200_000) == MorphicImageStream(image.morphism, source).prefix(200_000)
-    assert sum(returned) <= 4 * sum(consumed)
 
 
 def test_compose():
@@ -153,7 +128,7 @@ def test_images_are_nonerasing_and_start_with_outer_generator():
         gens = tuple(rng.randrange(3) for _ in range(rng.randint(1, 5)))
         m = PureEpistandardMorphism(ABC, gens)
         for i in range(3):
-            img = m.image_of(i)
+            img = m.images[i]
             assert len(img) >= 1
             assert img[0] == gens[0]
         w = Word(ABC, tuple(rng.randrange(3) for _ in range(rng.randint(0, 10))))

@@ -4,10 +4,8 @@ from hypothesis import given, strategies as st
 from epilex import (
     Alphabet,
     AlphabetError,
-    CallbackStream,
     DirectiveWord,
     LiteralPeriodicStream,
-    MorphicImageStream,
     PureEpistandardMorphism,
     Word,
     all_orders,
@@ -17,7 +15,6 @@ from epilex import (
     psi,
     standard_word,
 )
-from epilex import words
 from epilex.textio import ParseError, parse_directive, parse_literal, parse_skew
 
 AB = Alphabet.of("a", "b")
@@ -169,32 +166,6 @@ def test_every_entry_point_still_refuses_out_of_range_letters():
         parse_directive(ABC, "a(bd)")
     with pytest.raises((ParseError, AlphabetError)):
         parse_literal(ABC, "ab(d)")
-
-
-def test_callback_letters_are_checked_as_they_enter_the_buffer():
-    # an out-of-range letter is refused by raw itself, and so never reaches
-    # a stream built on the callback (images[-1] would be the last letter's)
-    for bad in (-1, 3):
-        with pytest.raises(AlphabetError):
-            CallbackStream(ABC, lambda n, bad=bad: [bad] * n).raw(3)
-        with pytest.raises(AlphabetError):
-            MorphicImageStream(psi(ABC, "a"), CallbackStream(ABC, lambda n, bad=bad: [bad] * n)).prefix(6)
-    late = CallbackStream(ABC, lambda n: [i % 3 if i < 40 else 5 for i in range(n)])
-    assert late.raw(20) == [i % 3 for i in range(20)]
-    with pytest.raises(AlphabetError):
-        late.raw(41)
-
-
-def test_callback_letters_are_checked_once_each(monkeypatch):
-    want = Word(ABC, tuple(i % 3 for i in range(17)))
-    checked = []
-    check = words._check_indices
-    monkeypatch.setattr(words, "_check_indices", lambda a, idx: checked.append(len(idx)) or check(a, idx))
-    t = CallbackStream(ABC, lambda n: [i % 3 for i in range(n)])
-    for n in (10, 10, 5, 17, 17, 3):
-        t.raw(n)
-    assert t.prefix(17) == want
-    assert sum(checked) == len(t._buf) == 20
 
 
 def test_stream_prefixes_are_ordinary_words_built_without_a_recheck(monkeypatch):
