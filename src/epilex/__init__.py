@@ -36,7 +36,6 @@ from .engine import (
     strictness,
 )
 from .extremal import (
-    Exactness,
     ExtremalResult,
     max_factor,
     max_stream,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import cache, partial
 from typing import Any
@@ -24,14 +23,12 @@ from .extremal import max_factor, min_factor
 from .fine import (
     NotFine,
     NotSkewForm,
-    SpecError,
     construct_skew,
     classify,
     reconstruct_skew,
 )
 from .textio import (
     MAX_LETTERS,
-    ParseError,
     parse_alphabet,
     parse_directive,
     parse_literal,
@@ -42,13 +39,7 @@ from .textio import (
     strictness_to_dict,
     verdict_to_dict,
 )
-from .words import (
-    AlphabetError,
-    LengthError,
-    LiteralPeriodicStream,
-    WordStream,
-    all_orders,
-)
+from .words import LiteralPeriodicStream, WordStream, all_orders
 
 DEFAULT_DEPTH = 50
 DEFAULT_HORIZON = 1000
@@ -75,20 +66,10 @@ def _letter_count(text: str) -> int:
     return n
 
 
-def _default_horizon() -> int:
-    env = os.environ.get("ETK_HORIZON")
-    if env:
-        try:
-            return _letter_count(env)
-        except argparse.ArgumentTypeError as exc:
-            raise CLIError(f"ETK_HORIZON must be an integer letter count: {exc}") from None
-    return DEFAULT_HORIZON
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alphabet", required=True, help="comma-separated letters, e.g. a,b,c")
     sub.add_argument("--output", choices=("text", "json"), default="text")
-    sub.add_argument("--horizon", type=_letter_count, default=None, help="scan horizon (default 1000 or ETK_HORIZON)")
+    sub.add_argument("--horizon", type=_letter_count, default=DEFAULT_HORIZON, help=f"scan horizon (default {DEFAULT_HORIZON})")
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--directive", help="directive word u(v), e.g. \"c(ab)\"")
     group.add_argument("--literal", help="literal ultimately periodic word u(v)")
@@ -99,8 +80,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and reused by every later call.
 
-    Parsing leaves it unchanged: defaults are constants, and ``ETK_HORIZON``
-    is read when a command runs, not when the parser is built.
+    Parsing leaves it unchanged: its defaults are constants, the horizon's
+    :data:`DEFAULT_HORIZON` among them.
     """
     parser = _Parser(prog="epilex", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -181,8 +162,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_extremal(args, greatest: bool) -> int:
     alphabet = parse_alphabet(args.alphabet)
-    horizon = args.horizon if args.horizon is not None else _default_horizon()
-    if args.k > horizon:
+    if args.k > args.horizon:
         raise CLIError("--k must not exceed the horizon")
     stream, echo = _stream_and_echo(alphabet, args)
     if args.all_orders:
@@ -192,7 +172,7 @@ def _cmd_extremal(args, greatest: bool) -> int:
     else:
         orders = [parse_order(alphabet, args.order)]
     results = [
-        (max_factor if greatest else min_factor)(stream, args.k, order, horizon)
+        (max_factor if greatest else min_factor)(stream, args.k, order, args.horizon)
         for order in orders
     ]
     if args.all_orders:
@@ -207,8 +187,7 @@ def _cmd_extremal(args, greatest: bool) -> int:
 
 def _cmd_classify(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
-    horizon = args.horizon if args.horizon is not None else _default_horizon()
-    if args.depth > horizon:
+    if args.depth > args.horizon:
         raise CLIError("--depth must not exceed the horizon")
     if alphabet.size > MAX_ORDER_LETTERS:
         raise CLIError(f"classify supports at most {MAX_ORDER_LETTERS} letters")
@@ -219,7 +198,7 @@ def _cmd_classify(args) -> int:
     else:
         spec = parse_skew(alphabet, args.skew)
     _check_scan(spec.exact_horizon(args.depth), args.depth)
-    verdict = classify(spec, args.depth, horizon)
+    verdict = classify(spec, args.depth, args.horizon)
     payload = verdict_to_dict(verdict)
     if args.directive is not None:
         payload["strictness"] = strictness_to_dict(strictness(spec))
@@ -256,17 +235,16 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
-    horizon = args.horizon if args.horizon is not None else _default_horizon()
     checks: list[dict[str, Any]] = []
     if args.directive is not None:
         if args.i < 1:
             raise CLIError(f"--i must be >= 1, got {args.i}")
-        if args.i * horizon > MAX_LETTERS:
+        if args.i * args.horizon > MAX_LETTERS:
             raise CLIError(
-                f"--i {args.i} times horizon {horizon} exceeds the limit of {MAX_LETTERS} letters"
+                f"--i {args.i} times horizon {args.horizon} exceeds the limit of {MAX_LETTERS} letters"
             )
         d = parse_directive(alphabet, args.directive)
-        for i, letter in enumerate(shift_chain(d, args.i, horizon), start=1):
+        for i, letter in enumerate(shift_chain(d, args.i, args.horizon), start=1):
             checks.append({"check": "shift-chain", "i": i, "letter": letter, "ok": True})
     elif args.skew is not None:
         spec = parse_skew(alphabet, args.skew)
@@ -275,14 +253,14 @@ def _cmd_verify(args) -> int:
         # The spec is validated, so a fineness refutation is an engine bug;
         # past the gate, a failed peel means the prefix was too short.
         try:
-            recovered = reconstruct_skew(stream, args.depth, horizon)
+            recovered = reconstruct_skew(stream, args.depth, args.horizon)
         except NotFine as exc:
             raise InternalConsistencyError(f"skew spec {spec} is {exc}") from None
         except NotSkewForm as exc:
             raise CLIError(
-                f"--horizon {horizon} is too short to reconstruct the skew word: {exc}"
+                f"--horizon {args.horizon} is too short to reconstruct the skew word: {exc}"
             ) from None
-        same = construct_skew(recovered).raw(horizon) == stream.raw(horizon)
+        same = construct_skew(recovered).raw(args.horizon) == stream.raw(args.horizon)
         if not same:
             raise InternalConsistencyError("round-trip regenerated a different word")
         checks.append(
@@ -312,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
-    except (CLIError, ParseError, SpecError, NotSkewForm, AlphabetError, LengthError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

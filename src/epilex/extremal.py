@@ -11,13 +11,11 @@ compare against live with the tests; they share no code with this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .words import AlphabetError, LengthError, LexOrder, Word, WordStream, scan_length
 
 __all__ = [
-    "Exactness",
     "ExtremalResult",
     "max_factor",
     "max_stream",
@@ -27,24 +25,20 @@ __all__ = [
 ]
 
 
-class Exactness(Enum):
-    EXACT = "exact"
-    HORIZON_LIMITED = "horizon-limited"
-
-
 @dataclass(frozen=True)
 class ExtremalResult:
-    """An extremal factor together with the scan parameters that produced it."""
+    """An extremal factor together with the scan parameters that produced it.
+
+    ``exact`` says whether the scanned prefix reached the bound
+    ``exact_horizon(k)``, so that ``word`` is the extremal factor of the
+    whole word and not only of its first ``horizon`` letters.
+    """
 
     word: Word
     k: int
     order: LexOrder
     horizon: int
-    exactness: Exactness
-
-    @property
-    def exact(self) -> bool:
-        return self.exactness is Exactness.EXACT
+    exact: bool
 
 
 def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int) -> list[int]:
@@ -159,7 +153,7 @@ def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None
         horizon = n
     if k == 0:
         return ExtremalResult(
-            word=Word._trusted(w.alphabet, ()), k=0, order=order, horizon=horizon, exactness=Exactness.EXACT
+            word=Word._trusted(w.alphabet, ()), k=0, order=order, horizon=horizon, exact=True
         )
     rank = order.ranks
     if invert:
@@ -183,7 +177,7 @@ def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None
         k=k,
         order=order,
         horizon=horizon,
-        exactness=Exactness.EXACT if exact else Exactness.HORIZON_LIMITED,
+        exact=exact,
     )
 
 

@@ -28,8 +28,10 @@ from .engine import (
 )
 from .morphisms import MorphicImageStream, PureEpistandardMorphism, psi
 from .words import (
+    MAX_LETTERS,
     Alphabet,
     ConcatStream,
+    LengthError,
     LexOrder,
     LiteralPeriodicStream,
     Word,
@@ -216,7 +218,7 @@ def _chain_mismatch(seq: list[int], chain: list[int], expected: list[int]) -> tu
     return None
 
 
-def is_fine_empirical(t: Word | WordStream, depth: int, horizon: int | None = None) -> FinenessVerdict:
+def is_fine_empirical(t: Word | WordStream, depth: int) -> FinenessVerdict:
     """Scan every order on the letters of ``t`` for a shared minimal-factor tail.
 
     Returns ``UNKNOWN`` with the common tail when the word is fine up to
@@ -227,13 +229,13 @@ def is_fine_empirical(t: Word | WordStream, depth: int, horizon: int | None = No
     built once per scan and shared by every order; each order runs only the
     chain's loop (see :func:`~epilex.extremal.minimal_window_positions`).
 
-    The scan stops at ``t.exact_horizon(depth)``, so a horizon past that
-    bound costs nothing and changes no verdict: every length-k factor with
-    k <= depth is a prefix of a length-``depth`` factor, and all of those
-    have occurred by then.  With no horizon the scan reads that bound (see
-    :func:`~epilex.words.scan_length`).  A word with no stated structure is
-    scanned as a finite :class:`~epilex.words.Word` prefix, whose bound is
-    its length.
+    The scan reads ``t.exact_horizon(depth)`` letters: every length-k
+    factor with k <= depth is a prefix of a length-``depth`` factor, and all
+    of those have occurred by then.  A question about a prefix passes the
+    prefix, ``t.prefix(h)`` or ``w[:h]``: a finite
+    :class:`~epilex.words.Word` states its length as its bound, so the
+    verdict is exact for that prefix, and a word shorter than ``depth``
+    raises :class:`~epilex.words.LengthError`.
 
     The tail is the common s of min(t) = a·s.  Over two letters a < b,
     Pirillo's characterization also asks max(t) = b·s.  The greatest factors
@@ -242,9 +244,10 @@ def is_fine_empirical(t: Word | WordStream, depth: int, horizon: int | None = No
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if horizon is not None and horizon < 2 * depth:
-        raise ValueError("horizon must be at least twice the depth")
-    seq = t.raw(scan_length(t, depth, horizon)[0])
+    n = t.exact_horizon(depth)
+    if n < depth:
+        raise LengthError(f"depth {depth} exceeds word length {n}")
+    seq = t.raw(n)
     bitsets = _letter_bitsets(seq)
     orders = all_orders(t.alphabet, subset=_present_tokens(t, bitsets))
     s_ref: list[int] | None = None
@@ -360,7 +363,10 @@ def classify(
     literal word that does not peel is ``UNKNOWN``.
 
     Every kind states its exact bound, and the scan reads exactly that many
-    letters; ``horizon`` only sets the letters a literal word is peeled from.
+    letters; ``horizon`` only sets the letters a literal word is peeled from,
+    at least ``4 * bound + 4 * depth + 4``.  A peel past
+    :data:`~epilex.words.MAX_LETTERS` letters raises
+    :class:`~epilex.words.LengthError` before the scan.
     """
     h = strict_over = skew = None
     if isinstance(spec, DirectiveWord):
@@ -375,13 +381,15 @@ def classify(
         t = tail = spec
         # Not an exactness bound: enough letters for reconstruct_skew to peel.
         h = max(horizon or 0, 4 * t.exact_horizon(depth) + 4 * depth + 4)
+        if h > MAX_LETTERS:
+            raise LengthError(f"classify peels {h} letters, which exceeds the limit of {MAX_LETTERS} letters")
         letters = {*t.head, *t.cycle}
         if len(letters) == 1:
             # The one-letter periodic word is the degenerate strict case: s is the word.
             claim, strict_over = f"one-letter word {t.head}({t.cycle})", frozenset(letters)
     else:
         raise TypeError(f"cannot classify {type(spec).__name__}")
-    emp = is_fine_empirical(t, depth, h)
+    emp = is_fine_empirical(t, depth)
     if h is not None and strict_over is None and emp.fine_to_depth:
         # A literal word makes its skew claim by peeling; the spec's word is
         # the literal word, so the scan above is its scan.
@@ -453,8 +461,8 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     :func:`~epilex.engine.recover_directive_letters`).
     """
     if depth > 0:
-        # No horizon: the scan reads the exact bound, so a fine word is not
-        # refuted for want of letters however short the horizon.
+        # The scan reads the exact bound, so a fine word is not refuted for
+        # want of letters however short the horizon.
         gate = is_fine_empirical(t, depth)
         if not gate.fine_to_depth:
             raise NotFine(f"not fine within depth {depth}: {gate.witness}")

@@ -15,11 +15,7 @@ from .engine import DirectiveWord, StrictnessReport, image_length
 from .extremal import ExtremalResult
 from .fine import FinenessVerdict, SkewSpec, Witness
 from .morphisms import PureEpistandardMorphism
-from .words import Alphabet, AlphabetError, LexOrder, Word
-
-# The most letters one input may ask to hold or generate (8 bytes or more each);
-# a larger request is refused before anything is built, not when memory runs out.
-MAX_LETTERS = 10**7
+from .words import MAX_LETTERS, Alphabet, AlphabetError, LexOrder, Word
 
 __all__ = [
     "ParseError",

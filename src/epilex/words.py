@@ -45,6 +45,11 @@ class LengthError(ValueError):
     """A requested factor length exceeds the available word length."""
 
 
+# The most letters one input may ask to hold or generate (8 bytes or more each);
+# a larger request is refused before anything is built, not when memory runs out.
+MAX_LETTERS = 10**7
+
+
 def _check_indices(alphabet: "Alphabet", indices: Sequence[int]) -> None:
     """Raise :class:`AlphabetError` unless every letter index is in range for ``alphabet``."""
     k = alphabet.size

@@ -1,7 +1,30 @@
 import importlib
 import pkgutil
+import types
 
 import epilex
+
+# The package's public names, modules left out: which submodules appear as
+# attributes depends on import order.  A change to the surface changes this.
+PUBLIC_NAMES = [
+    "Alphabet", "AlphabetError", "Classification", "ConcatStream", "DirectiveStream", "DirectiveWord",
+    "ExtremalResult", "FinenessVerdict", "InternalConsistencyError", "LengthError", "LexOrder",
+    "LiteralPeriodicStream", "MorphicImageStream", "NotFine", "NotSkewForm", "NothingToDecompose",
+    "PureEpistandardMorphism", "SkewSpec", "SpecError", "StrictnessReport", "Witness", "Word", "WordStream",
+    "all_orders", "builder_word", "classify", "complexity", "construct_skew", "decompose_nonstrict",
+    "exact_horizon", "factors", "identity", "is_fine_empirical", "max_factor", "max_stream", "min_factor",
+    "min_stream", "palindromic_closure", "palindromic_prefixes", "prefix_morphism", "psi", "reconstruct_skew",
+    "shift_chain", "standard_word", "strictness", "verify_min_transfer",
+]
+
+
+def test_public_surface_is_pinned():
+    names = sorted(
+        name
+        for name, value in vars(epilex).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
 
 
 def test_every_module_all_entry_resolves():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from epilex.cli import MAX_LETTERS, main
+from epilex.cli import DEFAULT_HORIZON, MAX_LETTERS, main
 from epilex import Alphabet
 from epilex.textio import parse_directive, parse_morphism, parse_skew, skew_from_dict
 
@@ -173,7 +173,7 @@ def test_verify_skew_on_a_too_short_horizon_is_a_user_error(capsys):
         assert code == 1 and err.startswith(f"error: --horizon {horizon} is too short"), (horizon, err)
 
 
-def test_letter_counts_over_the_cap_exit_one(capsys, monkeypatch):
+def test_letter_counts_over_the_cap_exit_one(capsys):
     over = str(MAX_LETTERS + 1)
     skew = "skew v=(ab) x=c p=4 mu=psi:c suffix=full"
     for argv in (
@@ -187,25 +187,6 @@ def test_letter_counts_over_the_cap_exit_one(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert out == "" and f"exceeds the limit of {MAX_LETTERS} letters" in err
-    monkeypatch.setenv("ETK_HORIZON", over)
-    code, _, err = run(
-        capsys, "min", "--alphabet", "a,b", "--directive", "(ab)", "--order", "a<b", "--k", "2"
-    )
-    assert code == 1 and "ETK_HORIZON" in err
-
-
-def test_env_horizon_override(capsys, monkeypatch):
-    monkeypatch.setenv("ETK_HORIZON", "64")
-    code, out, _ = run(
-        capsys, "min", "--alphabet", "a,b", "--directive", "(ab)", "--order", "a<b", "--k", "2", "--output", "json"
-    )
-    assert code == 0
-    assert json.loads(out)["horizon"] == 64
-    monkeypatch.setenv("ETK_HORIZON", "not-a-number")
-    code, _, err = run(
-        capsys, "min", "--alphabet", "a,b", "--directive", "(ab)", "--order", "a<b", "--k", "2"
-    )
-    assert code == 1
 
 
 def test_morphism_text_variants():
@@ -280,6 +261,9 @@ def test_oversized_inputs_exit_one_before_anything_is_built():
         # a literal word's bound, checked like the others (its peel ran past 25 s)
         (("classify", "--alphabet", "a,b", "--literal", "a(b)", "--depth", "10000000", "--horizon", "10000000"),
          f"error: --depth 10000000 scans 10000001 letters, which {limit}"),
+        # a literal word's bound under the cap, but not the letters it is peeled from
+        (("classify", "--alphabet", "a,b", "--literal", "a(b)", "--depth", "2500000", "--horizon", "2500000"),
+         f"error: classify peels 20000008 letters, which {limit}"),
         # p and every image under the cap, but p times the longest core image is not
         (("construct", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c p=2000000 mu=psi:ababababab", "--prefix", "5"),
          f"error: skew seed may reach 288000232 letters, which {limit}"),
@@ -411,7 +395,7 @@ def test_min_reads_only_its_horizon_on_a_long_preperiod(capsys):
     assert (code, out) == (0, "classification: NotFine\n")
 
 
-def test_one_parser_serves_many_calls_in_one_process(capsys, monkeypatch):
+def test_one_parser_serves_many_calls_in_one_process(capsys):
     from epilex.cli import build_parser
     from helpers import run_limited
 
@@ -419,18 +403,16 @@ def test_one_parser_serves_many_calls_in_one_process(capsys, monkeypatch):
     probe = "import epilex.cli as c; print(c.build_parser.cache_info().currsize)"
     done = run_limited(["-c", probe], timeout=30)
     assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
-    monkeypatch.delenv("ETK_HORIZON", raising=False)
     tri = ("--alphabet", "a,b,c", "--directive", "(abc)")
     code, out, err = run(capsys, "min", *tri, "--all-orders", "--k", "3", "--horizon", "500")
     assert (code, err) == (0, "")
     assert out == "a<b<c\taab\na<c<b\taab\nb<a<c\tbab\nb<c<a\tbab\nc<a<b\tcab\nc<b<a\tcab\n"
-    # the default horizon is read when a command runs, not when the parser is built
-    monkeypatch.setenv("ETK_HORIZON", "700")
+    # an earlier call's --horizon leaves the parser's default as it was
     code, out, err = run(capsys, "min", *tri, "--order", "b<a<c", "--k", "4", "--output", "json")
     assert (code, err) == (0, "")
     assert json.loads(out) == {
         "spec": {"kind": "directive", "text": "(abc)"},
-        "word": "baba", "k": 4, "order": "b<a<c", "horizon": 700, "exact": True,
+        "word": "baba", "k": 4, "order": "b<a<c", "horizon": DEFAULT_HORIZON, "exact": True,
     }
     code, out, err = run(capsys, "min", *tri, "--order", "b<a<c", "--all-orders", "--k", "4")
     assert (code, out) == (1, "")
@@ -534,7 +516,6 @@ GOLDEN = {
 
 @pytest.mark.parametrize("output", ["text", "json"])
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_classify_and_verify_output_is_pinned(capsys, monkeypatch, name, output):
-    monkeypatch.delenv("ETK_HORIZON", raising=False)
+def test_classify_and_verify_output_is_pinned(capsys, name, output):
     argv, code, text, payload, err = GOLDEN[name]
     assert run(capsys, *argv, "--output", output) == (code, text if output == "text" else payload, err)

@@ -10,7 +10,6 @@ from epilex import (
     Classification,
     ConcatStream,
     DirectiveWord,
-    Exactness,
     LengthError,
     LexOrder,
     LiteralPeriodicStream,
@@ -335,8 +334,8 @@ def test_exactness_labels_for_directive_streams():
     order = LexOrder.default(AB)
     k = 5
     h = exact_horizon(d, k)
-    assert min_factor(stream, k, order, h).exactness is Exactness.EXACT
-    assert min_factor(stream, k, order, h - 1).exactness is Exactness.HORIZON_LIMITED
+    assert min_factor(stream, k, order, h).exact
+    assert not min_factor(stream, k, order, h - 1).exact
     # the guaranteed-exact scan matches a much deeper one
     assert min_factor(stream, k, order, h).word == min_factor(stream, k, order, 20 * h).word
 
@@ -347,15 +346,15 @@ def test_exactness_stability_for_literal_streams():
     # sees {bb, ba}, short of the bound |u| + |v| + k - 1 = 4
     t = LiteralPeriodicStream(AB.word("b"), AB.word("ba"))
     res = min_factor(t, 2, order, 3)
-    assert res.exactness is Exactness.HORIZON_LIMITED
+    assert not res.exact
     res = min_factor(t, 2, order, 12)
-    assert res.exactness is Exactness.EXACT
+    assert res.exact
     assert str(res.word) == "ab"
     # b^50(a)^...: doubling a horizon of 20 still sees only b
     t = LiteralPeriodicStream(AB.word("b" * 50), AB.word("a"))
-    assert min_factor(t, 1, order, 20).exactness is Exactness.HORIZON_LIMITED
+    assert not min_factor(t, 1, order, 20).exact
     res = min_factor(t, 1, order, 51)
-    assert res.exactness is Exactness.EXACT
+    assert res.exact
     assert str(res.word) == "a"
 
 
@@ -385,7 +384,7 @@ def test_exactness_for_skew_streams():
     t = ConcatStream(ABC.word("c"), core)
     assert t.exact_horizon(4) == 1 + core.exact_horizon(4)
     res = min_factor(t, 4, LexOrder.default(ABC), 300)
-    assert res.exactness is Exactness.EXACT
+    assert res.exact
     assert str(res.word) == "aaba"
 
 
@@ -404,7 +403,7 @@ def test_exactness_for_morphic_images_of_non_directive_streams():
             assert lo.exact and hi.exact
             assert lo.word == oracle_min(deeper, k, order)
             assert hi.word == oracle_max(deeper, k, order)
-            assert min_factor(t, k, order, bound - 1).exactness is Exactness.HORIZON_LIMITED
+            assert not min_factor(t, k, order, bound - 1).exact
 
 
 def test_min_never_below_letter_extension_bound():
@@ -536,15 +535,16 @@ def test_not_fine_witness_is_the_least_factor_of_the_requested_prefix():
     depth = 8
     witnesses = 0
     for t, _ in _stream_cases(rng):
-        # Short of the bound, the verdict is that of the finite prefix itself.
-        short = max(2 * depth, t.exact_horizon(depth) // 2)
-        assert is_fine_empirical(t.prefix(short), depth) == is_fine_empirical(t, depth, short)
-        h = 4 * t.exact_horizon(depth) + 7
-        verdict = is_fine_empirical(t, depth, h)
-        if verdict.classification is Classification.NOT_FINE:
-            w = verdict.witness
-            assert w.factor == oracle_min(t.prefix(h), w.k, w.order)
-            witnesses += 1
+        # Short of the bound, the verdict is that of the finite prefix itself;
+        # past it, that of the stream.
+        bound = t.exact_horizon(depth)
+        for h in (max(2 * depth, bound // 2), 4 * bound + 7):
+            verdict = is_fine_empirical(t.prefix(h), depth)
+            if verdict.classification is Classification.NOT_FINE:
+                w = verdict.witness
+                assert w.factor == oracle_min(t.prefix(h), w.k, w.order)
+                witnesses += 1
+        assert verdict == is_fine_empirical(t, depth)
     assert witnesses > 0
 
 
@@ -605,7 +605,8 @@ def test_every_scan_reads_what_scan_length_says():
         n, exact = want
         assert scan_length(t, k, horizon) == want, row
         assert reads == [], row  # the rule reads no letter
-        is_fine_empirical(t, k, horizon)
+        # A prefix short of the bound is scanned as that finite word.
+        is_fine_empirical(t if exact else Word(AB, tuple(t.raw(horizon))), k)
         assert max(reads) == n, row
         reads.clear()
         res = min_factor(make[kind](), k, order, horizon)
@@ -718,7 +719,7 @@ def test_horizon_limited_answers_from_a_warm_memo_equal_fresh_scans(seed, querie
         h = k + frac % (bound - k)
         held = dict(t._minima)
         got = _QUERIES[fn](t, k, order, h)
-        assert got.exactness is Exactness.HORIZON_LIMITED and got.horizon == h
+        assert not got.exact and got.horizon == h
         fresh = _memo_stream(seed)
         assert got == _QUERIES[fn](fresh, k, order, h)
         # a horizon-limited query only reads the memo

@@ -9,6 +9,7 @@ from epilex import (
     Classification,
     ConcatStream,
     DirectiveWord,
+    LengthError,
     LiteralPeriodicStream,
     NotFine,
     NotSkewForm,
@@ -90,14 +91,14 @@ def test_seed_length_counts_the_seed_without_building_it():
 # --- empirical fineness ------------------------------------------------------------
 
 def test_fibonacci_is_fine_with_itself_as_tail():
-    v = is_fine_empirical(standard_word(FIB), 50, 500)
+    v = is_fine_empirical(standard_word(FIB).prefix(500), 50)
     assert v.fine_to_depth
     assert v.s_prefix == standard_word(FIB).prefix(49)
 
 
 def test_lifted_word_is_not_fine_with_reproducible_witness():
     t = standard_word(parse_directive(ABC, "c(ab)"))
-    v = is_fine_empirical(t, 10, 500)
+    v = is_fine_empirical(t.prefix(500), 10)
     assert v.classification is Classification.NOT_FINE
     w = v.witness
     assert w is not None
@@ -110,26 +111,31 @@ def test_lifted_word_is_not_fine_with_reproducible_witness():
 
 def test_prepended_word_is_fine():
     t = ConcatStream(ABC.word("c"), standard_word(FIB3))
-    v = is_fine_empirical(t, 50, 500)
+    v = is_fine_empirical(t.prefix(500), 50)
     assert v.fine_to_depth
     assert v.s_prefix == standard_word(FIB3).prefix(49)
 
 
 def test_is_fine_empirical_preconditions():
     with pytest.raises(ValueError):
-        is_fine_empirical(standard_word(FIB), 50, 60)
+        is_fine_empirical(standard_word(FIB), 0)
+    # A finite word shorter than the depth is refused before it is read.
+    for text in ("a", "ab", "abaab"):
+        for depth in range(len(text) + 1, 9):
+            with pytest.raises(LengthError):
+                is_fine_empirical(AB.word(text), depth)
 
 
 def test_is_fine_empirical_reads_the_bound_without_a_horizon():
     # The bound may lie below twice the depth; it still holds every factor.
     t = LiteralPeriodicStream(AB.word(""), AB.word("ab"))
     assert t.exact_horizon(10) < 20
-    assert is_fine_empirical(t, 10) == is_fine_empirical(t, 10, 40)
+    assert is_fine_empirical(t, 10) == is_fine_empirical(t.prefix(40), 10)
     # Without a horizon the scan reads the bound, past which no horizon
     # changes the verdict.
     fib = standard_word(FIB)
     assert fib.exact_horizon(10) > 20
-    assert is_fine_empirical(fib, 10) == is_fine_empirical(fib, 10, 10**6)
+    assert is_fine_empirical(fib, 10) == is_fine_empirical(fib.prefix(10**6), 10)
 
 
 # --- structural classification ------------------------------------------------------
@@ -186,7 +192,7 @@ def test_classify_literal_scans_once_when_not_fine(monkeypatch):
     t = LiteralPeriodicStream(ABC.word("cacbcacacbcacbcac"), ABC.word("acbcacacbcacbcac"))
     v = classify(t, 8)
     assert v.classification is Classification.NOT_FINE and v.witness is not None
-    assert (calls, peels) == ([(8, 196)], [])
+    assert (calls, peels) == ([(8,)], [])
     cases = [
         (parse_directive(ABC, "(abc)"), 12, Classification.STRICT_EPISTURMIAN, 0),
         (parse_directive(ABC, "c(ab)"), 12, Classification.NOT_FINE, 0),
@@ -316,19 +322,19 @@ def test_structural_and_empirical_verdicts_cohere():
 # --- the common tail -----------------------------------------------------------------
 
 def test_common_s_examples():
-    s = is_fine_empirical(standard_word(FIB), 30, 300).s_prefix
+    s = is_fine_empirical(standard_word(FIB).prefix(300), 30).s_prefix
     assert s == standard_word(FIB).prefix(29)
     t = ConcatStream(ABC.word("c"), standard_word(FIB3))
-    s = is_fine_empirical(t, 30, 300).s_prefix
+    s = is_fine_empirical(t.prefix(300), 30).s_prefix
     assert s == standard_word(FIB3).prefix(29)
     one = Alphabet.of("a")
     aaa = standard_word(parse_directive(one, "(a)"))
-    s = is_fine_empirical(aaa, 10, 20).s_prefix
+    s = is_fine_empirical(aaa.prefix(20), 10).s_prefix
     assert s is not None and str(s) == "a" * 9
 
 
 def test_common_s_absent_for_unfine_words():
-    assert is_fine_empirical(standard_word(parse_directive(ABC, "c(ab)")), 20, 200).s_prefix is None
+    assert is_fine_empirical(standard_word(parse_directive(ABC, "c(ab)")).prefix(200), 20).s_prefix is None
 
 
 # --- transfer of minimal factors -------------------------------------------------------
@@ -380,10 +386,10 @@ def test_witnesses_and_tails_are_frozen_on_a_random_corpus():
             head = tuple(rng.randrange(size) for _ in range(rng.randint(0, 4)))
             cyc = tuple(rng.randrange(size) for _ in range(rng.randint(1, 5)))
             t = LiteralPeriodicStream(Word(alphabet, head), Word(alphabet, cyc))
-        v = is_fine_empirical(t, 12, 400)
+        v = is_fine_empirical(t.prefix(400), 12)
         w = v.witness
         wit = f"{w.order.describe()} {w.k} {w.factor} {w.required} {w.reason}" if w else "-"
-        lines.append(f"{v.classification.value} {v.s_prefix} {wit} {is_fine_empirical(t, 12, 400).s_prefix}")
+        lines.append(f"{v.classification.value} {v.s_prefix} {wit} {is_fine_empirical(t.prefix(400), 12).s_prefix}")
     for case in range(30):
         d = random_directive(rng, max_alpha=3, max_pre=2, max_per=4) if case % 2 else random_strict_directive(rng, max_alpha=3)
         t1 = standard_word(d)
@@ -456,7 +462,7 @@ def test_shared_bitsets_give_the_per_order_verdicts():
             t = LiteralPeriodicStream(Word(alphabet, head), Word(alphabet, cyc))
         depth = rng.randint(1, 14)
         horizon = rng.choice((2 * depth, 3 * depth, 400))
-        v = is_fine_empirical(t, depth, horizon)
+        v = is_fine_empirical(t.prefix(horizon), depth)
         expected = fine_by_order(t, depth, horizon)
         if v.fine_to_depth:
             assert v.s_prefix.indices == expected
@@ -488,10 +494,10 @@ def test_one_bitset_build_per_scanned_prefix(monkeypatch):
     monkeypatch.setattr(extremal, "_letter_bitsets", counting)
     monkeypatch.setattr(fine, "_letter_bitsets", counting)
     trib = standard_word(parse_directive(ABC, "(abc)"))
-    assert is_fine_empirical(trib, 20, 400).fine_to_depth  # all six orders
+    assert is_fine_empirical(trib.prefix(400), 20).fine_to_depth  # all six orders
     assert len(builds) == 1
     builds.clear()
-    assert not is_fine_empirical(standard_word(parse_directive(ABC, "c(ab)")), 10, 400).fine_to_depth
+    assert not is_fine_empirical(standard_word(parse_directive(ABC, "c(ab)")).prefix(400), 10).fine_to_depth
     assert len(builds) == 1
     builds.clear()
     verify_min_transfer(trib, trib, "a", "b", 20, 400)
