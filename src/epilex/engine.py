@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import cycle, islice
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .morphisms import MorphicImageStream, PureEpistandardMorphism
@@ -182,7 +182,7 @@ class DirectiveStream(WordStream):
             length = lengths[-1]
             q = length - lengths[-2]
             steps = -((length - n) // q)
-            buf.extend(islice(cycle(buf[length - q : length]), steps * q))
+            buf.extend(buf[length - q : length] * steps)
             lengths.extend(range(length + q, length + steps * q + 1, q))
 
     def directive(self) -> DirectiveWord:
@@ -304,7 +304,7 @@ def shift_chain(directive: DirectiveWord, i: int, horizon: int) -> list[str]:
         child = standard_word(directive.shift(j))
         x = directive.letter(j)
         image = MorphicImageStream(PureEpistandardMorphism(directive.alphabet, (x,)), child)
-        if parent.raw(horizon) != image.raw(horizon):
+        if parent._letters(0, horizon) != image._letters(0, horizon):
             raise InternalConsistencyError(
                 f"shift chain link {j} of {directive} diverges within horizon {horizon}"
             )
@@ -366,9 +366,9 @@ def image_length(mu: PureEpistandardMorphism, y: int) -> int:
 def recover_directive_letters(text: str) -> list[int]:
     """Read the directive letters of a standard word off one of its prefixes.
 
-    ``text`` is the prefix's ``chr`` text, ``"".join(map(chr, seq))``, so
-    letter indices must be at most ``sys.maxunicode``; the letters come back
-    as indices.  Each directive letter sits immediately after the previous
+    ``text`` is the prefix's ``chr`` text (``WordStream._text``), so letter
+    indices must be at most ``sys.maxunicode``; the letters come back as
+    indices.  Each directive letter sits immediately after the previous
     palindromic prefix; lengths advance by the same last-occurrence rule the
     engine uses.  While directive letter x repeats, every |u_n| grows by the
     same q = |u_{n-1}| - |u_{n-2}| (Justin-Pirillo 2002, TCS 276; see

@@ -10,6 +10,7 @@ structural verdict against the empirical scan.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from collections.abc import Container
 from dataclasses import dataclass, replace
@@ -232,7 +233,7 @@ def is_fine_empirical(t: Word | WordStream, depth: int) -> FinenessVerdict:
     The scan reads ``t.exact_horizon(depth)`` letters: every length-k
     factor with k <= depth is a prefix of a length-``depth`` factor, and all
     of those have occurred by then.  A question about a prefix passes the
-    prefix, ``t.prefix(h)`` or ``w[:h]``: a finite
+    prefix, ``t.prefix(h)`` for a word or a stream: a finite
     :class:`~epilex.words.Word` states its length as its bound, so the
     verdict is exact for that prefix, and a word shorter than ``depth``
     raises :class:`~epilex.words.LengthError`.
@@ -450,15 +451,16 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     the ``horizon`` letters are read, so a refuted word costs only the scan.
     Raises :class:`NotSkewForm` whenever any stage fails.
 
-    The prefix becomes its ``chr`` text once (letter indices at most
-    ``sys.maxunicode``), and each peel level runs C-level string operations
-    on it: a letter occurs once when ``find`` and ``rfind`` agree; a
-    separating letter lies in every length-2 factor, so only the first two
-    letters can separate (:func:`_separates_text`); the peel is one
-    ``replace`` per letter (:func:`_peel_text`).  The core directive is
-    read off the text past the unique letter by the last-occurrence rule
-    (Justin-Pirillo 2002, TCS 276;
-    :func:`~epilex.engine.recover_directive_letters`).
+    The prefix is read once as its ``chr`` text (``t._text(horizon)``;
+    letter indices at most ``sys.maxunicode``), and each peel level runs
+    C-level string operations on it: a letter occurs once when ``find`` and
+    ``rfind`` agree; a separating letter lies in every length-2 factor, so
+    only the first two letters can separate (:func:`_separates_text`); the
+    peel is one ``replace`` per letter (:func:`_peel_text`).  The core
+    directive is read off the text past the unique letter by the
+    last-occurrence rule (Justin-Pirillo 2002, TCS 276;
+    :func:`~epilex.engine.recover_directive_letters`).  The seed suffix is
+    matched against the prefix's letters as array slices.
     """
     if depth > 0:
         # The scan reads the exact bound, so a fine word is not refuted for
@@ -466,8 +468,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
         gate = is_fine_empirical(t, depth)
         if not gate.fine_to_depth:
             raise NotFine(f"not fine within depth {depth}: {gate.witness}")
-    seq = t.raw(horizon)
-    text = "".join(map(chr, seq))
+    text = t._text(horizon)
     alphabet = t.alphabet
     gens: list[int] = []
     for _ in range(64):
@@ -483,7 +484,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
                 raise NotSkewForm("horizon too short past the unique letter")
             if head != tail[: len(head)][::-1]:
                 raise NotSkewForm("prefix before the unique letter does not mirror the core")
-            return _assemble_spec(alphabet, gens, ord(x), i, tail, seq)
+            return _assemble_spec(alphabet, gens, ord(x), i, tail, t._letters(0, horizon))
         seps = [z for z in set(text[:2]) if _separates_text(z, text, letters)]
         if not seps:
             raise NotSkewForm("no separating letter to peel")
@@ -498,7 +499,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
 
 
 def _assemble_spec(
-    alphabet: Alphabet, gens: list[int], x: int, p: int, tail: str, seq: list[int]
+    alphabet: Alphabet, gens: list[int], x: int, p: int, tail: str, seq: array
 ) -> SkewSpec:
     """The spec with core directive read off ``tail``, the ``chr`` text past
     the unique letter ``x`` at position ``p``, and the longest seed suffix
@@ -519,11 +520,11 @@ def _assemble_spec(
         base.validate()
     except SpecError as exc:
         raise NotSkewForm(str(exc)) from None
-    seed = base.seed_word().indices
+    seed = array("I", base.seed_word().indices)
     image = skew_common_word(base)
     for ell in range(len(seed), 0, -1):
-        if list(seed[len(seed) - ell :]) != seq[:ell]:
+        if seed[len(seed) - ell :] != seq[:ell]:
             continue
-        if image.raw(len(seq) - ell) == seq[ell:]:
+        if image._letters(0, len(seq) - ell) == seq[ell:]:
             return replace(base, suffix_len=ell)
     raise NotSkewForm("no suffix of the seed regenerates the scanned prefix")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .words import Alphabet, AlphabetError, Word, WordStream, _check_indices
+from .words import _UTF32, Alphabet, AlphabetError, Word, WordStream, _check_indices, _chr_text
 
 if TYPE_CHECKING:
     from .engine import DirectiveWord
@@ -97,7 +97,10 @@ class MorphicImageStream(WordStream):
     """Image of a stream under a morphism, generated image block by image block.
 
     The inner stream is read by range, each inner letter once, so growing the
-    image to ``n`` letters costs time linear in ``n``.
+    image to ``n`` letters costs time linear in ``n``.  A chunk of inner
+    letters is mapped as ``chr`` text, one pass per generator, innermost
+    first: the generator of ``z`` is ``text.replace(y, z + y)`` for each
+    other letter y present, whose inserted z's no later replace touches.
     """
 
     def __init__(self, morphism: PureEpistandardMorphism, inner: WordStream) -> None:
@@ -117,18 +120,22 @@ class MorphicImageStream(WordStream):
         )
 
     def _extend(self, n: int) -> None:
-        buf, images = self._buf, self.morphism.images
+        buf, gens = self._buf, [chr(z) for z in reversed(self.morphism.letters)]
         while len(buf) < n:
             # Images are non-empty, so every inner letter makes progress.  Read
             # what the deficit needs at the longest image, at least 64 letters
             # so short requests batch and at most 4096 to bound the overshoot.
             chunk = min(max((n - len(buf)) // self._longest + 1, 64), 4096)
-            letters = self.inner.raw_range(self._consumed, self._consumed + chunk)
-            if not letters:
+            text = _chr_text(self.inner._letters(self._consumed, self._consumed + chunk))
+            if not text:
                 raise RuntimeError("inner stream stopped producing letters")
-            for c in letters:
-                buf.extend(images[c])
-            self._consumed += len(letters)
+            self._consumed += len(text)
+            present = set(text)
+            for z in gens:
+                for y in present - {z}:
+                    text = text.replace(y, z + y)
+                present.add(z)
+            buf.frombytes(text.encode(_UTF32, "surrogatepass"))
 
     def directive(self) -> DirectiveWord | None:
         """The inner stream's directive with this morphism's generators prepended."""

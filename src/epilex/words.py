@@ -9,9 +9,11 @@ through ``exact_horizon(k)`` how long a prefix holds all its length-k factors.
 
 from __future__ import annotations
 
+import sys
 import threading
+from array import array
 from dataclasses import dataclass
-from itertools import cycle, islice, permutations
+from itertools import permutations
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -45,9 +47,25 @@ class LengthError(ValueError):
     """A requested factor length exceeds the available word length."""
 
 
-# The most letters one input may ask to hold or generate (8 bytes or more each);
-# a larger request is refused before anything is built, not when memory runs out.
+# The most letters one input may ask to hold or generate (4 bytes each in a
+# stream buffer, plus 8 per letter of a Word's tuple); a larger request is
+# refused before anything is built, not when memory runs out.
 MAX_LETTERS = 10**7
+
+# Stream buffers hold one 4-byte code unit per letter, so a buffer's bytes
+# decode as UTF-32 in the machine's byte order to its ``chr`` text.
+if array("I").itemsize != 4:
+    raise ImportError("epilex needs array('I') items of 4 bytes")
+_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+
+
+def _chr_text(letters: array) -> str:
+    """``"".join(map(chr, letters))`` in one C call.
+
+    ``surrogatepass`` keeps indices 0xD800-0xDFFF, which ``chr`` accepts;
+    an index past ``sys.maxunicode`` raises, as ``chr`` does.
+    """
+    return letters.tobytes().decode(_UTF32, "surrogatepass")
 
 
 def _check_indices(alphabet: "Alphabet", indices: Sequence[int]) -> None:
@@ -77,6 +95,13 @@ class Alphabet:
         for tok in self.letters:
             if not tok or any(c in _RESERVED_CHARS for c in tok):
                 raise ValueError(f"invalid letter token: {tok!r}")
+        # What Word.__str__ translates a word's latin-1 text with: letter
+        # index to token, for fewer than 256 single-character letters.  Set
+        # here, not cached on first use: an attribute added after __init__
+        # moves the instance's attributes out of their inline slots, and
+        # every later ``letters`` read is slower.
+        single = len(self.letters) < 256 and all(len(t) == 1 for t in self.letters)
+        object.__setattr__(self, "_latin1_table", dict(enumerate(self.letters)) if single else None)
 
     @classmethod
     def of(cls, *letters: str) -> "Alphabet":
@@ -160,6 +185,9 @@ class Word:
         return Word._trusted(self.alphabet, self.indices + other.indices)
 
     def __str__(self) -> str:
+        table = self.alphabet._latin1_table
+        if table is not None:
+            return bytes(self.indices).decode("latin-1").translate(table)
         toks = [self.alphabet.letters[i] for i in self.indices]
         if all(len(t) == 1 for t in self.alphabet.letters):
             return "".join(toks)
@@ -174,11 +202,16 @@ class Word:
     def reversal(self) -> "Word":
         return Word._trusted(self.alphabet, self.indices[::-1])
 
-    def raw(self, n: int) -> list[int]:
-        """The first ``n`` letter indices, as a fresh list."""
+    def prefix(self, n: int) -> "Word":
+        """The first ``n`` letters, as :meth:`WordStream.prefix` gives them;
+        raises :class:`LengthError` past the word's length."""
         if not 0 <= n <= len(self.indices):
             raise LengthError(f"prefix length {n} out of range for a word of length {len(self.indices)}")
-        return list(self.indices[:n])
+        return Word._trusted(self.alphabet, self.indices[:n])
+
+    def raw(self, n: int) -> list[int]:
+        """The first ``n`` letter indices, as a fresh list."""
+        return list(self.prefix(n).indices)
 
     def exact_horizon(self, k: int) -> int:
         """A finite word holds all its factors: the bound is its length."""
@@ -246,16 +279,23 @@ class WordStream:
 
     ``prefix(n)`` is total and prefix-monotone: repeated calls agree, and the
     result for ``m <= n`` is a prefix of the result for ``n``.  Streams are
-    immutable values.  The internal prefix memo ``_buf`` is append-only: a
-    letter, once stored, is never removed or rewritten, and ``_extend`` only
-    appends, under a lock, so concurrent readers are safe.  ``raw_range``
-    copies out just the letters asked for, which lets a stream built on
-    another one (a concatenation, a morphic image) read its source by range
-    in time linear in what it consumes.  ``_minima`` maps an order's ranks to
-    the pair (least factor computed so far, a prefix of min(t); the first
-    start in t of each of its prefixes), which exact queries fill and
-    horizon-limited ones only read (see :func:`~epilex.extremal.min_factor`);
-    a pair is published whole and replaced only by a longer one, under the lock.
+    immutable values.  The internal prefix memo ``_buf`` is an
+    ``array('I')``, one 4-byte letter index per position, and append-only: a
+    letter, once stored, is never removed or rewritten.  ``_letters(start,
+    stop)`` is the one place the buffer grows: it calls ``_extend`` under a
+    lock, so concurrent readers are safe, and returns an array slice, which
+    lets a stream built on another one (a concatenation, a morphic image)
+    read its source by range in time linear in what it consumes.
+    ``_text(n)`` is the prefix's ``chr`` text, decoded from the buffer's
+    bytes in one C call.  No reader holds a ``memoryview`` on ``_buf``: an
+    array with an exported buffer cannot grow.  The public readers copy out:
+    ``raw_range`` and ``raw`` give a ``list``, ``prefix`` a :class:`Word`.
+
+    ``_minima`` maps an order's ranks to the pair (least factor computed so
+    far, a prefix of min(t); the first start in t of each of its prefixes),
+    which exact queries fill and horizon-limited ones only read (see
+    :func:`~epilex.extremal.min_factor`); a pair is published whole and
+    replaced only by a longer one, under the lock.
 
     Letters are checked where they enter the library, not where they are read:
     a subclass's ``_extend`` appends only indices in range for its alphabet,
@@ -268,7 +308,7 @@ class WordStream:
 
     def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
-        self._buf: list[int] = []
+        self._buf = array("I")
         self._lock = threading.Lock()
         self._minima: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
@@ -276,24 +316,36 @@ class WordStream:
         """Grow ``self._buf`` to at least ``n`` letters.  Called under the lock."""
         raise NotImplementedError
 
-    def raw_range(self, start: int, stop: int) -> list[int]:
-        """The letter indices at positions ``start`` to ``stop - 1``, as a fresh list."""
-        if not 0 <= start <= stop:
-            raise ValueError(f"letter range {start}:{stop} must satisfy 0 <= start <= stop")
+    def _letters(self, start: int, stop: int) -> array:
+        """The letter indices at positions ``start`` to ``stop - 1``, as an array slice.
+
+        ``start`` is at most ``stop``; a prefix, ``start`` 0, of negative
+        length raises.
+        """
+        if stop < 0:
+            raise ValueError("prefix length must be >= 0")
         if len(self._buf) < stop:
             with self._lock:
                 if len(self._buf) < stop:
                     self._extend(stop)
         return self._buf[start:stop]
 
+    def _text(self, n: int) -> str:
+        """The ``chr`` text of the first ``n`` letters, ``"".join(map(chr, self.raw(n)))``."""
+        return _chr_text(self._letters(0, n))
+
+    def raw_range(self, start: int, stop: int) -> list[int]:
+        """The letter indices at positions ``start`` to ``stop - 1``, as a fresh list."""
+        if not 0 <= start <= stop:
+            raise ValueError(f"letter range {start}:{stop} must satisfy 0 <= start <= stop")
+        return self._letters(start, stop).tolist()
+
     def raw(self, n: int) -> list[int]:
         """The first ``n`` letter indices, as a fresh list."""
-        if n < 0:
-            raise ValueError("prefix length must be >= 0")
-        return self.raw_range(0, n)
+        return self._letters(0, n).tolist()
 
     def prefix(self, n: int) -> Word:
-        return Word._trusted(self.alphabet, tuple(self.raw(n)))
+        return Word._trusted(self.alphabet, tuple(self._letters(0, n)))
 
     def directive(self) -> DirectiveWord | None:
         """The directive of the standard episturmian word this stream is, if its kind states one."""
@@ -339,7 +391,7 @@ class LiteralPeriodicStream(WordStream):
         cyc = self.cycle.indices
         if len(buf) < n:
             # Whole cycles, as many as reach n.
-            buf.extend(islice(cycle(cyc), -((len(buf) - n) // len(cyc)) * len(cyc)))
+            buf.extend(array("I", cyc) * -((len(buf) - n) // len(cyc)))
 
     def exact_horizon(self, k: int) -> int:
         # Every factor starts at some position before the end of the first cycle.
@@ -362,7 +414,7 @@ class ConcatStream(WordStream):
             buf.extend(self.head.indices)
         offset = len(self.head)
         if len(buf) < n:
-            buf.extend(self.tail.raw_range(len(buf) - offset, n - offset))
+            buf.extend(self.tail._letters(len(buf) - offset, n - offset))
 
     def exact_horizon(self, k: int) -> int:
         return len(self.head) + self.tail.exact_horizon(k)

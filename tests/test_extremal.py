@@ -605,8 +605,9 @@ def test_every_scan_reads_what_scan_length_says():
         n, exact = want
         assert scan_length(t, k, horizon) == want, row
         assert reads == [], row  # the rule reads no letter
-        # A prefix short of the bound is scanned as that finite word.
-        is_fine_empirical(t if exact else Word(AB, tuple(t.raw(horizon))), k)
+        # A prefix short of the bound is scanned as that finite word, whose
+        # own reads are recorded: ``prefix`` itself reads through no ``raw``.
+        is_fine_empirical(t if exact else recording(Word)(AB, t.prefix(horizon).indices), k)
         assert max(reads) == n, row
         reads.clear()
         res = min_factor(make[kind](), k, order, horizon)

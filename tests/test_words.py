@@ -1,13 +1,20 @@
+import random
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
 from epilex import (
     Alphabet,
     AlphabetError,
+    ConcatStream,
+    DirectiveStream,
     DirectiveWord,
     LiteralPeriodicStream,
+    MorphicImageStream,
     PureEpistandardMorphism,
     Word,
+    WordStream,
     all_orders,
     complexity,
     construct_skew,
@@ -16,6 +23,7 @@ from epilex import (
     standard_word,
 )
 from epilex.textio import ParseError, parse_directive, parse_literal, parse_skew
+from epilex.words import LengthError, _chr_text
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -102,6 +110,49 @@ def test_prefix_examples():
     assert fib().prefix(0) == AB.word("")
     ababa = LiteralPeriodicStream(AB.word(""), AB.word("ab"))
     assert str(ababa.prefix(5)) == "ababa"
+    # A finite word cuts its prefixes as a stream does, up to its length.
+    w = fib().prefix(40)
+    for n in (0, 1, 17, 40):
+        assert w.prefix(n) == fib().prefix(n) and w.raw(n) == fib().raw(n)
+    for n in (-1, 41):
+        with pytest.raises(LengthError):
+            w.prefix(n)
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [
+        ("a", "b", "c"),
+        ("\u00e9", "b", "\u00df"),
+        tuple(chr(0x4E00 + i) for i in range(255)),
+        tuple(chr(0x4E00 + i) for i in range(256)),
+        tuple(chr(0x4E00 + i) for i in range(300)),
+        ("aa", "b", "cc"),
+    ],
+    ids=["ascii", "latin-1", "255-letters", "256-letters", "300-letters", "multi-character"],
+)
+def test_word_str_is_the_token_join(letters):
+    alphabet = Alphabet(letters)
+    rng = random.Random(len(letters))
+    w = Word(alphabet, tuple(rng.randrange(len(letters)) for _ in range(500)) + (0, len(letters) - 1))
+    sep = "" if all(len(t) == 1 for t in letters) else ","
+    assert str(w) == sep.join(w.tokens())
+    assert str(w[:0]) == ""
+
+
+def test_text_is_the_chr_join_for_every_index_chr_takes():
+    assert _chr_text(array("I", [0x10FFFF, 0xD800, 0, 0xDFFF])) == "".join(map(chr, (0x10FFFF, 0xD800, 0, 0xDFFF)))
+    # Indices past 255 and in the surrogate range, through every kind that
+    # fills its buffer in bulk.
+    wide = Alphabet(tuple(f"t{i}" for i in range(0xE001)))
+    head = Word(wide, (0xD800, 300, 0xDFFF, 0, 0xDBFF))
+    cycle = Word(wide, (0xDC00, 256, 0xE000, 255, 0xD7FF))
+    literal = LiteralPeriodicStream(head, cycle)
+    image = MorphicImageStream(PureEpistandardMorphism(wide, (0xD800, 300)), literal)
+    for t in (literal, ConcatStream(cycle, literal), image):
+        for n in (0, 1, 7, 333):
+            assert t._text(n) == "".join(map(chr, t.raw(n)))
+    assert image.prefix(333) == image.morphism.apply_word(literal.prefix(333))[:333]
 
 
 def test_literal_stream_requires_nonempty_cycle():
@@ -130,24 +181,64 @@ def test_complexity_formulas_at_spec_horizons():
 
 
 def test_concurrent_stream_extension_is_safe():
+    import sys
     import threading
 
-    # a skew word is a ConcatStream over a MorphicImageStream over a directive stream
-    skew = construct_skew(parse_skew(ABC, "skew v=(ab) x=c p=4 mu=psi:c suffix=full"))
-    for s in (fib(), skew):
-        results = []
+    import epilex
 
-        def reader(n):
-            results.append(s.prefix(n))
+    # One fresh stream of every exported kind; a skew word is a ConcatStream
+    # over a directive stream.
+    fresh = {
+        DirectiveStream: trib,
+        LiteralPeriodicStream: lambda: LiteralPeriodicStream(ABC.word("ab"), ABC.word("cab")),
+        ConcatStream: lambda: construct_skew(parse_skew(ABC, "skew v=(ab) x=c p=4 mu=psi:c suffix=full")),
+        MorphicImageStream: lambda: psi(ABC, "c").apply(trib()),
+    }
+    kinds = {
+        value
+        for value in vars(epilex).values()
+        if isinstance(value, type) and issubclass(value, WordStream) and value is not WordStream
+    }
+    assert kinds == fresh.keys()
+    work = [("prefix", 500 + 37 * i, 0) for i in range(12)]
+    work += [("range", 41 * i, 41 * i + 300 * (i % 7)) for i in range(12)]
+    work += [("text", 900 + 53 * i, 0) for i in range(12)]
 
-        threads = [threading.Thread(target=reader, args=(500 + 37 * i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        long = s.prefix(800)
-        for r in results:
-            assert r == long[: len(r)]
+    def ask(t, kind, a, b):
+        if kind == "prefix":
+            return t.prefix(a).indices
+        if kind == "range":
+            return t.raw_range(a, b)
+        return [ord(c) for c in t._text(a)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for kind, make in fresh.items():
+            shared, serial = make(), make()
+            assert type(shared) is kind
+            want = {q: list(ask(serial, *q)) for q in work}
+            results = []
+            start = threading.Barrier(8, timeout=60)
+
+            def reader(seed):
+                mine = work[:]
+                random.Random(seed).shuffle(mine)
+                start.wait()
+                for q in mine:
+                    results.append((q, list(ask(shared, *q))))
+
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in threads), kind
+            assert len(results) == 8 * len(work), kind
+            for q, got in results:
+                assert got == want[q], (kind, q)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # --- where letters are checked ------------------------------------------------
