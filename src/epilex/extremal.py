@@ -41,43 +41,41 @@ class ExtremalResult:
     exact: bool
 
 
-def minimal_window_positions(seq: Sequence[int], rank: Sequence[int], k_max: int) -> list[int]:
+def minimal_window_positions(text: str, rank: Sequence[int], k_max: int) -> list[int]:
     """For each k = 1..k_max, the first start of the rank-minimal window.
 
+    ``text`` is the scanned prefix's ``chr`` text (``WordStream._text``).
     The least windows of length k+1 are the least windows of length k that
     extend by the least letter any of them is followed by.  Their end
     positions are one ``int`` bitset, ``live``, with position i at bit
-    n - 1 - i: bit n - 1 - i of ``ends[j]`` is set where ``seq[i]`` is the
+    n - 1 - i: bit n - 1 - i of ``ends[j]`` is set where ``text[i]`` is the
     j-th least letter present.  One length is ``live >> 1``, which moves
     every window's end to the letter after it, and an ``&`` with ``ends[j]``
     for each letter tried until one is nonzero, each one C-level pass over n
     bits; the first start is read off ``live.bit_length()``.  If no least
     window extends (each ends flush with a horizon-limited prefix), every
-    window is compared as a slice of the rank list, which is O(n*k), and the
-    starts of the least become the next ``live``.  Only the current length
-    is held, so memory stays O(n + k_max).  Letter indices must be below
-    ``sys.maxunicode`` + 1, the range of ``chr``.
+    window is compared as a slice of the text translated to ranks, which is
+    O(n*k), and the starts of the least become the next ``live``.  Only the
+    current length is held, so memory stays O(n + k_max).
 
-    The letter bitsets depend on ``seq`` alone (:func:`_letter_bitsets`), so
+    The letter bitsets depend on ``text`` alone (:func:`_letter_bitsets`), so
     a caller that runs the chain under several orders on one prefix builds
     them once and runs :func:`_window_chain` per order.
     """
-    return _window_chain(seq, _letter_bitsets(seq), rank, k_max)
+    return _window_chain(text, _letter_bitsets(text), rank, k_max)
 
 
-def _letter_bitsets(seq: Sequence[int]) -> dict[int, int]:
-    """One ``int`` bitset per letter present in ``seq``, keyed by the letter:
-    bit n - 1 - i is set where ``seq[i]`` is that letter."""
-    # One character per letter, so int(..., 2) of its translation to
-    # "0"/"1" puts position i at bit n - 1 - i.
-    text = "".join(map(chr, seq))
-    zeros = dict.fromkeys(set(seq), "0")
+def _letter_bitsets(text: str) -> dict[int, int]:
+    """One ``int`` bitset per letter present in ``text``, keyed by the letter
+    index: bit n - 1 - i is set where character i is that letter."""
+    # int(..., 2) of the text translated to "0"/"1" puts position i at bit n - 1 - i.
+    zeros = dict.fromkeys(map(ord, set(text)), "0")
     return {c: int(text.translate({**zeros, c: "1"}), 2) for c in zeros}
 
 
-def _window_chain(seq: Sequence[int], bitsets: dict[int, int], rank: Sequence[int], k_max: int) -> list[int]:
-    """:func:`minimal_window_positions` on ``bitsets``, which is ``_letter_bitsets(seq)``."""
-    n = len(seq)
+def _window_chain(text: str, bitsets: dict[int, int], rank: Sequence[int], k_max: int) -> list[int]:
+    """:func:`minimal_window_positions` on ``bitsets``, which is ``_letter_bitsets(text)``."""
+    n = len(text)
     k_max = min(k_max, n)
     if k_max < 1:
         return []
@@ -88,10 +86,11 @@ def _window_chain(seq: Sequence[int], bitsets: dict[int, int], rank: Sequence[in
         shifted = live >> 1
         live = next(filter(None, map(shifted.__and__, ends)), 0)
         if not live:
-            # Bit n - 1 - (p + k - 1) = n - k - p marks the window that
-            # starts at p, so the starts' digits, first start first, read
-            # as the bitset of their ends.
-            r = [rank[c] for c in seq]
+            # Slices of the text translated to ranks compare by code point,
+            # so as rank lists.  Bit n - 1 - (p + k - 1) = n - k - p marks the
+            # window that starts at p, so the starts' digits, first start
+            # first, read as the bitset of their ends.
+            r = text.translate({c: chr(rank[c]) for c in bitsets})
             starts = range(n - k + 1)
             least = min(r[p : p + k] for p in starts)
             live = int("".join("1" if r[p : p + k] == least else "0" for p in starts), 2)
@@ -99,10 +98,10 @@ def _window_chain(seq: Sequence[int], bitsets: dict[int, int], rank: Sequence[in
     return out
 
 
-def _least_window(seq: Sequence[int], rank: Sequence[int], k: int) -> tuple[tuple[int, ...], list[int]]:
-    """The least length-``k`` window of ``seq`` and the chain's starts up to ``k``."""
-    starts = minimal_window_positions(seq, rank, k)
-    return tuple(seq[starts[-1] : starts[-1] + k]), starts
+def _least_window(text: str, rank: Sequence[int], k: int) -> tuple[tuple[int, ...], list[int]]:
+    """The least length-``k`` window of ``text``, as letter indices, and the chain's starts up to ``k``."""
+    starts = minimal_window_positions(text, rank, k)
+    return tuple(map(ord, text[starts[-1] : starts[-1] + k])), starts
 
 
 def _least_factor(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
@@ -118,8 +117,8 @@ def _least_factor(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> tuple
     held = w._minima.get(rank, ((), ()))[0]
     if len(held) < k:
         depth = max(k, 2 * len(held))
-        seq = w.raw(n if depth == k else scan_length(w, depth, None)[0])
-        deeper, starts = _least_window(seq, rank, depth)
+        text = w._text(n if depth == k else w.exact_horizon(depth))
+        deeper, starts = _least_window(text, rank, depth)
         with w._lock:
             held = w._minima.get(rank, ((), ()))[0]
             if len(deeper) > len(held):
@@ -131,8 +130,8 @@ def _least_factor(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> tuple
 def _held_within(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> tuple[int, ...] | None:
     """min(w)[:k] from the memo when its first occurrence ends within ``n`` letters, else ``None``.
 
-    Every window of ``w.raw(n)`` is a factor of ``w``, so none is less than
-    min(w)[:k]; when that word occurs among them, it is their least.
+    Every window of the first ``n`` letters is a factor of ``w``, so none is
+    less than min(w)[:k]; when that word occurs among them, it is their least.
     """
     letters, starts = w._minima.get(rank, ((), ()))
     if len(letters) >= k and starts[k - 1] + k <= n:
@@ -168,10 +167,10 @@ def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None
         # A horizon-limited query the memo cannot answer, or a finite word,
         # whose least factors do not nest (in ``ba`` the least is ``a``, then
         # ``ba``): scan what the query reads.
-        seq = w.raw(n)
-        if len(seq) < k:
-            raise LengthError(f"factor length {k} exceeds word length {len(seq)}")
-        letters = _least_window(seq, rank, k)[0]
+        text = w._text(n)
+        if len(text) < k:
+            raise LengthError(f"factor length {k} exceeds word length {len(text)}")
+        letters = _least_window(text, rank, k)[0]
     return ExtremalResult(
         word=Word._trusted(w.alphabet, letters),
         k=k,

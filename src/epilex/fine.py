@@ -102,7 +102,7 @@ class SkewSpec:
     def seed_length(self) -> int:
         """``len(self.seed_word())``, from the core prefix's letter counts and
         the letter image lengths, so no image is built."""
-        counts = Counter(standard_word(self.directive).raw(self.p))
+        counts = Counter(standard_word(self.directive)._letters(0, self.p))
         counts[self.alphabet.index(self.x)] += 1
         return sum(n * image_length(self.morphism, c) for c, n in counts.items())
 
@@ -191,29 +191,30 @@ def _present_tokens(stream: Word | WordStream, seen: Container[int]) -> list[str
     return [toks[i] for i in range(len(toks)) if i in seen]
 
 
-def _chain_mismatch(seq: list[int], chain: list[int], expected: list[int]) -> tuple[int, list[int]] | None:
-    """The first k at which min(seq|k) differs from ``expected[:k]``, with that factor.
+def _chain_mismatch(text: str, chain: list[int], expected: str) -> tuple[int, str] | None:
+    """The first k at which min(text|k) differs from ``expected[:k]``, with that factor.
 
-    ``chain`` is ``minimal_window_positions(seq, rank, depth)`` for the order
-    in question; ``None`` means the two agree at every k the chain reaches.
+    Both are ``chr`` texts.  ``chain`` is ``minimal_window_positions(text,
+    rank, depth)`` for the order in question; ``None`` means the two agree
+    at every k the chain reaches.
     The chain rescans at length k+1 exactly when its first least k-window
-    ends at the last letter, ``chain[k-1] + k == len(seq)``.  Without such a
-    k the least windows nest, so each min(seq|k) is a prefix of the last and
+    ends at the last letter, ``chain[k-1] + k == len(text)``.  Without such a
+    k the least windows nest, so each min(text|k) is a prefix of the last and
     one comparison of that word with ``expected`` finds the first k, in
     O(depth); otherwise each k is compared in turn.  A scan to the exact
     bound of ``depth`` never takes the second path: every length-``depth``
     factor, min(t)[:depth] among them, occurs within the bound, so for each
-    k < depth some least k-window is followed by a letter of ``seq``.
+    k < depth some least k-window is followed by a letter of ``text``.
     """
     if not chain:
         return None
-    if len(seq) not in map(add, chain[:-1], count(1)):
+    if len(text) not in map(add, chain[:-1], count(1)):
         p, depth = chain[-1], len(chain)
-        word = seq[p : p + depth]
+        word = text[p : p + depth]
         k = next(compress(count(1), map(ne, word, expected)), len(expected) + 1)
         return (k, word[:k]) if k <= depth else None
     for k, p in enumerate(chain, start=1):
-        actual = seq[p : p + k]
+        actual = text[p : p + k]
         if actual != expected[:k]:
             return k, actual
     return None
@@ -248,35 +249,32 @@ def is_fine_empirical(t: Word | WordStream, depth: int) -> FinenessVerdict:
     n = t.exact_horizon(depth)
     if n < depth:
         raise LengthError(f"depth {depth} exceeds word length {n}")
-    seq = t.raw(n)
-    bitsets = _letter_bitsets(seq)
+    text = t._text(n)
+    bitsets = _letter_bitsets(text)
     orders = all_orders(t.alphabet, subset=_present_tokens(t, bitsets))
-    s_ref: list[int] | None = None
+    s_ref: str | None = None
     for order in orders:
         rank = order.ranks
-        chain = _window_chain(seq, bitsets, rank, depth)
+        chain = _window_chain(text, bitsets, rank, depth)
         a_idx = min(bitsets, key=rank.__getitem__)
         if s_ref is None:
             p = chain[depth - 1]
-            s_ref = seq[p + 1 : p + depth]
-        required = [a_idx] + s_ref
-        mismatch = _chain_mismatch(seq, chain, required)
+            s_ref = text[p + 1 : p + depth]
+        required = chr(a_idx) + s_ref
+        mismatch = _chain_mismatch(text, chain, required)
         if mismatch is not None:
             k, actual = mismatch
             required = required[:k]
-            reason = (
-                "smaller-factor"
-                if [rank[c] for c in actual] < [rank[c] for c in required]
-                else "required-missing"
-            )
+            ranked = {c: chr(rank[c]) for c in bitsets}
+            reason = "smaller-factor" if actual.translate(ranked) < required.translate(ranked) else "required-missing"
             return FinenessVerdict(
                 classification=Classification.NOT_FINE,
                 depth=depth,
                 witness=Witness(
                     order=order,
                     k=k,
-                    factor=Word._trusted(t.alphabet, tuple(actual)),
-                    required=Word._trusted(t.alphabet, tuple(required)),
+                    factor=Word._trusted(t.alphabet, tuple(map(ord, actual))),
+                    required=Word._trusted(t.alphabet, tuple(map(ord, required))),
                     reason=reason,
                 ),
             )
@@ -284,7 +282,7 @@ def is_fine_empirical(t: Word | WordStream, depth: int) -> FinenessVerdict:
     return FinenessVerdict(
         classification=Classification.UNKNOWN,
         depth=depth,
-        s_prefix=Word._trusted(t.alphabet, tuple(s_ref)),
+        s_prefix=Word._trusted(t.alphabet, tuple(map(ord, s_ref))),
     )
 
 
@@ -297,6 +295,8 @@ def verify_min_transfer(
     image pair satisfies min = (z a . s) or (a . s), the first branch when z
     ranks below a.  Returns whether the two sides agree under all orders.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if t1.alphabet != s1.alphabet:
         raise ValueError("both streams must share an alphabet")
     alphabet = t1.alphabet
@@ -304,27 +304,23 @@ def verify_min_transfer(
     z_idx = alphabet.index(z)
     gen = psi(alphabet, z)
     t = MorphicImageStream(gen, t1)
-    t_seq = t.raw(scan_length(t, depth, horizon)[0])
-    s_img = MorphicImageStream(gen, s1).raw(depth + 2)
-    t1_seq = t1.raw(scan_length(t1, depth, horizon)[0])
-    s1_pref = s1.raw(depth + 1)
-    lhs_expected = [a_idx] + s1_pref
-    t_bits = _letter_bitsets(t_seq)
-    t1_bits = _letter_bitsets(t1_seq)
+    t_text = t._text(scan_length(t, depth, horizon)[0])
+    s_img = MorphicImageStream(gen, s1)._text(depth + 2)
+    t1_text = t1._text(scan_length(t1, depth, horizon)[0])
+    lhs_expected = chr(a_idx) + s1._text(depth + 1)
+    t_bits = _letter_bitsets(t_text)
+    t1_bits = _letter_bitsets(t1_text)
 
-    def matches(seq: list[int], bitsets: dict[int, int], rank: tuple[int, ...], expected: list[int]) -> bool:
+    def matches(text: str, bitsets: dict[int, int], rank: tuple[int, ...], expected: str) -> bool:
         # A chain short of depth (the scan read fewer letters) never matches.
-        chain = _window_chain(seq, bitsets, rank, depth)
-        return len(chain) >= depth and _chain_mismatch(seq, chain, expected) is None
+        chain = _window_chain(text, bitsets, rank, depth)
+        return len(chain) >= depth and _chain_mismatch(text, chain, expected) is None
 
     for order in all_orders(alphabet):
         rank = order.ranks
-        lhs = matches(t1_seq, t1_bits, rank, lhs_expected)
-        if rank[z_idx] < rank[a_idx]:
-            rhs_expected = [z_idx, a_idx] + s_img
-        else:
-            rhs_expected = [a_idx] + s_img
-        rhs = matches(t_seq, t_bits, rank, rhs_expected)
+        lhs = matches(t1_text, t1_bits, rank, lhs_expected)
+        rhs_expected = chr(z_idx) * (rank[z_idx] < rank[a_idx]) + chr(a_idx) + s_img
+        rhs = matches(t_text, t_bits, rank, rhs_expected)
         if lhs != rhs:
             return False
     return True

@@ -213,6 +213,11 @@ class Word:
         """The first ``n`` letter indices, as a fresh list."""
         return list(self.prefix(n).indices)
 
+    def _text(self, n: int) -> str:
+        """The ``chr`` text of the first ``n`` letters, as :meth:`WordStream._text`
+        gives it; raises :class:`LengthError` past the word's length."""
+        return _chr_text(array("I", self.prefix(n).indices))
+
     def exact_horizon(self, k: int) -> int:
         """A finite word holds all its factors: the bound is its length."""
         return len(self.indices)
@@ -287,9 +292,10 @@ class WordStream:
     lets a stream built on another one (a concatenation, a morphic image)
     read its source by range in time linear in what it consumes.
     ``_text(n)`` is the prefix's ``chr`` text, decoded from the buffer's
-    bytes in one C call.  No reader holds a ``memoryview`` on ``_buf``: an
-    array with an exported buffer cannot grow.  The public readers copy out:
-    ``raw_range`` and ``raw`` give a ``list``, ``prefix`` a :class:`Word`.
+    bytes in one C call; it is what the scans read.  No reader holds a
+    ``memoryview`` on ``_buf``: an array with an exported buffer cannot grow.
+    The public readers copy out: ``raw`` gives a ``list``, ``prefix`` a
+    :class:`Word`.
 
     ``_minima`` maps an order's ranks to the pair (least factor computed so
     far, a prefix of min(t); the first start in t of each of its prefixes),
@@ -331,14 +337,8 @@ class WordStream:
         return self._buf[start:stop]
 
     def _text(self, n: int) -> str:
-        """The ``chr`` text of the first ``n`` letters, ``"".join(map(chr, self.raw(n)))``."""
+        """The ``chr`` text of the first ``n`` letters: character i is ``chr`` of letter i."""
         return _chr_text(self._letters(0, n))
-
-    def raw_range(self, start: int, stop: int) -> list[int]:
-        """The letter indices at positions ``start`` to ``stop - 1``, as a fresh list."""
-        if not 0 <= start <= stop:
-            raise ValueError(f"letter range {start}:{stop} must satisfy 0 <= start <= stop")
-        return self._letters(start, stop).tolist()
 
     def raw(self, n: int) -> list[int]:
         """The first ``n`` letter indices, as a fresh list."""
@@ -436,7 +436,9 @@ def complexity(stream: WordStream, n: int, horizon: int) -> int:
     This is a lower bound on the complexity of the infinite word, exact once
     the horizon covers the recurrence scale of the stream.
     """
+    if n < 0:
+        raise ValueError("factor length must be >= 0")
     if horizon < n:
         raise ValueError("horizon must be at least the factor length")
-    seq = stream.raw(horizon)
-    return len({tuple(seq[i : i + n]) for i in range(len(seq) - n + 1)})
+    text = stream._text(horizon)
+    return len({text[i : i + n] for i in range(len(text) - n + 1)})

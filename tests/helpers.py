@@ -141,7 +141,7 @@ def chain_words(seq: list[int], ranks, depth: int) -> list[list[int]]:
     """min(seq|k) for k = 1..depth, via the library's position chain."""
     from epilex.extremal import minimal_window_positions
 
-    chain = minimal_window_positions(seq, ranks, depth)
+    chain = minimal_window_positions(as_text(seq), ranks, depth)
     return [seq[p : p + k] for k, p in enumerate(chain, start=1)]
 
 
@@ -172,7 +172,7 @@ def peel_by_splitting(seq: list[int], z: int) -> list[int]:
 
 
 def as_text(seq) -> str:
-    """The ``chr`` text of a letter-index sequence, the encoding the skew reconstruction reads."""
+    """The ``chr`` text of a letter-index sequence, the encoding the scans and the skew reconstruction read."""
     return "".join(map(chr, seq))
 
 

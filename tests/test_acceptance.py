@@ -35,6 +35,7 @@ from epilex.extremal import minimal_window_positions
 from epilex.textio import parse_directive, parse_skew
 
 from helpers import (
+    as_text,
     chain_words,
     oracle_max,
     oracle_min,
@@ -155,7 +156,7 @@ def _u_len_at_least(stream, target, extra):
 
 def _chain_final(seq, ranks, depth):
     """min(seq|depth) with the extension chain verified along the way."""
-    chain = minimal_window_positions(seq, ranks, depth)
+    chain = minimal_window_positions(as_text(seq), ranks, depth)
     for k in range(1, len(chain)):
         p, q = chain[k - 1], chain[k]
         assert seq[q : q + k] == seq[p : p + k], "minima stopped extending; horizon too small"

@@ -106,3 +106,23 @@ def test_every_name_imported_in_src_is_used():
                     used |= {n.id for n in ast.walk(part) if isinstance(n, ast.Name)}
         unused = {name: line for name, line in imported.items() if name not in used}
         assert not unused, (path.name, unused)
+
+
+def test_src_reads_letters_through_one_chr_encoder():
+    # The scans read a stream's ``chr`` text, ``WordStream._text``, which
+    # ``words._chr_text`` decodes from the buffer; no module builds its own
+    # (``map(chr, ...)``) or reads the list copies ``raw``/``raw_range``.
+    import ast
+    from pathlib import Path
+
+    for path in sorted(Path(epilex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "map" and node.args:
+                first = node.args[0]
+                assert not (isinstance(first, ast.Name) and first.id == "chr"), (path.name, node.lineno)
+            if isinstance(func, ast.Attribute):
+                assert func.attr not in ("raw", "raw_range"), (path.name, node.lineno)

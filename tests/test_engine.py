@@ -337,7 +337,7 @@ def test_exact_horizon_is_stable():
         st_ = standard_word(d)
         for k in (2, 7, 19):
             h = exact_horizon(d, k)
-            big = st_.raw(3 * h)
+            big = st_._text(3 * h)
             small = big[:h]
             for order in all_orders(d.alphabet):
                 p1 = minimal_window_positions(small, order.ranks, k)[-1]
@@ -406,7 +406,7 @@ def test_constant_tail_fill_matches_closure_iteration(d, reads):
     for kind, a, b in reads:
         if kind == "range":
             start, stop = sorted((a, b))
-            assert t.raw_range(start, stop) == list(letters[start:stop])
+            assert t._letters(start, stop).tolist() == list(letters[start:stop])
             reached = max(reached, stop)
         else:
             assert t.palindromic_prefix_lengths(a) == [len(u) for u in ups if len(u) <= a]
@@ -431,7 +431,7 @@ def test_literal_fill_matches_repeated_cycle(word, reads):
     letters = list(head.indices) + list(cycle.indices) * 301
     for a, b in reads:
         start, stop = sorted((a, b))
-        assert t.raw_range(start, stop) == letters[start:stop]
+        assert t._letters(start, stop).tolist() == letters[start:stop]
     # once read, the buffer holds the head and whole cycles only
     assert not t._buf or (len(t._buf) - len(head)) % len(cycle) == 0
 
@@ -465,7 +465,7 @@ def test_constant_tail_fill_is_shared_safely_across_threads():
     work += [("lengths", 5003 * i, 0) for i in range(20)]
 
     def ask(t, kind, a, b):
-        return t.raw_range(a, b) if kind == "range" else t.palindromic_prefix_lengths(a)
+        return t._letters(a, b).tolist() if kind == "range" else t.palindromic_prefix_lengths(a)
 
     serial = {q: ask(standard_word(d), *q) for q in work}
     shared = standard_word(d)

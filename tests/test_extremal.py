@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from itertools import groupby
 
 import pytest
@@ -31,6 +32,7 @@ from epilex.textio import parse_directive, parse_skew
 
 from helpers import (
     LETTERS,
+    as_text,
     oracle_max,
     oracle_min,
     random_canonical_skew,
@@ -168,10 +170,10 @@ def test_chain_holds_one_length_of_starts_at_a_time():
 
     # a(b) directs (ab)^ω, whose least windows under b < a start at every
     # odd position, so holding every length's starts would take n * k_max / 2.
-    seq = standard_word(parse_directive(AB, "a(b)")).raw(1200)
+    text = standard_word(parse_directive(AB, "a(b)"))._text(1200)
     tracemalloc.start()
     try:
-        chain = minimal_window_positions(seq, (1, 0), 600)
+        chain = minimal_window_positions(text, (1, 0), 600)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -215,7 +217,7 @@ def test_chain_starts_are_first_occurrences_of_the_least_windows(case):
 
     w, order = case
     seq = w.indices
-    chain = minimal_window_positions(seq, order.ranks, len(seq))
+    chain = minimal_window_positions(as_text(seq), order.ranks, len(seq))
     assert len(chain) == len(seq)
     for k, start in enumerate(chain, 1):
         least = oracle_min(w, k, order).indices
@@ -268,7 +270,7 @@ def test_long_chains_match_a_brute_force_first_occurrence(kind, seed):
 
     rng = random.Random(seed)
     seq, ranks, k_max = long_chain_case(rng, kind)
-    chain = minimal_window_positions(seq, ranks, k_max)
+    chain = minimal_window_positions(as_text(seq), ranks, k_max)
     assert len(chain) == k_max
     r = [ranks[c] for c in seq]
     # Every short length, and a sample of the long ones: the brute force
@@ -279,11 +281,17 @@ def test_long_chains_match_a_brute_force_first_occurrence(kind, seed):
         assert chain[k - 1] == first, (kind, seed, k)
 
 
+@cache
+def _alphabet_from(base: int) -> Alphabet:
+    """Room for four letters from index ``base`` on; built once per base."""
+    return Alphabet(tuple(f"x{i}" for i in range(base + 4)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(("free", "periodic", "standard", "flush")),
     st.integers(1, 4),
-    st.sampled_from((0, 300)),
+    st.sampled_from((0, 300, 0xD800)),
     st.integers(0, 2**32),
 )
 def test_one_bitset_build_serves_every_order(kind, size, base, seed):
@@ -292,7 +300,9 @@ def test_one_bitset_build_serves_every_order(kind, size, base, seed):
     # brute-force least window.  "flush" ends the prefix with a run of one
     # letter longer than any before it, so under the orders where that
     # letter is least the chain rescans; "standard" cuts a standard word
-    # short of its exact horizon.
+    # short of its exact horizon.  Base 0xD800 puts the letters in the
+    # surrogate range, through both the text chain and the rescan's
+    # translation to ranks.
     from itertools import permutations
 
     from epilex.extremal import _letter_bitsets, _window_chain, minimal_window_positions
@@ -308,24 +318,27 @@ def test_one_bitset_build_serves_every_order(kind, size, base, seed):
         if kind == "flush":
             seq += [rng.randrange(size)] * rng.randint(1, 12)
     seq = [base + c for c in seq[:60]]
-    alphabet = Alphabet(tuple(f"x{i}" for i in range(base + size)))
-    bitsets = _letter_bitsets(seq)
+    alphabet = _alphabet_from(base)
+    text = as_text(seq)
+    bitsets = _letter_bitsets(text)
     present = sorted(bitsets)
     assert present == sorted(set(seq))
-    word = Word(alphabet, tuple(seq))
     for perm in permutations(range(len(present))):
-        # the letters present take ranks 0.., the others rank above them
+        # the letters present take ranks 0.., the others rank above them:
+        # those below ``base`` first, then the rest of the four from ``base``
         rank_of = dict(zip(present, perm))
-        others = iter(range(len(present), base + size))
-        order = LexOrder(alphabet, tuple(rank_of[c] if c in rank_of else next(others) for c in range(base + size)))
+        m = len(present)
+        others = iter(range(m + base, alphabet.size))
+        top = (rank_of[c] if c in rank_of else next(others) for c in range(base, alphabet.size))
+        order = LexOrder(alphabet, (*range(m, m + base), *top))
         k_max = rng.randint(1, len(seq) + 2)
-        chain = _window_chain(seq, bitsets, order.ranks, k_max)
-        assert chain == minimal_window_positions(seq, order.ranks, k_max)
+        chain = _window_chain(text, bitsets, order.ranks, k_max)
+        assert chain == minimal_window_positions(text, order.ranks, k_max)
         assert len(chain) == min(k_max, len(seq))
+        r = [rank_of[c] for c in seq]
         for k, p in enumerate(chain, start=1):
-            least = list(oracle_min(word, k, order).indices)
-            first = next(q for q in range(len(seq) - k + 1) if seq[q : q + k] == least)
-            assert p == first, (kind, seq, order.ranks, k)
+            first = min(range(len(r) - k + 1), key=lambda q: r[q : q + k])
+            assert p == first, (kind, seq, order.ranks[base : base + 4], k)
 
 
 def test_exactness_labels_for_directive_streams():
@@ -499,17 +512,17 @@ def test_scans_to_the_exact_bound_never_rescan():
     for seed in (71, 73):
         for t, _ in _stream_cases(random.Random(seed)):
             for k in range(1, 41):
-                seq = t.raw(t.exact_horizon(k))
+                text = t._text(t.exact_horizon(k))
                 for order in all_orders(t.alphabet):
-                    chain = minimal_window_positions(seq, order.ranks, k)
+                    chain = minimal_window_positions(text, order.ranks, k)
                     assert len(chain) == k
-                    assert all(chain[j - 1] + j != len(seq) for j in range(1, k)), (t, k, order)
+                    assert all(chain[j - 1] + j != len(text) for j in range(1, k)), (t, k, order)
                     cases += 1
     assert cases > 1000
     # A horizon-limited scan can end with its only least window: in abaab,
     # the least 3-window under a<b, aab, ends at the last letter.
-    seq = fib().raw(5)
-    assert minimal_window_positions(seq, (0, 1), 4)[2] + 3 == len(seq)
+    text = fib()._text(5)
+    assert minimal_window_positions(text, (0, 1), 4)[2] + 3 == len(text)
 
 
 def test_capped_scans_match_the_oracle_over_the_requested_prefix():
@@ -586,9 +599,9 @@ def test_every_scan_reads_what_scan_length_says():
 
     def recording(cls):
         class Recording(cls):
-            def raw(self, n):
+            def _text(self, n):
                 reads.append(n)
-                return super().raw(n)
+                return super()._text(n)
 
         return Recording
 
@@ -606,7 +619,7 @@ def test_every_scan_reads_what_scan_length_says():
         assert scan_length(t, k, horizon) == want, row
         assert reads == [], row  # the rule reads no letter
         # A prefix short of the bound is scanned as that finite word, whose
-        # own reads are recorded: ``prefix`` itself reads through no ``raw``.
+        # own reads are recorded: ``prefix`` itself reads through no ``_text``.
         is_fine_empirical(t if exact else recording(Word)(AB, t.prefix(horizon).indices), k)
         assert max(reads) == n, row
         reads.clear()
@@ -870,7 +883,7 @@ def test_memo_is_shared_safely_across_threads(monkeypatch):
             assert len(letters) == longest[ranks]
             assert letters == min_factor(builders[name](), len(letters), LexOrder(ABC, ranks)).word.indices
             fresh = builders[name]()
-            assert list(starts) == chain(fresh.raw(fresh.exact_horizon(len(letters))), ranks, len(letters))
+            assert list(starts) == chain(fresh._text(fresh.exact_horizon(len(letters))), ranks, len(letters))
 
 
 def test_memo_keeps_the_longer_word_when_fills_race(monkeypatch):
@@ -901,5 +914,5 @@ def test_memo_keeps_the_longer_word_when_fills_race(monkeypatch):
     assert t._minima.keys() == {order.ranks}
     letters, starts = t._minima[order.ranks]
     assert letters == out["long"].word.indices
-    assert list(starts) == chain(trib().raw(trib().exact_horizon(20)), order.ranks, 20)
+    assert list(starts) == chain(trib()._text(trib().exact_horizon(20)), order.ranks, 20)
     assert out["short"].word.indices == out["long"].word.indices[:5]

@@ -351,6 +351,9 @@ def test_min_transfer_examples():
     # a scan shorter than the depth matches on neither side, so the sides agree
     cc = standard_word(parse_directive(ABC, "cc(ba)"))
     assert verify_min_transfer(cc, cc, "b", "c", 15, 3)
+    # at depth 0 every empty chain would match, whatever the words
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        verify_min_transfer(f3, trib, "a", "a", 0, 400)
 
 
 def test_min_transfer_on_random_pairs():
@@ -413,7 +416,7 @@ def fine_by_order(t, depth, horizon):
     seen = set(seq)
     s_ref = None
     for order in all_orders(t.alphabet, subset=[x for i, x in enumerate(t.alphabet.letters) if i in seen]):
-        chain = minimal_window_positions(seq, order.ranks, depth)
+        chain = minimal_window_positions(as_text(seq), order.ranks, depth)
         a = min(seen, key=order.ranks.__getitem__)
         if s_ref is None:
             s_ref = seq[chain[depth - 1] + 1 : chain[depth - 1] + depth]
@@ -438,7 +441,7 @@ def transfer_by_order(t1, s1, z, a, depth, horizon):
     for order in all_orders(t1.alphabet):
         verdicts = set()
         for seq, expected in sides:
-            chain = minimal_window_positions(seq, order.ranks, depth)
+            chain = minimal_window_positions(as_text(seq), order.ranks, depth)
             verdicts.add(len(chain) >= depth and chain_mismatch_by_length(seq, chain, expected(order.ranks)) is None)
         if len(verdicts) > 1:
             return False
@@ -640,15 +643,17 @@ def test_chain_mismatch_matches_the_per_length_loop():
         seq = standard_word(d).raw(rng.randint(1, 120))
         if rng.random() < 0.4:
             seq += [rng.randrange(d.alphabet.size)] * rng.randint(1, 12)
+        text = as_text(seq)
         for order in all_orders(d.alphabet):
-            chain = minimal_window_positions(seq, order.ranks, rng.randint(1, len(seq) + 2))
+            chain = minimal_window_positions(text, order.ranks, rng.randint(1, len(seq) + 2))
             rescans += any(p + k == len(seq) for k, p in enumerate(chain[:-1], start=1))
             last = seq[chain[-1] : chain[-1] + len(chain)]
             noise = [rng.randrange(d.alphabet.size) for _ in range(len(chain) + 2)]
             cut = rng.randint(0, len(last))
             for expected in (last, last[:cut], last + noise[:2], last[:cut] + noise, noise):
-                assert _chain_mismatch(seq, chain, expected) == chain_mismatch_by_length(
-                    seq, chain, expected
+                want = chain_mismatch_by_length(seq, chain, expected)
+                assert _chain_mismatch(text, chain, as_text(expected)) == (
+                    None if want is None else (want[0], as_text(want[1]))
                 ), (seq, order.ranks, len(chain), expected)
     assert rescans >= 100
 

@@ -171,6 +171,8 @@ def test_complexity_examples():
     assert complexity(fib(), 5, 200) == 6
     assert complexity(trib(), 10, 2000) == 21
     assert complexity(fib(), 0, 1) == 1
+    with pytest.raises(ValueError, match="factor length must be >= 0"):
+        complexity(fib(), -1, 10)
 
 
 def test_complexity_formulas_at_spec_horizons():
@@ -208,7 +210,7 @@ def test_concurrent_stream_extension_is_safe():
         if kind == "prefix":
             return t.prefix(a).indices
         if kind == "range":
-            return t.raw_range(a, b)
+            return t._letters(a, b).tolist()
         return [ord(c) for c in t._text(a)]
 
     interval = sys.getswitchinterval()
