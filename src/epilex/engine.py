@@ -62,7 +62,7 @@ class DirectiveWord:
 
     @classmethod
     def parse(cls, alphabet: Alphabet, preperiod: str | Sequence[str], period: str | Sequence[str]) -> "DirectiveWord":
-        return cls(alphabet, alphabet.word(preperiod).indices, alphabet.word(period).indices)
+        return cls(alphabet, *(tuple(map(ord, alphabet.word(part).text)) for part in (preperiod, period)))
 
     def letter(self, i: int) -> int:
         """The i-th directive letter, 1-indexed."""
@@ -92,9 +92,7 @@ class DirectiveWord:
         return exact_horizon(self, k)
 
     def __str__(self) -> str:
-        pre = Word._trusted(self.alphabet, self.preperiod)
-        per = Word._trusted(self.alphabet, self.period)
-        return f"{pre}({per})"
+        return f"{Word(self.alphabet, self.preperiod)}({Word(self.alphabet, self.period)})"
 
     def __repr__(self) -> str:
         return f"DirectiveWord({str(self)!r})"
@@ -110,8 +108,8 @@ def palindromic_closure(w: Word) -> Word:
     n = len(w)
     if n <= 1:
         return w
-    idx = w.indices
-    combined: list[int] = list(idx[::-1]) + [-1] + list(idx)
+    text = w.text
+    combined: list[str | None] = [*text[::-1], None, *text]
     fail = [0] * len(combined)
     k = 0
     for i in range(1, len(combined)):
@@ -121,7 +119,7 @@ def palindromic_closure(w: Word) -> Word:
             k += 1
         fail[i] = k
     lps = fail[-1]  # length of the longest palindromic suffix of w
-    return Word._trusted(w.alphabet, idx + idx[: n - lps][::-1])
+    return Word._trusted(w.alphabet, text + text[: n - lps][::-1])
 
 
 def _next_prefix_length(lengths: list[int], last: dict[int, int], x: int) -> int:
@@ -149,12 +147,13 @@ def _prefix_lengths(directive: DirectiveWord) -> Iterator[int]:
 class DirectiveStream(WordStream):
     """The standard episturmian word directed by an eventually periodic sequence.
 
-    ``_buf`` always holds the largest computed palindromic prefix;
+    ``_buf`` holds the largest computed palindromic prefix, as text;
     ``_lengths[i]`` is the length of the (i+1)-th palindromic prefix (the
     first has length 0) and ``_last`` maps each letter to its last directive
     position.  One step consumes one directive letter x and appends x, then
     the last |u_n| - |u_{n-1}| - 1 letters of the old prefix u_{n-1}, the
-    lengths coming from the last-occurrence rule.
+    lengths coming from the last-occurrence rule: ``buf + chr(x) +
+    buf[2*old+1-new:old]``.
 
     Constant tail y: once a tail letter is consumed, every step appends the
     q = L - L_prev letters the previous step appended, so the word is
@@ -176,14 +175,14 @@ class DirectiveStream(WordStream):
             old = lengths[-1]
             x = self._directive.letter(len(lengths))
             new = _next_prefix_length(lengths, self._last, x)
-            buf.append(x)
-            buf.extend(buf[2 * old + 1 - new : old])
+            buf += chr(x) + buf[2 * old + 1 - new : old]
         if lengths[-1] < n:
             length = lengths[-1]
             q = length - lengths[-2]
             steps = -((length - n) // q)
-            buf.extend(buf[length - q : length] * steps)
+            buf += buf[length - q :] * steps
             lengths.extend(range(length + q, length + steps * q + 1, q))
+        self._buf = buf
 
     def directive(self) -> DirectiveWord:
         return self._directive

@@ -98,13 +98,13 @@ def _window_chain(text: str, bitsets: dict[int, int], rank: Sequence[int], k_max
     return out
 
 
-def _least_window(text: str, rank: Sequence[int], k: int) -> tuple[tuple[int, ...], list[int]]:
-    """The least length-``k`` window of ``text``, as letter indices, and the chain's starts up to ``k``."""
+def _least_window(text: str, rank: Sequence[int], k: int) -> tuple[str, list[int]]:
+    """The least length-``k`` window of ``text`` and the chain's starts up to ``k``."""
     starts = minimal_window_positions(text, rank, k)
-    return tuple(map(ord, text[starts[-1] : starts[-1] + k])), starts
+    return text[starts[-1] : starts[-1] + k], starts
 
 
-def _least_factor(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
+def _least_factor(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> str:
     """The least length-``k`` factor of ``w`` under ``rank``, from the memo of min(w).
 
     ``n`` is ``w.exact_horizon(k)``.  Least factors of an infinite word nest,
@@ -114,26 +114,26 @@ def _least_factor(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> tuple
     together with the chain's starts, the first occurrence of each of its
     prefixes in ``w``.
     """
-    held = w._minima.get(rank, ((), ()))[0]
+    held = w._minima.get(rank, ("", ()))[0]
     if len(held) < k:
         depth = max(k, 2 * len(held))
         text = w._text(n if depth == k else w.exact_horizon(depth))
         deeper, starts = _least_window(text, rank, depth)
         with w._lock:
-            held = w._minima.get(rank, ((), ()))[0]
+            held = w._minima.get(rank, ("", ()))[0]
             if len(deeper) > len(held):
                 w._minima[rank] = (deeper, tuple(starts))
                 held = deeper
     return held[:k]
 
 
-def _held_within(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> tuple[int, ...] | None:
+def _held_within(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> str | None:
     """min(w)[:k] from the memo when its first occurrence ends within ``n`` letters, else ``None``.
 
     Every window of the first ``n`` letters is a factor of ``w``, so none is
     less than min(w)[:k]; when that word occurs among them, it is their least.
     """
-    letters, starts = w._minima.get(rank, ((), ()))
+    letters, starts = w._minima.get(rank, ("", ()))
     if len(letters) >= k and starts[k - 1] + k <= n:
         return letters[:k]
     return None
@@ -152,7 +152,7 @@ def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None
         horizon = n
     if k == 0:
         return ExtremalResult(
-            word=Word._trusted(w.alphabet, ()), k=0, order=order, horizon=horizon, exact=True
+            word=Word._trusted(w.alphabet, ""), k=0, order=order, horizon=horizon, exact=True
         )
     rank = order.ranks
     if invert:

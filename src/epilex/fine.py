@@ -10,7 +10,6 @@ structural verdict against the empirical scan.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from collections.abc import Container
 from dataclasses import dataclass, replace
@@ -102,9 +101,8 @@ class SkewSpec:
     def seed_length(self) -> int:
         """``len(self.seed_word())``, from the core prefix's letter counts and
         the letter image lengths, so no image is built."""
-        counts = Counter(standard_word(self.directive)._letters(0, self.p))
-        counts[self.alphabet.index(self.x)] += 1
-        return sum(n * image_length(self.morphism, c) for c, n in counts.items())
+        counts = Counter(standard_word(self.directive)._text(self.p) + chr(self.alphabet.index(self.x)))
+        return sum(n * image_length(self.morphism, ord(c)) for c, n in counts.items())
 
     def exact_horizon(self, k: int) -> int:
         """The bound of the word ``construct_skew(self)``: the suffix length
@@ -273,8 +271,8 @@ def is_fine_empirical(t: Word | WordStream, depth: int) -> FinenessVerdict:
                 witness=Witness(
                     order=order,
                     k=k,
-                    factor=Word._trusted(t.alphabet, tuple(map(ord, actual))),
-                    required=Word._trusted(t.alphabet, tuple(map(ord, required))),
+                    factor=Word._trusted(t.alphabet, actual),
+                    required=Word._trusted(t.alphabet, required),
                     reason=reason,
                 ),
             )
@@ -282,7 +280,7 @@ def is_fine_empirical(t: Word | WordStream, depth: int) -> FinenessVerdict:
     return FinenessVerdict(
         classification=Classification.UNKNOWN,
         depth=depth,
-        s_prefix=Word._trusted(t.alphabet, tuple(map(ord, s_ref))),
+        s_prefix=Word._trusted(t.alphabet, s_ref),
     )
 
 
@@ -456,7 +454,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
     directive is read off the text past the unique letter by the
     last-occurrence rule (Justin-Pirillo 2002, TCS 276;
     :func:`~epilex.engine.recover_directive_letters`).  The seed suffix is
-    matched against the prefix's letters as array slices.
+    matched against slices of the prefix's text.
     """
     if depth > 0:
         # The scan reads the exact bound, so a fine word is not refuted for
@@ -464,7 +462,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
         gate = is_fine_empirical(t, depth)
         if not gate.fine_to_depth:
             raise NotFine(f"not fine within depth {depth}: {gate.witness}")
-    text = t._text(horizon)
+    scanned = text = t._text(horizon)
     alphabet = t.alphabet
     gens: list[int] = []
     for _ in range(64):
@@ -480,7 +478,7 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
                 raise NotSkewForm("horizon too short past the unique letter")
             if head != tail[: len(head)][::-1]:
                 raise NotSkewForm("prefix before the unique letter does not mirror the core")
-            return _assemble_spec(alphabet, gens, ord(x), i, tail, t._letters(0, horizon))
+            return _assemble_spec(alphabet, gens, ord(x), i, tail, scanned)
         seps = [z for z in set(text[:2]) if _separates_text(z, text, letters)]
         if not seps:
             raise NotSkewForm("no separating letter to peel")
@@ -495,11 +493,11 @@ def reconstruct_skew(t: WordStream, depth: int, horizon: int) -> SkewSpec:
 
 
 def _assemble_spec(
-    alphabet: Alphabet, gens: list[int], x: int, p: int, tail: str, seq: array
+    alphabet: Alphabet, gens: list[int], x: int, p: int, tail: str, seq: str
 ) -> SkewSpec:
     """The spec with core directive read off ``tail``, the ``chr`` text past
     the unique letter ``x`` at position ``p``, and the longest seed suffix
-    that regenerates the scanned prefix ``seq``."""
+    that regenerates ``seq``, the scanned prefix's text."""
     try:
         core = infer_eventually_periodic(alphabet, recover_directive_letters(tail))
     except ValueError as exc:
@@ -516,7 +514,7 @@ def _assemble_spec(
         base.validate()
     except SpecError as exc:
         raise NotSkewForm(str(exc)) from None
-    seed = array("I", base.seed_word().indices)
+    seed = base.seed_word().text
     image = skew_common_word(base)
     for ell in range(len(seed), 0, -1):
         if seed[len(seed) - ell :] != seq[:ell]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .words import _UTF32, Alphabet, AlphabetError, Word, WordStream, _check_indices, _chr_text
+from .words import Alphabet, AlphabetError, Word, WordStream, _check_indices, _grow_by
 
 if TYPE_CHECKING:
     from .engine import DirectiveWord
@@ -65,11 +65,18 @@ class PureEpistandardMorphism:
     def apply_word(self, w: Word) -> Word:
         if w.alphabet != self.alphabet:
             raise AlphabetError("word alphabet does not match morphism alphabet")
-        images = self.images
-        out: list[int] = []
-        for i in w.indices:
-            out.extend(images[i])
-        return Word._trusted(self.alphabet, tuple(out))
+        return Word._trusted(self.alphabet, self._map_text(w.text))
+
+    def _map_text(self, text: str) -> str:
+        """The image of a ``chr`` text, one pass per generator, innermost
+        first: the generator of ``z`` is ``text.replace(y, z + y)`` for each
+        other letter y present, whose inserted z's no later replace touches."""
+        present = set(text)
+        for z in [chr(c) for c in reversed(self.letters)]:
+            for y in present - {z}:
+                text = text.replace(y, z + y)
+            present.add(z)
+        return text
 
     def apply(self, w: "Word | WordStream") -> "Word | WordStream":
         """Letterwise image; streams map to a lazily generated image stream."""
@@ -97,10 +104,10 @@ class MorphicImageStream(WordStream):
     """Image of a stream under a morphism, generated image block by image block.
 
     The inner stream is read by range, each inner letter once, so growing the
-    image to ``n`` letters costs time linear in ``n``.  A chunk of inner
-    letters is mapped as ``chr`` text, one pass per generator, innermost
-    first: the generator of ``z`` is ``text.replace(y, z + y)`` for each
-    other letter y present, whose inserted z's no later replace touches.
+    image to ``n`` letters costs time linear in ``n``.  Each chunk of inner
+    text is mapped by :meth:`PureEpistandardMorphism._map_text`, and the
+    mapped chunks are joined to the memo once per ``_extend``, which grows it
+    to at least twice its length (:func:`~epilex.words._grow_by`).
     """
 
     def __init__(self, morphism: PureEpistandardMorphism, inner: WordStream) -> None:
@@ -120,22 +127,19 @@ class MorphicImageStream(WordStream):
         )
 
     def _extend(self, n: int) -> None:
-        buf, gens = self._buf, [chr(z) for z in reversed(self.morphism.letters)]
-        while len(buf) < n:
-            # Images are non-empty, so every inner letter makes progress.  Read
-            # what the deficit needs at the longest image, at least 64 letters
-            # so short requests batch and at most 4096 to bound the overshoot.
-            chunk = min(max((n - len(buf)) // self._longest + 1, 64), 4096)
-            text = _chr_text(self.inner._letters(self._consumed, self._consumed + chunk))
+        chunks, have, consumed, longest = [self._buf], len(self._buf), self._consumed, self._longest
+        target = have + _grow_by(have, n)
+        # Images are non-empty, so every inner letter makes progress.  Each
+        # chunk is what the rest of the target needs at the longest image, so
+        # the memo passes the target only to reach n, by less than one image.
+        while have < n or have + longest <= target:
+            text = self.inner._letters(consumed, consumed + max((target - have) // longest, 1))
             if not text:
                 raise RuntimeError("inner stream stopped producing letters")
-            self._consumed += len(text)
-            present = set(text)
-            for z in gens:
-                for y in present - {z}:
-                    text = text.replace(y, z + y)
-                present.add(z)
-            buf.frombytes(text.encode(_UTF32, "surrogatepass"))
+            consumed += len(text)
+            chunks.append(self.morphism._map_text(text))
+            have += len(chunks[-1])
+        self._buf, self._consumed = "".join(chunks), consumed
 
     def directive(self) -> DirectiveWord | None:
         """The inner stream's directive with this morphism's generators prepended."""

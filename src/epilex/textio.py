@@ -82,7 +82,7 @@ def _split_periodic(text: str) -> tuple[str, str]:
 def parse_directive(alphabet: Alphabet, text: str) -> DirectiveWord:
     """``u(v)``: preperiod u, then v repeated forever."""
     pre, body = parse_literal(alphabet, text)
-    return DirectiveWord(alphabet, pre.indices, body.indices)
+    return DirectiveWord(alphabet, tuple(map(ord, pre.text)), tuple(map(ord, body.text)))
 
 
 def parse_literal(alphabet: Alphabet, text: str) -> tuple[Word, Word]:
@@ -102,7 +102,7 @@ def parse_morphism(alphabet: Alphabet, text: str) -> PureEpistandardMorphism:
     if lowered.lower().startswith("psi:"):
         body = lowered[4:]
         word = parse_word(alphabet, body)
-        return PureEpistandardMorphism(alphabet, word.indices)
+        return PureEpistandardMorphism(alphabet, tuple(map(ord, word.text)))
     parts = [p.strip() for p in lowered.split("*")]
     letters = []
     for part in parts:

@@ -1,20 +1,19 @@
 """Alphabets, finite words, lexicographic orders, and lazy infinite-word streams.
 
-Letters are interned as small integers against an :class:`Alphabet`; a
-:class:`Word` is an immutable sequence of letter indices.  Infinite words are
-deterministic prefix generators (:class:`WordStream`): every question about an
-infinite word is answered relative to a horizon, and each stream kind states
-through ``exact_horizon(k)`` how long a prefix holds all its length-k factors.
+Letters are interned as small integers against an :class:`Alphabet` and held
+as ``chr`` text, character i being ``chr`` of letter index i: a :class:`Word`
+and a stream's prefix memo alike.  Infinite words are deterministic prefix
+generators (:class:`WordStream`): every question about an infinite word is
+answered relative to a horizon, and each stream kind states through
+``exact_horizon(k)`` how long a prefix holds all its length-k factors.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
-from array import array
 from dataclasses import dataclass
 from itertools import permutations
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .engine import DirectiveWord
@@ -47,25 +46,25 @@ class LengthError(ValueError):
     """A requested factor length exceeds the available word length."""
 
 
-# The most letters one input may ask to hold or generate (4 bytes each in a
-# stream buffer, plus 8 per letter of a Word's tuple); a larger request is
-# refused before anything is built, not when memory runs out.
+# The most letters one input may ask to hold or generate (1 byte each in a
+# stream memo or a Word's text below index 256); a larger request is refused
+# before anything is built, not when memory runs out.  No memo outgrows it
+# unless a read asks for more (see ``_grow_by``).
 MAX_LETTERS = 10**7
 
-# Stream buffers hold one 4-byte code unit per letter, so a buffer's bytes
-# decode as UTF-32 in the machine's byte order to its ``chr`` text.
-if array("I").itemsize != 4:
-    raise ImportError("epilex needs array('I') items of 4 bytes")
-_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+
+def _chr_text(indices: Iterable[int]) -> str:
+    """The ``chr`` text of letter indices, the one encoder from indices to
+    text; as ``chr``, it keeps 0xD800-0xDFFF and raises past ``sys.maxunicode``."""
+    return "".join([chr(i) for i in indices])
 
 
-def _chr_text(letters: array) -> str:
-    """``"".join(map(chr, letters))`` in one C call.
-
-    ``surrogatepass`` keeps indices 0xD800-0xDFFF, which ``chr`` accepts;
-    an index past ``sys.maxunicode`` raises, as ``chr`` does.
-    """
-    return letters.tobytes().decode(_UTF32, "surrogatepass")
+def _grow_by(length: int, n: int, block: int = 1) -> int:
+    """How many ``block``-letter blocks a memo of ``length`` letters appends
+    to hold ``n``: enough to reach ``n``, and as many as fit in twice its
+    length, up to :data:`MAX_LETTERS`.  A ``str`` memo is copied whole on
+    each growth; growing it geometrically keeps small-step reads linear."""
+    return max(-((length - n) // block), (min(2 * length, MAX_LETTERS) - length) // block)
 
 
 def _check_indices(alphabet: "Alphabet", indices: Sequence[int]) -> None:
@@ -95,13 +94,13 @@ class Alphabet:
         for tok in self.letters:
             if not tok or any(c in _RESERVED_CHARS for c in tok):
                 raise ValueError(f"invalid letter token: {tok!r}")
-        # What Word.__str__ translates a word's latin-1 text with: letter
-        # index to token, for fewer than 256 single-character letters.  Set
-        # here, not cached on first use: an attribute added after __init__
-        # moves the instance's attributes out of their inline slots, and
-        # every later ``letters`` read is slower.
-        single = len(self.letters) < 256 and all(len(t) == 1 for t in self.letters)
-        object.__setattr__(self, "_latin1_table", dict(enumerate(self.letters)) if single else None)
+        # What Word.__str__ translates a word's text with: letter index to
+        # token, for single-character letters.  Set here, not cached on first
+        # use: an attribute added after __init__ moves the instance's
+        # attributes out of their inline slots, and every later ``letters``
+        # read is slower.
+        single = all(len(t) == 1 for t in self.letters)
+        object.__setattr__(self, "_token_table", dict(enumerate(self.letters)) if single else None)
 
     @classmethod
     def of(cls, *letters: str) -> "Alphabet":
@@ -138,92 +137,96 @@ class Alphabet:
         return Word(self, tuple(self.index(t) for t in tokens))
 
     def empty(self) -> "Word":
-        return Word(self, ())
+        return Word._trusted(self, "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Word:
-    """A finite word: an immutable sequence of letter indices over an alphabet."""
+    """A finite word: an immutable ``chr`` text over an alphabet.
+
+    ``text`` is the format stream memos and scans use, so a stream prefix, a
+    slice, a concatenation or a mirror image is one ``str`` operation.
+    ``indices``, the letter indices as a tuple, is derived on each read.
+    """
 
     alphabet: Alphabet
-    indices: tuple[int, ...]
+    text: str
 
-    def __post_init__(self) -> None:
-        _check_indices(self.alphabet, self.indices)
+    def __init__(self, alphabet: Alphabet, indices: Sequence[int]) -> None:
+        _check_indices(alphabet, indices)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "text", _chr_text(indices))
 
     @classmethod
-    def _trusted(cls, alphabet: Alphabet, indices: tuple[int, ...]) -> "Word":
+    def _trusted(cls, alphabet: Alphabet, text: str) -> "Word":
         """A word of letters already checked where they entered the library.
 
-        Skips ``__post_init__``'s per-letter check: for slices, images,
-        closures and stream prefixes, whose letters come from checked words,
-        directives, morphism images or stream buffers.
+        Skips ``__init__``'s per-letter check and encoding: for slices,
+        images, closures and stream prefixes, whose text comes from checked
+        words, directives, morphism images or stream memos.
         """
         w = object.__new__(cls)
         object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "indices", indices)
+        object.__setattr__(w, "text", text)
         return w
 
-    def __len__(self) -> int:
-        return len(self.indices)
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(map(ord, self.text))
 
-    def __bool__(self) -> bool:
-        return bool(self.indices)
+    def __len__(self) -> int:
+        return len(self.text)
 
     def __iter__(self) -> Iterator[str]:
-        tok = self.alphabet.letters
-        return (tok[i] for i in self.indices)
+        return map(self.alphabet.letters.__getitem__, map(ord, self.text))
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word._trusted(self.alphabet, self.indices[item])
-        return self.alphabet.letters[self.indices[item]]
+            return Word._trusted(self.alphabet, self.text[item])
+        return self.alphabet.letters[ord(self.text[item])]
 
     def __add__(self, other: "Word") -> "Word":
         if other.alphabet != self.alphabet:
             raise AlphabetError("cannot concatenate words over different alphabets")
-        return Word._trusted(self.alphabet, self.indices + other.indices)
+        return Word._trusted(self.alphabet, self.text + other.text)
 
     def __str__(self) -> str:
-        table = self.alphabet._latin1_table
+        table = self.alphabet._token_table
         if table is not None:
-            return bytes(self.indices).decode("latin-1").translate(table)
-        toks = [self.alphabet.letters[i] for i in self.indices]
-        if all(len(t) == 1 for t in self.alphabet.letters):
-            return "".join(toks)
-        return ",".join(toks)
+            return self.text.translate(table)
+        return ",".join(self)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
 
     def tokens(self) -> tuple[str, ...]:
-        return tuple(self.alphabet.letters[i] for i in self.indices)
+        return tuple(self)
 
     def reversal(self) -> "Word":
-        return Word._trusted(self.alphabet, self.indices[::-1])
+        return Word._trusted(self.alphabet, self.text[::-1])
 
     def prefix(self, n: int) -> "Word":
         """The first ``n`` letters, as :meth:`WordStream.prefix` gives them;
         raises :class:`LengthError` past the word's length."""
-        if not 0 <= n <= len(self.indices):
-            raise LengthError(f"prefix length {n} out of range for a word of length {len(self.indices)}")
-        return Word._trusted(self.alphabet, self.indices[:n])
+        return Word._trusted(self.alphabet, self._text(n))
 
     def raw(self, n: int) -> list[int]:
         """The first ``n`` letter indices, as a fresh list."""
-        return list(self.prefix(n).indices)
+        return list(map(ord, self._text(n)))
 
     def _text(self, n: int) -> str:
         """The ``chr`` text of the first ``n`` letters, as :meth:`WordStream._text`
         gives it; raises :class:`LengthError` past the word's length."""
-        return _chr_text(array("I", self.prefix(n).indices))
+        if not 0 <= n <= len(self.text):
+            raise LengthError(f"prefix length {n} out of range for a word of length {len(self.text)}")
+        return self.text[:n]
 
     def exact_horizon(self, k: int) -> int:
         """A finite word holds all its factors: the bound is its length."""
-        return len(self.indices)
+        return len(self.text)
 
     def is_palindrome(self) -> bool:
-        return self.indices == self.indices[::-1]
+        return self.text == self.text[::-1]
 
 
 @dataclass(frozen=True)
@@ -284,23 +287,20 @@ class WordStream:
 
     ``prefix(n)`` is total and prefix-monotone: repeated calls agree, and the
     result for ``m <= n`` is a prefix of the result for ``n``.  Streams are
-    immutable values.  The internal prefix memo ``_buf`` is an
-    ``array('I')``, one 4-byte letter index per position, and append-only: a
-    letter, once stored, is never removed or rewritten.  ``_letters(start,
-    stop)`` is the one place the buffer grows: it calls ``_extend`` under a
-    lock, so concurrent readers are safe, and returns an array slice, which
-    lets a stream built on another one (a concatenation, a morphic image)
-    read its source by range in time linear in what it consumes.
-    ``_text(n)`` is the prefix's ``chr`` text, decoded from the buffer's
-    bytes in one C call; it is what the scans read.  No reader holds a
-    ``memoryview`` on ``_buf``: an array with an exported buffer cannot grow.
-    The public readers copy out: ``raw`` gives a ``list``, ``prefix`` a
-    :class:`Word`.
+    immutable values.  The internal prefix memo ``_buf`` is the prefix's
+    ``chr`` text, a ``str`` replaced by a longer one on each growth: at least
+    twice as long (:func:`_grow_by`), except in a directive stream's steps.
+    ``_letters(start, stop)`` is the one place it grows: it calls ``_extend``
+    under a lock, so concurrent readers are safe, and returns a ``str`` slice,
+    which lets a stream built on another one (a concatenation, a morphic
+    image) read its source by range in time linear in what it consumes.
+    ``_text(n)`` is the prefix's text, what the scans read and what ``prefix``
+    wraps in a :class:`Word`; ``raw`` gives the indices as a ``list``.
 
     ``_minima`` maps an order's ranks to the pair (least factor computed so
-    far, a prefix of min(t); the first start in t of each of its prefixes),
-    which exact queries fill and horizon-limited ones only read (see
-    :func:`~epilex.extremal.min_factor`); a pair is published whole and
+    far, a prefix of min(t), as text; the first start in t of each of its
+    prefixes), which exact queries fill and horizon-limited ones only read
+    (see :func:`~epilex.extremal.min_factor`); a pair is published whole and
     replaced only by a longer one, under the lock.
 
     Letters are checked where they enter the library, not where they are read:
@@ -314,38 +314,40 @@ class WordStream:
 
     def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
-        self._buf = array("I")
+        self._buf = ""
         self._lock = threading.Lock()
-        self._minima: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._minima: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
 
     def _extend(self, n: int) -> None:
-        """Grow ``self._buf`` to at least ``n`` letters.  Called under the lock."""
+        """Replace ``self._buf`` by a memo of at least ``n`` letters.  Called under the lock."""
         raise NotImplementedError
 
-    def _letters(self, start: int, stop: int) -> array:
-        """The letter indices at positions ``start`` to ``stop - 1``, as an array slice.
+    def _letters(self, start: int, stop: int) -> str:
+        """The ``chr`` text of the letters at positions ``start`` to ``stop - 1``.
 
         ``start`` is at most ``stop``; a prefix, ``start`` 0, of negative
         length raises.
         """
         if stop < 0:
             raise ValueError("prefix length must be >= 0")
-        if len(self._buf) < stop:
+        buf = self._buf
+        if len(buf) < stop:
             with self._lock:
                 if len(self._buf) < stop:
                     self._extend(stop)
-        return self._buf[start:stop]
+                buf = self._buf
+        return buf[start:stop]
 
     def _text(self, n: int) -> str:
         """The ``chr`` text of the first ``n`` letters: character i is ``chr`` of letter i."""
-        return _chr_text(self._letters(0, n))
+        return self._letters(0, n)
 
     def raw(self, n: int) -> list[int]:
         """The first ``n`` letter indices, as a fresh list."""
-        return self._letters(0, n).tolist()
+        return list(map(ord, self._letters(0, n)))
 
     def prefix(self, n: int) -> Word:
-        return Word._trusted(self.alphabet, tuple(self._letters(0, n)))
+        return Word._trusted(self.alphabet, self._letters(0, n))
 
     def directive(self) -> DirectiveWord | None:
         """The directive of the standard episturmian word this stream is, if its kind states one."""
@@ -385,13 +387,11 @@ class LiteralPeriodicStream(WordStream):
         self.cycle = cycle
 
     def _extend(self, n: int) -> None:
-        buf = self._buf
-        if not buf:
-            buf.extend(self.head.indices)
-        cyc = self.cycle.indices
+        buf, cyc = self._buf or self.head.text, self.cycle.text
         if len(buf) < n:
-            # Whole cycles, as many as reach n.
-            buf.extend(array("I", cyc) * -((len(buf) - n) // len(cyc)))
+            # Whole cycles, as many as reach n or fit in twice the memo.
+            buf += cyc * _grow_by(len(buf), n, len(cyc))
+        self._buf = buf
 
     def exact_horizon(self, k: int) -> int:
         # Every factor starts at some position before the end of the first cycle.
@@ -409,12 +409,11 @@ class ConcatStream(WordStream):
         self.tail = tail
 
     def _extend(self, n: int) -> None:
-        buf = self._buf
-        if not buf:
-            buf.extend(self.head.indices)
-        offset = len(self.head)
+        buf, offset = self._buf or self.head.text, len(self.head)
         if len(buf) < n:
-            buf.extend(self.tail._letters(len(buf) - offset, n - offset))
+            stop = len(buf) + _grow_by(len(buf), n)
+            buf += self.tail._letters(len(buf) - offset, stop - offset)
+        self._buf = buf
 
     def exact_horizon(self, k: int) -> int:
         return len(self.head) + self.tail.exact_horizon(k)
@@ -424,21 +423,20 @@ def factors(w: Word, k: int) -> set[Word]:
     """All distinct length-``k`` blocks of ``w``; empty set when ``k > |w|``."""
     if k < 0:
         raise ValueError("factor length must be >= 0")
-    if k > len(w):
-        return set()
-    seen = {w.indices[i : i + k] for i in range(len(w) - k + 1)}
-    return {Word._trusted(w.alphabet, t) for t in seen}
+    text = w.text
+    return {Word._trusted(w.alphabet, t) for t in {text[i : i + k] for i in range(len(text) - k + 1)}}
 
 
-def complexity(stream: WordStream, n: int, horizon: int) -> int:
-    """Number of distinct length-``n`` factors of ``prefix(horizon)``.
+def complexity(stream: WordStream, n: int, horizon: int | None = None) -> int:
+    """Number of distinct length-``n`` factors of the prefix a scan to ``horizon`` reads.
 
-    This is a lower bound on the complexity of the infinite word, exact once
-    the horizon covers the recurrence scale of the stream.
+    With no horizon, or one past ``stream.exact_horizon(n)``, the scan reads
+    that bound (:func:`scan_length`), so the count is exact: the complexity
+    of the infinite word.  A shorter horizon gives a lower bound.
     """
     if n < 0:
         raise ValueError("factor length must be >= 0")
-    if horizon < n:
+    if horizon is not None and horizon < n:
         raise ValueError("horizon must be at least the factor length")
-    text = stream._text(horizon)
+    text = stream._text(scan_length(stream, n, horizon)[0])
     return len({text[i : i + n] for i in range(len(text) - n + 1)})

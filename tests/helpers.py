@@ -48,8 +48,8 @@ def oracle_min(w: Word, k: int, order: LexOrder) -> Word:
         raise LengthError(f"factor length {k} exceeds word length {len(w)}")
     if k == 0:
         return Word(w.alphabet, ())
-    ranks = order.ranks
-    windows = [tuple(ranks[c] for c in w.indices[i : i + k]) for i in range(len(w) - k + 1)]
+    ranks, idx = order.ranks, w.indices
+    windows = [tuple(ranks[c] for c in idx[i : i + k]) for i in range(len(w) - k + 1)]
     least = sorted(windows)[0]
     inverse = {r: i for i, r in enumerate(ranks)}
     return Word(w.alphabet, tuple(inverse[r] for r in least))

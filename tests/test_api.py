@@ -109,18 +109,28 @@ def test_every_name_imported_in_src_is_used():
 
 
 def test_src_reads_letters_through_one_chr_encoder():
-    # The scans read a stream's ``chr`` text, ``WordStream._text``, which
-    # ``words._chr_text`` decodes from the buffer; no module builds its own
-    # (``map(chr, ...)``) or reads the list copies ``raw``/``raw_range``.
+    # Letters have one format from stream memo to result, the ``chr`` text:
+    # a stream memoises it, the scans read it (``WordStream._text``) and a
+    # ``Word`` holds it.  ``words._chr_text`` is the one encoder from letter
+    # indices; no module builds its own (``map(chr, ...)``) or reads the list
+    # copies ``raw``/``raw_range``.  Outside ``words.py`` no module reads the
+    # derived index tuple ``Word.indices`` or builds an ``array``.
     import ast
     from pathlib import Path
 
     for path in sorted(Path(epilex.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
+            if path.name != "words.py" and isinstance(node, ast.Attribute):
+                assert node.attr != "indices", (path.name, node.lineno)
+            if path.name != "words.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [getattr(node, "module", None)] + [alias.name for alias in node.names]
+                assert "array" not in modules, (path.name, node.lineno)
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
+            if path.name != "words.py":
+                assert getattr(func, "id", getattr(func, "attr", None)) != "array", (path.name, node.lineno)
             if isinstance(func, ast.Name) and func.id == "map" and node.args:
                 first = node.args[0]
                 assert not (isinstance(first, ast.Name) and first.id == "chr"), (path.name, node.lineno)

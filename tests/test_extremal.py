@@ -881,7 +881,7 @@ def test_memo_is_shared_safely_across_threads(monkeypatch):
         assert t._minima.keys() == longest.keys()
         for ranks, (letters, starts) in t._minima.items():
             assert len(letters) == longest[ranks]
-            assert letters == min_factor(builders[name](), len(letters), LexOrder(ABC, ranks)).word.indices
+            assert letters == min_factor(builders[name](), len(letters), LexOrder(ABC, ranks)).word.text
             fresh = builders[name]()
             assert list(starts) == chain(fresh._text(fresh.exact_horizon(len(letters))), ranks, len(letters))
 
@@ -913,6 +913,6 @@ def test_memo_keeps_the_longer_word_when_fills_race(monkeypatch):
     assert not short.is_alive()
     assert t._minima.keys() == {order.ranks}
     letters, starts = t._minima[order.ranks]
-    assert letters == out["long"].word.indices
+    assert letters == out["long"].word.text
     assert list(starts) == chain(trib()._text(trib().exact_horizon(20)), order.ranks, 20)
     assert out["short"].word.indices == out["long"].word.indices[:5]

@@ -91,19 +91,24 @@ def test_morphic_image_reads_each_inner_letter_once():
         # range reader, which every public reader goes through too.
         def _letters(self, start, stop):
             out = super()._letters(start, stop)
-            read.append(len(out))
+            read.append((start, start + len(out)))
             return out
 
     m = PureEpistandardMorphism(ABC, (2, 0))
     image = MorphicImageStream(m, Counting(source.directive()))
-    lengths = [len(m.images[c]) for c in source.raw(200000)]
+    lengths = [len(m.images[c]) for c in source.raw(400000)]
+    longest, had = max(lengths), 0
     for n in (1, 100, 5000, 5001, 60000, 60100, 200000):
         image.prefix(n)
-        needed, total = 0, 0
-        while total < n:
-            total += lengths[needed]
-            needed += 1
-        assert needed <= sum(read) <= needed + 4096
+        # The ranges read follow one another from 0: no letter is read twice.
+        assert read[0][0] == 0 and all(stop == start for (_, stop), (start, _) in zip(read, read[1:]))
+        # The memo is the image of exactly the letters read, so none is
+        # skipped or read and dropped.
+        assert len(image._buf) == sum(lengths[: read[-1][1]])
+        # It grows to n or to twice its length, whichever is more, and passes
+        # that by less than one letter's image.
+        assert n <= len(image._buf) < max(n, 2 * had) + longest
+        had = len(image._buf)
 
 
 def test_compose():

@@ -1,8 +1,7 @@
 import random
-from array import array
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from epilex import (
     Alphabet,
@@ -19,11 +18,12 @@ from epilex import (
     complexity,
     construct_skew,
     factors,
+    palindromic_prefixes,
     psi,
     standard_word,
 )
 from epilex.textio import ParseError, parse_directive, parse_literal, parse_skew
-from epilex.words import LengthError, _chr_text
+from epilex.words import MAX_LETTERS, LengthError, _chr_text
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -141,18 +141,91 @@ def test_word_str_is_the_token_join(letters):
 
 
 def test_text_is_the_chr_join_for_every_index_chr_takes():
-    assert _chr_text(array("I", [0x10FFFF, 0xD800, 0, 0xDFFF])) == "".join(map(chr, (0x10FFFF, 0xD800, 0, 0xDFFF)))
-    # Indices past 255 and in the surrogate range, through every kind that
-    # fills its buffer in bulk.
+    assert _chr_text((0x10FFFF, 0xD800, 0, 0xDFFF)) == "".join(map(chr, (0x10FFFF, 0xD800, 0, 0xDFFF)))
+    # Indices past 255 and in the surrogate range, through every stream
+    # kind, against letters worked out from index tuples apart from any text.
     wide = Alphabet(tuple(f"t{i}" for i in range(0xE001)))
-    head = Word(wide, (0xD800, 300, 0xDFFF, 0, 0xDBFF))
-    cycle = Word(wide, (0xDC00, 256, 0xE000, 255, 0xD7FF))
+    head_idx, cycle_idx = (0xD800, 300, 0xDFFF, 0, 0xDBFF), (0xDC00, 256, 0xE000, 255, 0xD7FF)
+    head, cycle = Word(wide, head_idx), Word(wide, cycle_idx)
     literal = LiteralPeriodicStream(head, cycle)
-    image = MorphicImageStream(PureEpistandardMorphism(wide, (0xD800, 300)), literal)
-    for t in (literal, ConcatStream(cycle, literal), image):
+    m = PureEpistandardMorphism(wide, (0xD800, 300))
+    image = MorphicImageStream(m, literal)
+    directive = DirectiveWord(wide, (0xD800, 300), (0xDFFF, 256))
+    letters = head_idx + cycle_idx * 70
+    expected = {
+        literal: letters,
+        ConcatStream(cycle, literal): cycle_idx + letters,
+        image: tuple(x for c in letters for x in m.images[c]),
+        DirectiveStream(directive): palindromic_prefixes(directive, 12)[-1].indices,
+    }
+    for t, want in expected.items():
+        assert len(want) >= 333
         for n in (0, 1, 7, 333):
-            assert t._text(n) == "".join(map(chr, t.raw(n)))
+            assert t._text(n) == "".join(map(chr, want[:n]))
+            assert t.raw(n) == list(want[:n]) and t.prefix(n) == Word(wide, want[:n])
     assert image.prefix(333) == image.morphism.apply_word(literal.prefix(333))[:333]
+
+
+def test_memo_growth_is_geometric(monkeypatch):
+    # A memo is a str, replaced whole on each growth, so reading in small
+    # steps stays linear only if each growth at least doubles it: 2*10**6
+    # letters in 1,000-letter steps take O(log n) growths, not n / 1000.
+    import epilex.words as words
+
+    def literal():
+        return LiteralPeriodicStream(ABC.word("ab"), ABC.word("cab"))
+
+    makers = (literal, lambda: ConcatStream(ABC.word("ba"), literal()), lambda: psi(ABC, "c").apply(literal()))
+    grown: dict[WordStream, list[int]] = {}
+    for kind in (LiteralPeriodicStream, ConcatStream, MorphicImageStream):
+        extend = kind._extend
+
+        def counting(self, n, extend=extend):
+            extend(self, n)
+            grown.setdefault(self, []).append(len(self._buf))
+
+        monkeypatch.setattr(kind, "_extend", counting)
+    n, step = 2 * 10**6, 1000
+    for make in makers:
+        want = make()._text(n)
+        grown.clear()
+        t = make()
+        assert "".join(t._letters(i, i + step) for i in range(0, n, step)) == want
+        # the outer stream and, for a concatenation or an image, its literal source
+        assert len(grown) == (1 if type(t) is LiteralPeriodicStream else 2)
+        for lengths in grown.values():
+            assert len(lengths) <= n.bit_length(), lengths
+            assert max(lengths) <= min(2 * n, MAX_LETTERS)
+    # Growth doubles the memo only up to MAX_LETTERS.
+    monkeypatch.setattr(words, "MAX_LETTERS", 50_000)
+    for make in makers:
+        grown.clear()
+        t = make()
+        for i in range(0, 40_000, step):
+            t._letters(i, i + step)
+        assert all(max(lengths) <= 50_000 for lengths in grown.values())
+        assert max(grown[t]) > 40_000
+
+
+@st.composite
+def strict_directives(draw):
+    # Every letter of the directive recurs: the preperiod draws from the period's letters.
+    size = draw(st.integers(1, 4))
+    period = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=5))
+    pre = draw(st.lists(st.sampled_from(period), max_size=5))
+    return DirectiveWord(Alphabet(tuple("abcd"[:size])), tuple(pre), tuple(period))
+
+
+@settings(max_examples=300, deadline=None)
+@given(strict_directives(), st.integers(1, 120))
+def test_strict_words_have_the_droubay_justin_pirillo_complexity(d, k):
+    # Droubay-Justin-Pirillo (TCS 255, 2001): a standard episturmian word
+    # whose directive is strict over m letters has (m - 1)k + 1 factors of
+    # each length k.  complexity() with no horizon counts the factors within
+    # exact_horizon(k), so a bound too short to hold them all counts fewer:
+    # this tries to falsify the bound.
+    m = len(d.ult())
+    assert complexity(standard_word(d), k) == (m - 1) * k + 1
 
 
 def test_literal_stream_requires_nonempty_cycle():
@@ -168,7 +241,7 @@ def test_stream_prefixes_are_monotone_and_deterministic():
 
 
 def test_complexity_examples():
-    assert complexity(fib(), 5, 200) == 6
+    assert complexity(fib(), 5) == complexity(fib(), 5, 200) == 6
     assert complexity(trib(), 10, 2000) == 21
     assert complexity(fib(), 0, 1) == 1
     with pytest.raises(ValueError, match="factor length must be >= 0"):
@@ -210,7 +283,7 @@ def test_concurrent_stream_extension_is_safe():
         if kind == "prefix":
             return t.prefix(a).indices
         if kind == "range":
-            return t._letters(a, b).tolist()
+            return list(map(ord, t._letters(a, b)))
         return [ord(c) for c in t._text(a)]
 
     interval = sys.getswitchinterval()
@@ -262,6 +335,8 @@ def test_every_entry_point_still_refuses_out_of_range_letters():
 
 
 def test_stream_prefixes_are_ordinary_words_built_without_a_recheck(monkeypatch):
+    import epilex.words as words
+
     fib3 = standard_word(parse_directive(ABC, "(ab)"))
     streams = (
         standard_word(parse_directive(ABC, "c(ab)")),
@@ -271,8 +346,8 @@ def test_stream_prefixes_are_ordinary_words_built_without_a_recheck(monkeypatch)
     )
     expected = [(n, Word(ABC, tuple(s.raw(n)))) for s in streams for n in (0, 1, 57)]
     checks = []
-    post_init = Word.__post_init__
-    monkeypatch.setattr(Word, "__post_init__", lambda w: checks.append(w) or post_init(w))
+    check = words._check_indices
+    monkeypatch.setattr(words, "_check_indices", lambda alphabet, indices: checks.append(indices) or check(alphabet, indices))
     got = [(n, s.prefix(n)) for s in streams for n in (0, 1, 57)]
     assert checks == []
     for (n, want), (_, w) in zip(expected, got):
