@@ -62,7 +62,8 @@ class DirectiveWord:
 
     @classmethod
     def parse(cls, alphabet: Alphabet, preperiod: str | Sequence[str], period: str | Sequence[str]) -> "DirectiveWord":
-        return cls(alphabet, *(tuple(map(ord, alphabet.word(part).text)) for part in (preperiod, period)))
+        pre, per = alphabet.word(preperiod), alphabet.word(period)
+        return cls(alphabet, tuple(map(ord, pre.text)), tuple(map(ord, per.text)))
 
     def letter(self, i: int) -> int:
         """The i-th directive letter, 1-indexed."""
