@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .morphisms import MorphicImageStream, PureEpistandardMorphism
-from .words import Alphabet, Word, WordStream, _check_indices
+from .words import Alphabet, Word, WordStream, _check_indices, _grow_by
 
 __all__ = [
     "DirectiveWord",
@@ -148,18 +148,21 @@ def _prefix_lengths(directive: DirectiveWord) -> Iterator[int]:
 class DirectiveStream(WordStream):
     """The standard episturmian word directed by an eventually periodic sequence.
 
-    ``_buf`` holds the largest computed palindromic prefix, as text;
-    ``_lengths[i]`` is the length of the (i+1)-th palindromic prefix (the
-    first has length 0) and ``_last`` maps each letter to its last directive
-    position.  One step consumes one directive letter x and appends x, then
-    the last |u_n| - |u_{n-1}| - 1 letters of the old prefix u_{n-1}, the
-    lengths coming from the last-occurrence rule: ``buf + chr(x) +
+    ``_buf`` holds a prefix of the word, as text; ``_lengths[i]`` is the
+    length of the (i+1)-th palindromic prefix (the first has length 0) and
+    ``_last`` maps each letter to its last directive position.  One step
+    consumes one directive letter x and appends x, then the last
+    |u_n| - |u_{n-1}| - 1 letters of the old prefix u_{n-1}, the lengths
+    coming from the last-occurrence rule: ``buf + chr(x) +
     buf[2*old+1-new:old]``.
 
-    Constant tail y: once a tail letter is consumed, every step appends the
-    q = L - L_prev letters the previous step appended, so the word is
-    mu_m(y)^omega (Justin-Pirillo 2002, TCS 276) and ``_extend`` fills it
-    in one call from prefix count ``_fill_from`` on.
+    Constant tail y: once a tail letter is consumed, at prefix length L,
+    every step appends the q = L - L_prev letters the previous step
+    appended, so the word is mu_m(y)^omega (Justin-Pirillo 2002, TCS 276)
+    and its palindromic prefixes past L are L + q, L + 2q, ....  Stepping
+    then stops: ``_lengths`` ends at L, ``_tail`` is (L, q), and ``_extend``
+    appends whole q-letter blocks, as many as reach the read or fit in twice
+    the memo (:func:`~epilex.words._grow_by`).
     """
 
     def __init__(self, directive: DirectiveWord) -> None:
@@ -168,22 +171,27 @@ class DirectiveStream(WordStream):
         self._lengths: list[int] = [0]
         self._last: dict[int, int] = {}
         constant = len(set(directive.period)) == 1
-        self._fill_from = len(directive.preperiod) + 2 if constant else None
+        self._tail_from = len(directive.preperiod) + 2 if constant else None
+        self._tail: tuple[int, int] | None = None
 
-    def _extend(self, n: int) -> None:
+    def _step(self, n: int) -> None:
+        """Step until the memo holds ``n`` letters or the constant tail starts.  Called under the lock."""
         buf, lengths = self._buf, self._lengths
-        while lengths[-1] < n and (self._fill_from is None or len(lengths) < self._fill_from):
+        while self._tail is None and lengths[-1] < n:
             old = lengths[-1]
             x = self._directive.letter(len(lengths))
             new = _next_prefix_length(lengths, self._last, x)
             buf += chr(x) + buf[2 * old + 1 - new : old]
-        if lengths[-1] < n:
-            length = lengths[-1]
-            q = length - lengths[-2]
-            steps = -((length - n) // q)
-            buf += buf[length - q :] * steps
-            lengths.extend(range(length + q, length + steps * q + 1, q))
+            if len(lengths) == self._tail_from:
+                self._tail = (new, new - old)
         self._buf = buf
+
+    def _extend(self, n: int) -> None:
+        self._step(n)
+        buf = self._buf
+        if len(buf) < n:
+            q = self._tail[1]
+            self._buf = buf + buf[-q:] * _grow_by(len(buf), n, q)
 
     def directive(self) -> DirectiveWord:
         return self._directive
@@ -194,8 +202,12 @@ class DirectiveStream(WordStream):
     def palindromic_prefix_lengths(self, up_to: int) -> list[int]:
         """Lengths of the palindromic prefixes not exceeding ``up_to``."""
         with self._lock:
-            self._extend(up_to)
-            return [n for n in self._lengths if n <= up_to]
+            self._step(up_to)
+            lengths = [n for n in self._lengths if n <= up_to]
+            if self._tail is not None:
+                end, q = self._tail
+                lengths += range(end + q, up_to + 1, q)
+            return lengths
 
 
 def standard_word(directive: DirectiveWord) -> DirectiveStream:
@@ -327,10 +339,10 @@ def exact_horizon(directive: DirectiveWord, k: int) -> int:
     ``2k``: the rule takes that prefix and continues the chain for
     preperiod+period+1 further steps.  With a single recurring letter the
     word is purely periodic (period: the image of the recurring letter under
-    the preperiod morphism) and one period plus ``2k`` suffices.  Both are
-    read off the directive's palindromic-prefix lengths, which the
-    last-occurrence rule gives without building the word; the period is
-    |mu_m(y)| = |u_{m+1}| - |u_m| (see :func:`image_length`).
+    the preperiod morphism) and one period plus ``2k`` suffices.  The first
+    is read off the directive's palindromic-prefix lengths, which the
+    last-occurrence rule gives without building the word; the period
+    |mu_m(y)| is :func:`image_length`'s, which builds no image either.
 
     This bound is an empirical claim, not a derived one.
     ``tests/test_extremal.py::test_exact_horizons_hold_every_factor`` tries
@@ -351,16 +363,21 @@ def exact_horizon(directive: DirectiveWord, k: int) -> int:
         lag = len(directive.preperiod) + len(directive.period) + 1
         return next(islice(lengths, lag - 1, None))
     m = strictness(directive).m
-    u_m, u_m1 = islice(_prefix_lengths(directive), m, m + 2)
-    return u_m1 - u_m + 2 * k + 2
+    return image_length(prefix_morphism(directive, m), directive.letter(m + 1)) + 2 * k + 2
 
 
 def image_length(mu: PureEpistandardMorphism, y: int) -> int:
-    """|mu(y)| without building the image: |u_{n+1}| - |u_n| for the directive
-    ``mu``'s n generators then y (Justin-Pirillo 2002, TCS 276)."""
-    n = len(mu.letters)
-    u_n, u_n1 = islice(_prefix_lengths(DirectiveWord(mu.alphabet, mu.letters, (y,))), n, n + 2)
-    return u_n1 - u_n
+    """|mu(y)| without building the image, from letter counts.
+
+    The generator of z inserts a z before every other letter, so it sets the
+    count of z to the word's length and leaves the other counts as they are;
+    the generators act innermost first, from the one letter y.
+    """
+    counts = [0] * mu.alphabet.size
+    counts[y] = total = 1
+    for z in reversed(mu.letters):
+        total, counts[z] = 2 * total - counts[z], total
+    return total
 
 
 def recover_directive_letters(text: str) -> list[int]:

@@ -163,7 +163,7 @@ def parse_skew(alphabet: Alphabet, text: str) -> SkewSpec:
         raise ParseError(f"skew p={p} exceeds the limit of {MAX_LETTERS} letters")
     lengths = [image_length(morphism, y) for y in range(alphabet.size)]
     if max(lengths) > MAX_LETTERS:
-        raise ParseError(f"mu has a {max(lengths)}-letter image, which exceeds the limit of {MAX_LETTERS} letters")
+        raise ParseError(f"mu has an image that exceeds the limit of {MAX_LETTERS} letters")
     seed = p * max(lengths[c] for c in directive.alph()) + lengths[alphabet.index(x)]
     if seed > MAX_LETTERS:
         raise ParseError(f"skew seed may reach {seed} letters, which exceeds the limit of {MAX_LETTERS} letters")

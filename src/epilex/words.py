@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -267,19 +268,22 @@ class LexOrder:
 
 
 def all_orders(alphabet: Alphabet, subset: Sequence[str] | None = None) -> list[LexOrder]:
-    """Every total order on ``alphabet``.
+    """Every total order on ``alphabet``, as a fresh list.
 
     With ``subset``, only the given letters are permuted (in declaration
     order); the remaining letters are ranked above them, also in declaration
     order.  Enumeration order is deterministic.
     """
-    if subset is None:
-        base = list(alphabet.letters)
-        rest: list[str] = []
-    else:
-        base = [t for t in alphabet.letters if t in set(subset)]
-        rest = [t for t in alphabet.letters if t not in set(subset)]
-    return [LexOrder.from_letters(alphabet, list(p) + rest) for p in permutations(base)]
+    return list(_orders(alphabet, None if subset is None else tuple(subset)))
+
+
+@lru_cache(maxsize=256)
+def _orders(alphabet: Alphabet, subset: tuple[str, ...] | None) -> tuple[LexOrder, ...]:
+    """The orders :func:`all_orders` lists, built once per (alphabet, subset)."""
+    chosen = set(alphabet.letters if subset is None else subset)
+    base = [t for t in alphabet.letters if t in chosen]
+    rest = [t for t in alphabet.letters if t not in chosen]
+    return tuple(LexOrder.from_letters(alphabet, list(p) + rest) for p in permutations(base))
 
 
 class WordStream:
@@ -289,7 +293,8 @@ class WordStream:
     result for ``m <= n`` is a prefix of the result for ``n``.  Streams are
     immutable values.  The internal prefix memo ``_buf`` is the prefix's
     ``chr`` text, a ``str`` replaced by a longer one on each growth: at least
-    twice as long (:func:`_grow_by`), except in a directive stream's steps.
+    twice as long (:func:`_grow_by`), except where a directive stream steps
+    to its next palindromic prefix.
     ``_letters(start, stop)`` is the one place it grows: it calls ``_extend``
     under a lock, so concurrent readers are safe, and returns a ``str`` slice,
     which lets a stream built on another one (a concatenation, a morphic

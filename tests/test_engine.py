@@ -308,6 +308,19 @@ def test_exact_horizon_matches_closure_built_lengths(case):
     assert [image_length(mu, y) for y in range(d.alphabet.size)] == [len(w) for w in mu.images]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), max_size=8), st.integers(0, k - 1))
+    )
+)
+def test_image_length_matches_built_images(case):
+    # any composition of generators, not only the prefix morphisms of directives
+    k, letters, y = case
+    mu = PureEpistandardMorphism(Alphabet(tuple("abcd"[:k])), tuple(letters))
+    assert image_length(mu, y) == len(mu.images[y])
+
+
 def test_exact_horizon_never_builds_the_word():
     # Bounds near 10^16: building the prefix (or the letter image) they are
     # computed from would exhaust the 512 MiB cap long before the timeout.
@@ -403,17 +416,24 @@ def test_constant_tail_fill_matches_closure_iteration(d, reads):
         ups = palindromic_prefixes(d, count)
     letters = ups[-1].indices
     t = standard_word(d)
-    reached = 0
+    reached = read = 0
     for kind, a, b in reads:
         if kind == "range":
             start, stop = sorted((a, b))
             assert list(map(ord, t._letters(start, stop))) == list(letters[start:stop])
-            reached = max(reached, stop)
+            reached, read = max(reached, stop), max(read, stop)
         else:
             assert t.palindromic_prefix_lengths(a) == [len(u) for u in ups if len(u) <= a]
             reached = max(reached, a)
-        # growth stops at the first palindromic prefix reaching the read
-        assert t._lengths[-1] == min(len(u) for u in ups if len(u) >= reached)
+        if t._tail is None:
+            # stepping stops at the first palindromic prefix reaching the read
+            assert len(t._buf) == t._lengths[-1] == min(len(u) for u in ups if len(u) >= reached)
+        else:
+            # past the tail start L, the memo holds whole q-blocks
+            end, q = t._tail
+            p = len(d.preperiod)
+            assert (end, q) == (len(ups[p + 1]), len(ups[p + 1]) - len(ups[p]))
+            assert t._lengths[-1] == end and len(t._buf) >= read and (len(t._buf) - end) % q == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -455,6 +475,27 @@ def test_constant_tail_is_filled_without_stepping(monkeypatch):
     # the word is mu_m(y)^omega, mu_m the morphism of the preperiod
     block = prefix_morphism(d, len(d.preperiod)).images[d.period[0]]
     assert word == (list(block) * (10**5 // len(block) + 1))[: 10**5]
+
+
+def test_constant_tail_small_step_reads_grow_the_memo_geometrically(monkeypatch):
+    import epilex.engine as engine
+
+    calls = []
+    extend = engine.DirectiveStream._extend
+
+    def counting(self, n):
+        calls.append(n)
+        extend(self, n)
+
+    monkeypatch.setattr(engine.DirectiveStream, "_extend", counting)
+    d = parse_directive(AB, "ab(b)")
+    t = standard_word(d)
+    text = "".join(t._letters(i - 1000, i) for i in range(1000, 10**6 + 1, 1000))
+    # one growth per doubling of the memo, not one per read
+    assert len(calls) <= 25
+    assert len(t._buf) <= 2 * 10**6
+    block = prefix_morphism(d, len(d.preperiod)).images[d.period[0]]
+    assert list(map(ord, text)) == (list(block) * (10**6 // len(block) + 1))[: 10**6]
 
 
 def test_constant_tail_fill_is_shared_safely_across_threads():

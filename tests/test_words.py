@@ -86,6 +86,16 @@ def test_all_orders_enumeration_is_deterministic():
     assert len(described) == 6
 
 
+def test_all_orders_returns_a_fresh_list():
+    first = all_orders(ABC, subset=["a", "c"])
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    assert all_orders(ABC, subset=["a", "c"]) == expected
+    assert all_orders(ABC, subset=("a", "c")) == expected
+    assert [o.describe() for o in expected] == ["a<c<b", "c<a<b"]
+
+
 # --- factors ----------------------------------------------------------------
 
 def test_factors_examples():
