@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .morphisms import MorphicImageStream, PureEpistandardMorphism
+from .morphisms import MorphicImageStream, PureEpistandardMorphism, image_length
 from .words import Alphabet, Word, WordStream, _check_indices, _grow_by
 
 __all__ = [
@@ -163,6 +163,10 @@ class DirectiveStream(WordStream):
     then stops: ``_lengths`` ends at L, ``_tail`` is (L, q), and ``_extend``
     appends whole q-letter blocks, as many as reach the read or fit in twice
     the memo (:func:`~epilex.words._grow_by`).
+
+    ``_bounds`` keeps each bound :func:`exact_horizon` gave, by k, so a warm
+    stream asks the engine once per k.  Threads that miss together store the
+    same bound, so it takes no lock.
     """
 
     def __init__(self, directive: DirectiveWord) -> None:
@@ -173,6 +177,7 @@ class DirectiveStream(WordStream):
         constant = len(set(directive.period)) == 1
         self._tail_from = len(directive.preperiod) + 2 if constant else None
         self._tail: tuple[int, int] | None = None
+        self._bounds: dict[int, int] = {}
 
     def _step(self, n: int) -> None:
         """Step until the memo holds ``n`` letters or the constant tail starts.  Called under the lock."""
@@ -197,7 +202,10 @@ class DirectiveStream(WordStream):
         return self._directive
 
     def exact_horizon(self, k: int) -> int:
-        return exact_horizon(self._directive, k)
+        bound = self._bounds.get(k)
+        if bound is None:
+            bound = self._bounds[k] = exact_horizon(self._directive, k)
+        return bound
 
     def palindromic_prefix_lengths(self, up_to: int) -> list[int]:
         """Lengths of the palindromic prefixes not exceeding ``up_to``."""
@@ -364,20 +372,6 @@ def exact_horizon(directive: DirectiveWord, k: int) -> int:
         return next(islice(lengths, lag - 1, None))
     m = strictness(directive).m
     return image_length(prefix_morphism(directive, m), directive.letter(m + 1)) + 2 * k + 2
-
-
-def image_length(mu: PureEpistandardMorphism, y: int) -> int:
-    """|mu(y)| without building the image, from letter counts.
-
-    The generator of z inserts a z before every other letter, so it sets the
-    count of z to the word's length and leaves the other counts as they are;
-    the generators act innermost first, from the one letter y.
-    """
-    counts = [0] * mu.alphabet.size
-    counts[y] = total = 1
-    for z in reversed(mu.letters):
-        total, counts[z] = 2 * total - counts[z], total
-    return total
 
 
 def recover_directive_letters(text: str) -> list[int]:

@@ -100,6 +100,20 @@ def psi(alphabet: Alphabet, letter: str) -> PureEpistandardMorphism:
     return PureEpistandardMorphism(alphabet, (alphabet.index(letter),))
 
 
+def image_length(mu: PureEpistandardMorphism, y: int) -> int:
+    """|mu(y)| without building the image, from letter counts.
+
+    The generator of z inserts a z before every other letter, so it sets the
+    count of z to the word's length and leaves the other counts as they are;
+    the generators act innermost first, from the one letter y.
+    """
+    counts = [0] * mu.alphabet.size
+    counts[y] = total = 1
+    for z in reversed(mu.letters):
+        total, counts[z] = 2 * total - counts[z], total
+    return total
+
+
 class MorphicImageStream(WordStream):
     """Image of a stream under a morphism, generated image block by image block.
 
@@ -108,6 +122,10 @@ class MorphicImageStream(WordStream):
     text is mapped by :meth:`PureEpistandardMorphism._map_text`, and the
     mapped chunks are joined to the memo once per ``_extend``, which grows it
     to at least twice its length (:func:`~epilex.words._grow_by`).
+    ``_longest``, the longest letter image, comes from
+    :func:`image_length`, which builds no image.  ``_bounds`` keeps each
+    bound ``exact_horizon`` has looked up, by k; threads that miss together
+    store the same bound, so it takes no lock.
     """
 
     def __init__(self, morphism: PureEpistandardMorphism, inner: WordStream) -> None:
@@ -116,7 +134,7 @@ class MorphicImageStream(WordStream):
         super().__init__(inner.alphabet)
         self.morphism = morphism
         self.inner = inner
-        self._longest = max(map(len, morphism.images))
+        self._longest = max(image_length(morphism, y) for y in range(inner.alphabet.size))
         self._consumed = 0
         # Streams are immutable, so the directive is stated once.
         inner_directive = inner.directive()
@@ -125,6 +143,7 @@ class MorphicImageStream(WordStream):
             if inner_directive is None
             else replace(inner_directive, preperiod=morphism.letters + inner_directive.preperiod)
         )
+        self._bounds: dict[int, int] = {}
 
     def _extend(self, n: int) -> None:
         chunks, have, consumed, longest = [self._buf], len(self._buf), self._consumed, self._longest
@@ -146,8 +165,13 @@ class MorphicImageStream(WordStream):
         return self._directive
 
     def exact_horizon(self, k: int) -> int:
-        if self._directive is not None:
-            return self._directive.exact_horizon(k)
-        # A length-k window of the image lies inside the image of k consecutive
-        # inner letters, which occur within the inner bound.
-        return self._longest * self.inner.exact_horizon(k)
+        bound = self._bounds.get(k)
+        if bound is None:
+            if self._directive is not None:
+                bound = self._directive.exact_horizon(k)
+            else:
+                # A length-k window of the image lies inside the image of k
+                # consecutive inner letters, which occur within the inner bound.
+                bound = self._longest * self.inner.exact_horizon(k)
+            self._bounds[k] = bound
+        return bound

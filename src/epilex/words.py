@@ -240,6 +240,10 @@ class LexOrder:
     def __post_init__(self) -> None:
         if sorted(self.ranks) != list(range(self.alphabet.size)):
             raise ValueError(f"ranks must be a permutation of 0..{self.alphabet.size - 1}")
+        # The reversed order's ranks, which max queries and ``reversed`` read:
+        # set here, as ``Alphabet._token_table`` is, not on first use.
+        top = self.alphabet.size - 1
+        object.__setattr__(self, "_reversed_ranks", tuple(top - r for r in self.ranks))
 
     @classmethod
     def default(cls, alphabet: Alphabet) -> "LexOrder":
@@ -263,8 +267,7 @@ class LexOrder:
         return "<".join(self.letters_ascending())
 
     def reversed(self) -> "LexOrder":
-        top = self.alphabet.size - 1
-        return LexOrder(self.alphabet, tuple(top - r for r in self.ranks))
+        return LexOrder(self.alphabet, self._reversed_ranks)
 
 
 def all_orders(alphabet: Alphabet, subset: Sequence[str] | None = None) -> list[LexOrder]:

@@ -535,3 +535,60 @@ def test_constant_tail_fill_is_shared_safely_across_threads():
     assert len(results) == 8 * len(work)
     for q, got in results:
         assert got == serial[q]
+
+
+def test_streams_keep_the_bounds_they_looked_up(monkeypatch):
+    import epilex.engine as engine
+    from epilex import LexOrder, MorphicImageStream, min_factor
+
+    calls = []
+    bound = engine.exact_horizon
+
+    def counting(directive, k):
+        calls.append(k)
+        return bound(directive, k)
+
+    monkeypatch.setattr(engine, "exact_horizon", counting)
+    t = standard_word(parse_directive(ABC, "a(bca)"))
+    image = MorphicImageStream(psi(ABC, "c"), t)
+    order = LexOrder.default(ABC)
+    for stream in (t, image):
+        assert min_factor(stream, 9, order).exact
+        calls.clear()
+        for _ in range(2):  # a warm stream asks the engine nothing
+            assert min_factor(stream, 9, order).exact
+            assert stream.exact_horizon(9) == bound(stream.directive(), 9)
+        assert calls == []
+
+
+def test_bounds_are_shared_safely_across_threads():
+    import sys
+    import threading
+
+    d = parse_directive(ABC, "ab(cab)")
+    ks = list(range(200))
+    serial = [exact_horizon(d, k) for k in ks]
+    shared = standard_word(d)
+    results = []
+    start = threading.Barrier(8, timeout=60)
+
+    def worker(seed):
+        mine = ks[:]
+        random.Random(seed).shuffle(mine)
+        start.wait()
+        results.extend((k, shared.exact_horizon(k)) for k in mine)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == 8 * len(ks)
+    assert all(got == serial[k] for k, got in results)
+    assert shared._bounds == dict(zip(ks, serial))

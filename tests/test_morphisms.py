@@ -111,6 +111,15 @@ def test_morphic_image_reads_each_inner_letter_once():
         had = len(image._buf)
 
 
+def test_morphic_image_builds_no_letter_image():
+    # The longest letter image sizes the image's reads and its bound; it is
+    # taken from letter counts, and no image of a letter is built for it.
+    m = PureEpistandardMorphism(AB, (0, 1) * 12)
+    image = MorphicImageStream(m, fib())
+    assert "images" not in vars(m)
+    assert image._longest == max(map(len, m.images)) == 121393
+
+
 def test_compose():
     pa, pb = psi(ABC, "a"), psi(ABC, "b")
     assert identity(ABC).compose(pa) == pa
