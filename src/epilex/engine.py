@@ -164,9 +164,8 @@ class DirectiveStream(WordStream):
     appends whole q-letter blocks, as many as reach the read or fit in twice
     the memo (:func:`~epilex.words._grow_by`).
 
-    ``_bounds`` keeps each bound :func:`exact_horizon` gave, by k, so a warm
-    stream asks the engine once per k.  Threads that miss together store the
-    same bound, so it takes no lock.
+    The stream keeps each bound :func:`exact_horizon` gives
+    (``WordStream._kept_bound``), so a warm stream asks the engine once per k.
     """
 
     def __init__(self, directive: DirectiveWord) -> None:
@@ -177,7 +176,6 @@ class DirectiveStream(WordStream):
         constant = len(set(directive.period)) == 1
         self._tail_from = len(directive.preperiod) + 2 if constant else None
         self._tail: tuple[int, int] | None = None
-        self._bounds: dict[int, int] = {}
 
     def _step(self, n: int) -> None:
         """Step until the memo holds ``n`` letters or the constant tail starts.  Called under the lock."""
@@ -202,10 +200,7 @@ class DirectiveStream(WordStream):
         return self._directive
 
     def exact_horizon(self, k: int) -> int:
-        bound = self._bounds.get(k)
-        if bound is None:
-            bound = self._bounds[k] = exact_horizon(self._directive, k)
-        return bound
+        return self._kept_bound(k, self._directive.exact_horizon)
 
     def palindromic_prefix_lengths(self, up_to: int) -> list[int]:
         """Lengths of the palindromic prefixes not exceeding ``up_to``."""

@@ -52,16 +52,11 @@ def minimal_window_positions(text: str, rank: Sequence[int], k_max: int) -> list
     j-th least letter present.  One length is ``live >> 1``, which moves
     every window's end to the letter after it, and an ``&`` with ``ends[j]``
     for each letter tried until one is nonzero, each one C-level pass over n
-    bits; the first start is read off ``live.bit_length()``.  Once one
-    window, at start p with p + k_max <= n, is live, every other window is
-    greater in its prefix, so its extensions are the only least windows of
-    every length left: the chain appends p for each and stops.  Counting
-    the live windows is a pass over n bits too, so the chain counts them at
-    lengths 1, 3, 7, 15, ... only.  If no least window extends (each ends
-    flush with a horizon-limited prefix), every window is compared as a
-    slice of the text translated to ranks, which is O(n*k), and the starts
-    of the least become the next ``live``.  Only the current length is held,
-    so memory stays O(n + k_max).
+    bits; the first start is read off ``live.bit_length()``.  If no least
+    window extends (each ends flush with a horizon-limited prefix), every
+    window is compared as a slice of the text translated to ranks, which is
+    O(n*k), and the starts of the least become the next ``live``.  Only the
+    current length is held, so memory stays O(n + k_max).
 
     The letter bitsets depend on ``text`` alone (:func:`_letter_bitsets`), so
     a caller that runs the chain under several orders on one prefix builds
@@ -88,12 +83,6 @@ def _window_chain(text: str, bitsets: dict[int, int], rank: Sequence[int], k_max
     live = ends[0]
     out = [n - live.bit_length()]
     for k in range(2, k_max + 1):
-        # Counting the live windows is a pass over n bits, so it runs at
-        # lengths 1, 3, 7, 15, ... only.  One least window that fits at every
-        # length left is, extended, the only least window of each of them.
-        if not k & (k - 1) and out[-1] + k_max <= n and live.bit_count() == 1:
-            out += [out[-1]] * (k_max - k + 1)
-            break
         shifted = live >> 1
         for e in ends:
             live = shifted & e

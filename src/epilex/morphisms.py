@@ -123,9 +123,8 @@ class MorphicImageStream(WordStream):
     mapped chunks are joined to the memo once per ``_extend``, which grows it
     to at least twice its length (:func:`~epilex.words._grow_by`).
     ``_longest``, the longest letter image, comes from
-    :func:`image_length`, which builds no image.  ``_bounds`` keeps each
-    bound ``exact_horizon`` has looked up, by k; threads that miss together
-    store the same bound, so it takes no lock.
+    :func:`image_length`, which builds no image.  The stream keeps each
+    bound it looks up (``WordStream._kept_bound``).
     """
 
     def __init__(self, morphism: PureEpistandardMorphism, inner: WordStream) -> None:
@@ -143,7 +142,6 @@ class MorphicImageStream(WordStream):
             if inner_directive is None
             else replace(inner_directive, preperiod=morphism.letters + inner_directive.preperiod)
         )
-        self._bounds: dict[int, int] = {}
 
     def _extend(self, n: int) -> None:
         chunks, have, consumed, longest = [self._buf], len(self._buf), self._consumed, self._longest
@@ -165,13 +163,11 @@ class MorphicImageStream(WordStream):
         return self._directive
 
     def exact_horizon(self, k: int) -> int:
-        bound = self._bounds.get(k)
-        if bound is None:
-            if self._directive is not None:
-                bound = self._directive.exact_horizon(k)
-            else:
-                # A length-k window of the image lies inside the image of k
-                # consecutive inner letters, which occur within the inner bound.
-                bound = self._longest * self.inner.exact_horizon(k)
-            self._bounds[k] = bound
-        return bound
+        return self._kept_bound(k, self._look_up_bound)
+
+    def _look_up_bound(self, k: int) -> int:
+        if self._directive is not None:
+            return self._directive.exact_horizon(k)
+        # A length-k window of the image lies inside the image of k consecutive
+        # inner letters, which occur within the inner bound.
+        return self._longest * self.inner.exact_horizon(k)

@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .engine import DirectiveWord
@@ -317,7 +317,9 @@ class WordStream:
 
     Every stream states its bound through ``exact_horizon(k)``.  A word with
     no stated structure is not a stream: it is scanned as a finite
-    :class:`Word` prefix, whose answers are exact for that prefix.
+    :class:`Word` prefix, whose answers are exact for that prefix.  A kind
+    whose bound costs a lookup keeps it in ``_bounds``, by k, through
+    ``_kept_bound``.
     """
 
     def __init__(self, alphabet: Alphabet) -> None:
@@ -325,6 +327,7 @@ class WordStream:
         self._buf = ""
         self._lock = threading.Lock()
         self._minima: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
+        self._bounds: dict[int, int] = {}
 
     def _extend(self, n: int) -> None:
         """Replace ``self._buf`` by a memo of at least ``n`` letters.  Called under the lock."""
@@ -364,6 +367,16 @@ class WordStream:
     def exact_horizon(self, k: int) -> int:
         """A prefix length by which every length-``k`` factor has occurred."""
         raise NotImplementedError
+
+    def _kept_bound(self, k: int, look_up: Callable[[int], int]) -> int:
+        """``look_up(k)``, looked up once per k and kept in ``_bounds``.
+
+        Threads that miss together store the same bound, so it takes no lock.
+        """
+        bound = self._bounds.get(k)
+        if bound is None:
+            bound = self._bounds[k] = look_up(k)
+        return bound
 
 
 def scan_length(w: Word | WordStream, k: int, horizon: int | None) -> tuple[int, bool]:

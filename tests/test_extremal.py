@@ -341,95 +341,6 @@ def test_one_bitset_build_serves_every_order(kind, size, base, seed):
             assert p == first, (kind, seq, order.ranks[base : base + 4], k)
 
 
-class _CountingBitset(int):
-    """A letter bitset that counts the ``&`` the chain takes with it: as a
-    subclass of ``int``, its reflected ``&`` runs before ``int``'s."""
-
-    ands = 0
-
-    def __rand__(self, other):
-        _CountingBitset.ands += 1
-        return other & int(self)
-
-
-@pytest.mark.parametrize(
-    "word, order, k_max, ands",
-    [
-        # the least letter occurs once: one window from length 1 on
-        ("bbbabbbbbbbb", "ab", 9, 0),
-        # the live windows narrow to the run aaa at 5 after three lengths
-        ("abaabaaab" + "b" * 20, "ab", 24, 2),
-        # the lone window aaa ends flush before k_max, so the chain rescans
-        ("abaabaaa", "ab", 5, None),
-        ("cacbaccab", "abc", 7, None),
-    ],
-)
-def test_single_window_finish_examples(word, order, k_max, ands):
-    from epilex.extremal import _letter_bitsets, _window_chain
-
-    alphabet = Alphabet(tuple(sorted(set(order))))
-    ranks = LexOrder.from_letters(alphabet, order).ranks
-    seq = alphabet.word(word).indices
-    text = as_text(seq)
-    bitsets = {c: _CountingBitset(b) for c, b in _letter_bitsets(text).items()}
-    _CountingBitset.ands = 0
-    chain = _window_chain(text, bitsets, ranks, k_max)
-    r = [ranks[c] for c in seq]
-    assert chain == [min(range(len(r) - k + 1), key=lambda p: r[p : p + k]) for k in range(1, k_max + 1)]
-    if ands is not None:
-        # the finish fills every length past the single window without a pass
-        assert _CountingBitset.ands == ands
-
-
-def single_window_case(rng: random.Random, kind: str, size: int) -> tuple[list[int], list[int], int]:
-    """A sequence over ``size`` letters, the ranks of an order, and a chain length.
-
-    ``once``: the least letter occurs once, and every window from it fits in
-    the chain.  ``narrows``: a run of the least letter longer than any other
-    is put where every window from it fits, so the live windows narrow to
-    that run's after several lengths.  ``flush``: the run ends the sequence
-    and the chain runs past its length, so the lone window ends flush before
-    ``k_max`` and the chain rescans.
-    """
-    ranks = list(range(size))
-    rng.shuffle(ranks)
-    least = ranks.index(0)
-    seq = [rng.randrange(size) for _ in range(rng.randint(0, 60))]
-    if kind == "once":
-        seq = [c if c != least else (c + 1) % size for c in seq]
-        p = rng.randint(0, len(seq))
-        seq.insert(p, least)
-        return seq, ranks, rng.randint(1, len(seq) - p)
-    longest = max((len(list(run)) for c, run in groupby(seq) if c == least), default=0)
-    run = [least] * (longest + rng.randint(1, 4))
-    if kind == "narrows":
-        p = rng.randint(0, len(seq))
-        seq[p:p] = run
-        return seq, ranks, rng.randint(1, len(seq) - p)
-    seq += [(least + 1) % size, *run]
-    return seq, ranks, rng.randint(len(run) + 1, len(seq))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from(("once", "narrows", "flush")),
-    st.integers(2, 4),
-    st.sampled_from((0, 300, 0xD800)),
-    st.integers(0, 2**32),
-)
-def test_single_window_finish_matches_a_brute_force(kind, size, base, seed):
-    # Base 300 puts the letters past one byte, base 0xD800 in the surrogate
-    # range, through the finish and the rescan's translation to ranks.
-    from epilex.extremal import minimal_window_positions
-
-    seq, ranks, k_max = single_window_case(random.Random(seed), kind, size)
-    text = as_text([base + c for c in seq])
-    # letters below ``base`` rank above the ones used
-    chain = minimal_window_positions(text, (*range(size, size + base), *ranks), k_max)
-    r = [ranks[c] for c in seq]
-    assert chain == [min(range(len(r) - k + 1), key=lambda p: r[p : p + k]) for k in range(1, k_max + 1)]
-
-
 def test_exactness_labels_for_directive_streams():
     d = parse_directive(AB, "(ab)")
     stream = standard_word(d)
