@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .morphisms import MorphicImageStream, PureEpistandardMorphism, image_length
+from .morphisms import PureEpistandardMorphism, image_length
 from .words import Alphabet, Word, WordStream, _check_indices, _grow_by
 
 __all__ = [
@@ -134,15 +133,6 @@ def _next_prefix_length(lengths: list[int], last: dict[int, int], x: int) -> int
     lengths.append(2 * lengths[-1] + 1 if j is None else 2 * lengths[-1] - lengths[j - 1])
     last[x] = len(lengths) - 1
     return lengths[-1]
-
-
-def _prefix_lengths(directive: DirectiveWord) -> Iterator[int]:
-    """|u_0|, |u_1|, ... of the palindromic prefixes, without building the word."""
-    lengths: list[int] = [0]
-    last: dict[int, int] = {}
-    yield 0
-    while True:
-        yield _next_prefix_length(lengths, last, directive.letter(len(lengths)))
 
 
 class DirectiveStream(WordStream):
@@ -307,6 +297,11 @@ def shift_chain(directive: DirectiveWord, i: int, horizon: int) -> list[str]:
     Link j maps the j-th shifted word back through the generator of directive
     letter j and checks that it matches the (j-1)-th.  Link j's shifted word
     is link j+1's parent, so each one is built once: ``i`` + 1 standard words.
+    The generator maps a finite prefix of the shifted word
+    (:meth:`PureEpistandardMorphism._map_text`), not the engine on the
+    prepended directive, so the check stays independent of the engine; it is
+    non-erasing, so ``horizon`` letters of the shifted word map to at least
+    ``horizon`` letters.
 
     Raises :class:`InternalConsistencyError` at the first link that
     diverges: the two construction paths must agree letter for letter.
@@ -318,8 +313,8 @@ def shift_chain(directive: DirectiveWord, i: int, horizon: int) -> list[str]:
     for j in range(1, i + 1):
         child = standard_word(directive.shift(j))
         x = directive.letter(j)
-        image = MorphicImageStream(PureEpistandardMorphism(directive.alphabet, (x,)), child)
-        if parent._letters(0, horizon) != image._letters(0, horizon):
+        image = PureEpistandardMorphism(directive.alphabet, (x,))._map_text(child._letters(0, horizon))
+        if parent._letters(0, horizon) != image[:horizon]:
             raise InternalConsistencyError(
                 f"shift chain link {j} of {directive} diverges within horizon {horizon}"
             )
@@ -337,36 +332,72 @@ def as_directive(stream: WordStream) -> DirectiveWord | None:
 def exact_horizon(directive: DirectiveWord, k: int) -> int:
     """A prefix length at which every length-``k`` factor has appeared.
 
-    With at least two recurring letters, factors of length ``k`` assemble
-    within one more directive round past the palindromic prefix of length
-    ``2k``: the rule takes that prefix and continues the chain for
-    preperiod+period+1 further steps.  With a single recurring letter the
-    word is purely periodic (period: the image of the recurring letter under
-    the preperiod morphism) and one period plus ``2k`` suffices.  The first
-    is read off the directive's palindromic-prefix lengths, which the
-    last-occurrence rule gives without building the word; the period
-    |mu_m(y)| is :func:`image_length`'s, which builds no image either.
+    Derived from the Justin-Pirillo decomposition s_D = mu_n(s_{T^n D})
+    (Justin-Pirillo 2002, TCS 276): mu_n composes the generators of the
+    first n directive letters d_1..d_n, T^n D drops them, and u_j are the
+    palindromic prefixes.  By the last-occurrence rule,
+    |mu_n(x)| = |u_n| - |u_{j-1}|, with j <= n the last position of x among
+    d_1..d_n, or |u_n| + 1 when x is not among them.
 
-    This bound is an empirical claim, not a derived one.
-    ``tests/test_extremal.py::test_exact_horizons_hold_every_factor`` tries
-    to falsify it (and the bounds the other stream kinds build on it) by
-    brute force: it finds where each distinct length-``k`` factor first ends
-    in a prefix eight times the bound and checks that none ends past it.
-    The claim carries weight: minimal-factor scans stop at this bound, so a
-    bound that is too short would change the factors returned, not only
-    their ``exact`` label.  Results scanned below it are horizon-limited.
+    With at least two recurring letters:
+
+    1. Let n be the least index at which |mu_n(x)| >= k for every letter x
+       of T^n D.  A length-k window of s_D that starts inside the image of a
+       letter of s' = s_{T^n D} ends inside the image of the next one, so it
+       lies inside mu_n(x x') for a length-2 factor x x' of s', and starts
+       inside mu_n(x).
+    2. y = d_{n+1} separates s' = psi_y(s_{T^{n+1} D}): its length-2 factors
+       are yz and zy for every other letter z of T^n D, and yy exactly when
+       y occurs in T^{n+1} D.  The palindromic prefixes u'_i of s' start and
+       end with y, and u'_i is followed by d_{n+i+1}, so a new letter
+       z = d_{n+i} gives yz and zy by |u'_{i-1}| + 2 <= |u'_i| and a
+       second y gives yy by |u'_{i-1}| + 1.  Let J be the first index at
+       which d_{n+1}..d_{n+J} holds every letter of T^n D, and y twice when
+       yy is needed: the first occurrence of every length-2 factor of s'
+       starts within u'_J, or within u'_{J-1} when d_{n+J} = y.
+    3. u_{n+j} = mu_n(u'_j) u_n, so |mu_n(u'_j)| = |u_{n+j}| - |u_n|, and
+       every window starts before that many letters and ends within k - 1
+       more: the bound is |u_{n+J}| - |u_n| + k - 1, or
+       |u_{n+J-1}| - |u_n| + k - 1 when d_{n+J} = y.
+
+    With one recurring letter y the word is mu_m(y)^omega, with m the
+    position of the last vanishing letter (see :class:`DirectiveStream`), so
+    every factor starts within the first period and the bound is
+    |mu_m(y)| + k - 1.
+
+    Both are read off palindromic-prefix lengths and letter counts
+    (:func:`image_length`); no word and no letter image is built, and a
+    lookup takes n + J steps of the rule.  The brute-force test
+    ``tests/test_extremal.py::test_exact_horizons_hold_every_factor`` and
+    the Droubay-Justin-Pirillo complexity test try to falsify it.
     """
     if k <= 0:
         return 1
-    if len(directive.ult()) >= 2:
-        lengths = _prefix_lengths(directive)
-        for length in lengths:
-            if length >= 2 * k:
-                break
-        lag = len(directive.preperiod) + len(directive.period) + 1
-        return next(islice(lengths, lag - 1, None))
-    m = strictness(directive).m
-    return image_length(prefix_morphism(directive, m), directive.letter(m + 1)) + 2 * k + 2
+    if len(directive.ult()) < 2:
+        m = strictness(directive).m
+        return image_length(prefix_morphism(directive, m), directive.letter(m + 1)) + k - 1
+    pre, ult = directive.preperiod, directive.ult()
+    lengths: list[int] = [0]
+    last: dict[int, int] = {}
+    n = 0
+    while any(
+        lengths[n] + 1 < k if x not in last else lengths[n] - lengths[last[x] - 1] < k
+        for x in ult.union(pre[n:])  # the letters of T^n D
+    ):
+        n += 1
+        _next_prefix_length(lengths, last, directive.letter(n))
+    y = directive.letter(n + 1)
+    need = dict.fromkeys(ult.union(pre[n:]), 1)
+    need[y] = 2 if y in ult.union(pre[n + 1 :]) else 1
+    left, end = sum(need.values()), n
+    while left:
+        end += 1
+        x = directive.letter(end)
+        _next_prefix_length(lengths, last, x)
+        if need[x]:
+            need[x] -= 1
+            left -= 1
+    return lengths[end - 1 if x == y else end] - lengths[n] + k - 1
 
 
 def recover_directive_letters(text: str) -> list[int]:

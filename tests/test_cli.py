@@ -6,6 +6,10 @@ from epilex.cli import DEFAULT_HORIZON, MAX_LETTERS, main
 from epilex import Alphabet
 from epilex.textio import parse_directive, parse_morphism, parse_skew, skew_from_dict
 
+# The skew cap cases' core is the Fibonacci word, whose bound at depth k is a
+# few times k, so only a depth in the millions scans past MAX_LETTERS.
+SKEW_CAP_DEPTH = ("--depth", "2000000", "--horizon", "2000000")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -249,7 +253,7 @@ def test_oversized_inputs_exit_one_before_anything_is_built():
     limit = f"exceeds the limit of {MAX_LETTERS} letters"
     cases = [
         (("classify", "--alphabet", "a,b,c", "--directive", "ab" * 17 + "(c)", "--depth", "1"),
-         f"error: --depth 1 scans 24157820 letters, which {limit}"),
+         f"error: --depth 1 scans 24157816 letters, which {limit}"),
         (("construct", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c p=30000000 mu=id suffix=1"),
          f"error: skew p=30000000 {limit}"),
         (("construct", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c p=2 mu=psi:" + "ab" * 20),
@@ -263,10 +267,10 @@ def test_oversized_inputs_exit_one_before_anything_is_built():
         (("verify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 20 + " suffix=1"),
          f"error: mu has an image that {limit}"),
         # images under the cap, but the reconstruction gate would scan past it
-        (("verify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1"),
-         f"error: --depth 20 scans 24157816 letters, which {limit}"),
-        (("classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", "--depth", "20"),
-         f"error: --depth 20 scans 24157816 letters, which {limit}"),
+        (("verify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", *SKEW_CAP_DEPTH),
+         f"error: --depth 2000000 scans 11227465 letters, which {limit}"),
+        (("classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", *SKEW_CAP_DEPTH),
+         f"error: --depth 2000000 scans 11227465 letters, which {limit}"),
         # a literal word's bound, checked like the others (its peel ran past 25 s)
         (("classify", "--alphabet", "a,b", "--literal", "a(b)", "--depth", "10000000", "--horizon", "10000000"),
          f"error: --depth 10000000 scans 10000001 letters, which {limit}"),
@@ -289,10 +293,10 @@ def test_classify_skew_scan_cap_builds_no_seed(capsys, monkeypatch):
     seed_word = SkewSpec.seed_word
     monkeypatch.setattr(SkewSpec, "seed_word", lambda spec: built.append(spec) or seed_word(spec))
     code, out, err = run(
-        capsys, "classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", "--depth", "20"
+        capsys, "classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", *SKEW_CAP_DEPTH
     )
     assert (code, out, built) == (1, "", [])
-    assert err.startswith("error: --depth 20 scans 24157816 letters")
+    assert err.startswith("error: --depth 2000000 scans 11227465 letters")
 
 
 def test_verify_skew_scan_cap_builds_no_seed(capsys, monkeypatch):
@@ -302,10 +306,10 @@ def test_verify_skew_scan_cap_builds_no_seed(capsys, monkeypatch):
     seed_word = SkewSpec.seed_word
     monkeypatch.setattr(SkewSpec, "seed_word", lambda spec: built.append(spec) or seed_word(spec))
     code, out, err = run(
-        capsys, "verify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", "--depth", "20"
+        capsys, "verify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", *SKEW_CAP_DEPTH
     )
     assert (code, out, built) == (1, "", [])
-    assert err.startswith("error: --depth 20 scans 24157816 letters")
+    assert err.startswith("error: --depth 2000000 scans 11227465 letters")
 
 
 def test_skew_commands_build_the_seed_once_per_stream(capsys, monkeypatch):
@@ -355,19 +359,18 @@ def test_cross_check_failures_exit_two(capsys, monkeypatch):
 
 
 def test_verify_directive_exits_two_on_a_diverging_shift_chain_link(capsys, monkeypatch):
-    import epilex.engine as engine
     from epilex import PureEpistandardMorphism
 
-    # the image stream of each link is built under the next letter's
-    # generator instead of the peeled letter's, so link 1 of c(ab) diverges
-    real = engine.MorphicImageStream
+    # the image of each link is mapped under the next letter's generator
+    # instead of the peeled letter's, so link 1 of c(ab) diverges
+    real = PureEpistandardMorphism._map_text
 
-    def planted(morphism, inner):
+    def planted(morphism, text):
         (x,) = morphism.letters
         wrong = PureEpistandardMorphism(morphism.alphabet, ((x + 1) % morphism.alphabet.size,))
-        return real(wrong, inner)
+        return real(wrong, text)
 
-    monkeypatch.setattr(engine, "MorphicImageStream", planted)
+    monkeypatch.setattr(PureEpistandardMorphism, "_map_text", planted)
     code, out, err = run(capsys, "verify", "--alphabet", "a,b,c", "--directive", "c(ab)", "--i", "3", "--horizon", "300")
     assert (code, out) == (2, "")
     assert err == "internal consistency failure: shift chain link 1 of c(ab) diverges within horizon 300\n"
@@ -510,11 +513,11 @@ GOLDEN = {
     ),
     "directive-cap": (
         ("classify", "--alphabet", "a,b,c", "--directive", "ab" * 17 + "(c)", "--depth", "1"), 1, "", "",
-        "error: --depth 1 scans 24157820 letters, " + GOLDEN_CAP,
+        "error: --depth 1 scans 24157816 letters, " + GOLDEN_CAP,
     ),
     "skew-cap": (
-        ("classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", "--depth", "20"),
-        1, "", "", "error: --depth 20 scans 24157816 letters, " + GOLDEN_CAP,
+        ("classify", "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c mu=psi:" + "ab" * 12 + " suffix=1", *SKEW_CAP_DEPTH),
+        1, "", "", "error: --depth 2000000 scans 11227465 letters, " + GOLDEN_CAP,
     ),
     "literal-cap": (
         ("classify", "--alphabet", "a,b", "--literal", "a(b)", "--depth", "10000000", "--horizon", "10000000"),

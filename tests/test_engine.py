@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -291,18 +292,29 @@ def directives_and_k(draw):
 @settings(max_examples=80, deadline=None)
 @given(directives_and_k())
 def test_exact_horizon_matches_closure_built_lengths(case):
-    # The bound recomputed from words built independently: palindromic
-    # prefixes by iterated closure, letter images by composing generators.
+    # The derived bound recomputed from words built independently: letter
+    # images by composing generators, the shifted word's palindromic
+    # prefixes u'_j by iterated closure, and |mu_n(u'_j)| by summing the
+    # images of its letters.
     d, k = case
-    if len(d.ult()) >= 2:
-        lag = len(d.preperiod) + len(d.period) + 1
-        n = 1
-        while len(palindromic_prefixes(d, n)[-1]) < 2 * k:
-            n += 1
-        expected = len(palindromic_prefixes(d, n + lag)[-1])
-    else:
+    if len(d.ult()) < 2:
         m = strictness(d).m
-        expected = len(prefix_morphism(d, m).images[d.letter(m + 1)]) + 2 * k + 2
+        expected = len(prefix_morphism(d, m).images[d.letter(m + 1)]) + k - 1
+    else:
+        n = 0
+        while min(len(prefix_morphism(d, n).images[x]) for x in d.shift(n).alph()) < k:
+            n += 1
+        y = d.letter(n + 1)
+        need = Counter(d.shift(n).alph())
+        if y in d.shift(n + 1).alph():
+            need[y] = 2  # yy is a factor of the shifted word
+        seen, j = Counter(), 0
+        while seen & need != need:
+            j += 1
+            seen[d.letter(n + j)] += 1
+        u = palindromic_prefixes(d.shift(n), j + 1)[j - 1 if d.letter(n + j) == y else j]
+        images = prefix_morphism(d, n).images
+        expected = sum(len(images[x]) for x in u.indices) + k - 1
     assert exact_horizon(d, k) == expected
     mu = prefix_morphism(d, len(d.preperiod))
     assert [image_length(mu, y) for y in range(d.alphabet.size)] == [len(w) for w in mu.images]
@@ -322,15 +334,16 @@ def test_image_length_matches_built_images(case):
 
 
 def test_exact_horizon_never_builds_the_word():
-    # Bounds near 10^16: building the prefix (or the letter image) they are
-    # computed from would exhaust the 512 MiB cap long before the timeout.
+    # Bounds past 10^15, reached through k: building the prefix (or the
+    # letter image) they are computed from would exhaust the 512 MiB cap
+    # long before the timeout.
     code = (
         "import time\n"
         "from epilex import Alphabet, exact_horizon\n"
         "from epilex.textio import parse_directive\n"
         "abc = Alphabet.of('a', 'b', 'c')\n"
         "began = time.perf_counter()\n"
-        "bounds = [exact_horizon(parse_directive(abc, 'ab' * 40 + tail), 1) for tail in ('(ab)', '(c)')]\n"
+        "bounds = [exact_horizon(parse_directive(abc, 'ab' * 40 + tail), 10**15) for tail in ('(ab)', '(c)')]\n"
         "print(time.perf_counter() - began, *bounds)\n"
     )
     done = run_limited(["-c", code], timeout=30, memory=512 << 20)
@@ -359,7 +372,6 @@ def test_exact_horizon_is_stable():
 
 
 def test_shift_chain_catches_divergence(monkeypatch):
-    import epilex.engine as engine
     from epilex import InternalConsistencyError
 
     d = parse_directive(AB, "(ab)")
@@ -367,17 +379,16 @@ def test_shift_chain_catches_divergence(monkeypatch):
     with pytest.raises(ValueError):
         shift_chain(d, 0, 10)
     # feeding a deliberately wrong link must raise, not pass silently: the
-    # planted image stream of link 2 (generator b) flips the letter at
-    # position 40 as it is generated
-    class Planted(engine.MorphicImageStream):
-        def _extend(self, n: int) -> None:
-            had = len(self._buf)
-            super()._extend(n)
-            if self.morphism.letters == (1,) and had <= 40 < len(self._buf):
-                buf = self._buf
-                self._buf = buf[:40] + chr(ord(buf[40]) ^ 1) + buf[41:]
+    # planted image of link 2 (generator b) flips the letter at position 40
+    real = PureEpistandardMorphism._map_text
 
-    monkeypatch.setattr(engine, "MorphicImageStream", Planted)
+    def planted(morphism, text):
+        image = real(morphism, text)
+        if morphism.letters == (1,) and len(image) > 40:
+            image = image[:40] + chr(ord(image[40]) ^ 1) + image[41:]
+        return image
+
+    monkeypatch.setattr(PureEpistandardMorphism, "_map_text", planted)
     assert shift_chain(d, 2, 40) == ["a", "b"]  # the planted letter lies past this horizon
     assert shift_chain(d, 1, 41) == ["a"]  # link 1 is not planted
     with pytest.raises(InternalConsistencyError) as raised:

@@ -442,20 +442,27 @@ def test_min_never_below_letter_extension_bound():
 
 @st.composite
 def bounded_streams(draw):
-    """A stream that states an exact horizon: a directive stream (strict or
-    not, 2-4 letters) under up to two layers of morphic images and
-    concatenations, or a literal ultimately periodic word."""
+    """A stream that states an exact horizon: a directive stream (strict,
+    or with preperiod letters that vanish from the period; 2-4 letters)
+    under up to two layers of morphic images and concatenations, or a
+    literal ultimately periodic word."""
     size = draw(st.integers(2, 4))
     alphabet = Alphabet(tuple(LETTERS[:size]))
     letters = st.lists(st.integers(0, size - 1), max_size=5)
     if draw(st.booleans()):
         head, cycle = draw(letters), draw(letters.filter(bool))
         return LiteralPeriodicStream(Word(alphabet, tuple(head)), Word(alphabet, tuple(cycle)))
-    if draw(st.booleans()):
-        period = tuple(draw(st.permutations(range(size))))  # strict: every letter recurs
+    kind = draw(st.sampled_from(("strict", "vanishing", "free")))
+    if kind == "strict":
+        period = tuple(draw(st.permutations(range(size))))  # every letter recurs
+    elif kind == "vanishing":
+        # the period avoids the last letter, which the preperiod holds
+        period = tuple(draw(st.lists(st.integers(0, size - 2), min_size=1, max_size=4)))
     else:
         period = tuple(draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4)))
     preperiod = tuple(draw(st.lists(st.integers(0, size - 1), max_size=2)))
+    if kind == "vanishing":
+        preperiod += (size - 1,) + tuple(draw(st.lists(st.integers(0, size - 2), max_size=2)))
     stream = standard_word(DirectiveWord(alphabet, preperiod, period))
     for layer in draw(st.lists(st.sampled_from(("morphic", "concat")), max_size=2)):
         if layer == "morphic":
@@ -467,17 +474,17 @@ def bounded_streams(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(bounded_streams(), st.integers(1, 40))
+@given(bounded_streams(), st.integers(1, 100))
 def test_exact_horizons_hold_every_factor(t, k):
     # Falsification test for every exact_horizon that scans stop at: no
     # length-k factor may first occur past the bound, checked by brute force
-    # over a prefix eight times as long.
+    # over a prefix of 8 * bound + 8 * k letters.
     bound = t.exact_horizon(k)
     assert bound is not None and bound >= k
-    letters = bytes(t.raw(8 * bound))
-    seen = {letters[i : i + k] for i in range(bound - k + 1)}
-    for i in range(len(letters) - k + 1):
-        assert letters[i : i + k] in seen, f"a length-{k} factor first ends at {i + k}, past the bound {bound}"
+    text = t._text(8 * bound + 8 * k)
+    seen = {text[i : i + k] for i in range(bound - k + 1)}
+    for i in range(len(text) - k + 1):
+        assert text[i : i + k] in seen, f"a length-{k} factor first ends at {i + k}, past the bound {bound}"
 
 
 def _stream_cases(rng):
