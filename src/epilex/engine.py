@@ -192,6 +192,12 @@ class DirectiveStream(WordStream):
     def exact_horizon(self, k: int) -> int:
         return self._kept_bound(k, self._directive.exact_horizon)
 
+    def _image(self, morphism: PureEpistandardMorphism) -> "DirectiveStream":
+        """phi(s_D) = s_{gens.D} (Justin-Pirillo 2002, TCS 276): the standard
+        word of the directive with the generators prepended."""
+        d = self._directive
+        return DirectiveStream(DirectiveWord(d.alphabet, morphism.letters + d.preperiod, d.period))
+
     def palindromic_prefix_lengths(self, up_to: int) -> list[int]:
         """Lengths of the palindromic prefixes not exceeding ``up_to``."""
         with self._lock:
@@ -308,6 +314,8 @@ def shift_chain(directive: DirectiveWord, i: int, horizon: int) -> list[str]:
     """
     if i < 1:
         raise ValueError("shift index must be >= 1")
+    if horizon < 1:
+        raise ValueError("shift chain horizon must be >= 1")
     letters = []
     parent = standard_word(directive)
     for j in range(1, i + 1):

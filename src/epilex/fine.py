@@ -10,7 +10,6 @@ structural verdict against the empirical scan.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Container
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -20,13 +19,12 @@ from operator import add, ne
 from .engine import (
     DirectiveWord,
     InternalConsistencyError,
-    image_length,
     infer_eventually_periodic,
     recover_directive_letters,
     standard_word,
     strictness,
 )
-from .morphisms import MorphicImageStream, PureEpistandardMorphism, psi
+from .morphisms import PureEpistandardMorphism, psi
 from .words import (
     MAX_LETTERS,
     Alphabet,
@@ -101,8 +99,8 @@ class SkewSpec:
     def seed_length(self) -> int:
         """``len(self.seed_word())``, from the core prefix's letter counts and
         the letter image lengths, so no image is built."""
-        counts = Counter(standard_word(self.directive)._text(self.p) + chr(self.alphabet.index(self.x)))
-        return sum(n * image_length(self.morphism, ord(c)) for c, n in counts.items())
+        text = standard_word(self.directive)._text(self.p) + chr(self.alphabet.index(self.x))
+        return self.morphism._image_size(text)
 
     def exact_horizon(self, k: int) -> int:
         """The bound of the word ``construct_skew(self)``: the suffix length
@@ -143,13 +141,9 @@ def construct_skew(spec: SkewSpec) -> ConcatStream:
 
 
 def skew_common_word(spec: SkewSpec) -> WordStream:
-    """The word shared by all minimal factors of the skew word: the morphic core image.
-
-    The image of a standard episturmian word under generators ``gens`` is the
-    standard word of ``gens`` followed by its directive, so the engine builds it.
-    """
-    d = spec.directive
-    return standard_word(replace(d, preperiod=spec.morphism.letters + d.preperiod))
+    """The word shared by all minimal factors of the skew word: the morphic
+    core image, which the core states as a standard word (``DirectiveStream._image``)."""
+    return standard_word(spec.directive)._image(spec.morphism)
 
 
 class Classification(Enum):
@@ -301,9 +295,11 @@ def verify_min_transfer(
     a_idx = alphabet.index(a)
     z_idx = alphabet.index(z)
     gen = psi(alphabet, z)
-    t = MorphicImageStream(gen, t1)
-    t_text = t._text(scan_length(t, depth, horizon)[0])
-    s_img = MorphicImageStream(gen, s1)._text(depth + 2)
+    # The image side maps prefixes through the generator, as shift_chain does,
+    # apart from the image streams; n letters map to at least n.
+    n = scan_length(gen.apply(t1), depth, horizon)[0]
+    t_text = gen._map_text(t1._text(n))[:n]
+    s_img = gen._map_text(s1._text(depth + 2))[: depth + 2]
     t1_text = t1._text(scan_length(t1, depth, horizon)[0])
     lhs_expected = chr(a_idx) + s1._text(depth + 1)
     t_bits = _letter_bitsets(t_text)

@@ -2,17 +2,20 @@
 
 The generator morphism for a letter ``a`` fixes ``a`` and prepends ``a`` to
 every other letter.  Compositions of these generators form a monoid acting on
-words and streams; a standard episturmian word's image under one states the
-directive with the generators prepended.
+words and streams.  Every stream kind states its own image as a stream of
+the same kind (``WordStream._image``): a standard episturmian word's image
+is the standard word of its directive with the generators prepended, and a
+literal or concatenated word's image maps its finite parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .words import Alphabet, AlphabetError, Word, WordStream, _check_indices, _grow_by
+from .words import MAX_LETTERS, Alphabet, AlphabetError, LengthError, Word, WordStream, _check_indices, _grow_by
 
 if TYPE_CHECKING:
     from .engine import DirectiveWord
@@ -78,8 +81,18 @@ class PureEpistandardMorphism:
             present.add(z)
         return text
 
+    def _image_size(self, text: str) -> int:
+        """The image length of a ``chr`` text, from letter counts: no image is built."""
+        return sum(n * image_length(self, ord(c)) for c, n in Counter(text).items())
+
+    def _checked_image(self, w: Word) -> Word:
+        """``apply_word(w)``, refused with :class:`LengthError` before it is built past ``MAX_LETTERS``."""
+        if self._image_size(w.text) > MAX_LETTERS:
+            raise LengthError(f"an image exceeds the limit of {MAX_LETTERS} letters")
+        return self.apply_word(w)
+
     def apply(self, w: "Word | WordStream") -> "Word | WordStream":
-        """Letterwise image; streams map to a lazily generated image stream."""
+        """Letterwise image; a stream maps to a :class:`MorphicImageStream`."""
         if isinstance(w, Word):
             return self.apply_word(w)
         return MorphicImageStream(self, w)
@@ -115,16 +128,10 @@ def image_length(mu: PureEpistandardMorphism, y: int) -> int:
 
 
 class MorphicImageStream(WordStream):
-    """Image of a stream under a morphism, generated image block by image block.
-
-    The inner stream is read by range, each inner letter once, so growing the
-    image to ``n`` letters costs time linear in ``n``.  Each chunk of inner
-    text is mapped by :meth:`PureEpistandardMorphism._map_text`, and the
-    mapped chunks are joined to the memo once per ``_extend``, which grows it
-    to at least twice its length (:func:`~epilex.words._grow_by`).
-    ``_longest``, the longest letter image, comes from
-    :func:`image_length`, which builds no image.  The stream keeps each
-    bound it looks up (``WordStream._kept_bound``).
+    """Image of a stream under a morphism, read through from its source: the
+    image the inner stream states, a stream of its own kind (``_image``).
+    No letter is mapped here; the memo, directive and bound are the source's,
+    and the stream keeps each bound it looks up (``_kept_bound``).
     """
 
     def __init__(self, morphism: PureEpistandardMorphism, inner: WordStream) -> None:
@@ -133,41 +140,17 @@ class MorphicImageStream(WordStream):
         super().__init__(inner.alphabet)
         self.morphism = morphism
         self.inner = inner
-        self._longest = max(image_length(morphism, y) for y in range(inner.alphabet.size))
-        self._consumed = 0
-        # Streams are immutable, so the directive is stated once.
-        inner_directive = inner.directive()
-        self._directive = (
-            None
-            if inner_directive is None
-            else replace(inner_directive, preperiod=morphism.letters + inner_directive.preperiod)
-        )
+        self._source = inner._image(morphism)
 
     def _extend(self, n: int) -> None:
-        chunks, have, consumed, longest = [self._buf], len(self._buf), self._consumed, self._longest
-        target = have + _grow_by(have, n)
-        # Images are non-empty, so every inner letter makes progress.  Each
-        # chunk is what the rest of the target needs at the longest image, so
-        # the memo passes the target only to reach n, by less than one image.
-        while have < n or have + longest <= target:
-            text = self.inner._letters(consumed, consumed + max((target - have) // longest, 1))
-            if not text:
-                raise RuntimeError("inner stream stopped producing letters")
-            consumed += len(text)
-            chunks.append(self.morphism._map_text(text))
-            have += len(chunks[-1])
-        self._buf, self._consumed = "".join(chunks), consumed
+        have = len(self._buf)
+        self._buf = self._source._text(have + _grow_by(have, n))
+
+    def _image(self, morphism: PureEpistandardMorphism) -> WordStream:
+        return self._source._image(morphism)
 
     def directive(self) -> DirectiveWord | None:
-        """The inner stream's directive with this morphism's generators prepended."""
-        return self._directive
+        return self._source.directive()
 
     def exact_horizon(self, k: int) -> int:
-        return self._kept_bound(k, self._look_up_bound)
-
-    def _look_up_bound(self, k: int) -> int:
-        if self._directive is not None:
-            return self._directive.exact_horizon(k)
-        # A length-k window of the image lies inside the image of k consecutive
-        # inner letters, which occur within the inner bound.
-        return self._longest * self.inner.exact_horizon(k)
+        return self._kept_bound(k, self._source.exact_horizon)

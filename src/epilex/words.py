@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .engine import DirectiveWord
+    from .morphisms import PureEpistandardMorphism
 
 __all__ = [
     "Alphabet",
@@ -49,8 +50,8 @@ class LengthError(ValueError):
 
 # The most letters one input may ask to hold or generate (1 byte each in a
 # stream memo or a Word's text below index 256); a larger request is refused
-# before anything is built, not when memory runs out.  No memo outgrows it
-# unless a read asks for more (see ``_grow_by``).
+# before anything is built, not when memory runs out.  No memo passes it by
+# a whole block (a literal's cycle) unless a read asks for more (``_grow_by``).
 MAX_LETTERS = 10**7
 
 
@@ -200,9 +201,6 @@ class Word:
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
 
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(self)
-
     def reversal(self) -> "Word":
         return Word._trusted(self.alphabet, self.text[::-1])
 
@@ -315,10 +313,11 @@ class WordStream:
     a subclass's ``_extend`` appends only indices in range for its alphabet,
     which is why ``prefix`` builds its :class:`Word` without re-checking them.
 
-    Every stream states its bound through ``exact_horizon(k)``.  A word with
-    no stated structure is not a stream: it is scanned as a finite
-    :class:`Word` prefix, whose answers are exact for that prefix.  A kind
-    whose bound costs a lookup keeps it in ``_bounds``, by k, through
+    Every stream states its bound through ``exact_horizon(k)``, and its
+    image under a morphism, as a stream of its own kind, through ``_image``.
+    A word with no stated structure is not a stream: it is scanned as a
+    finite :class:`Word` prefix, whose answers are exact for that prefix.  A
+    kind whose bound costs a lookup keeps it in ``_bounds``, by k, through
     ``_kept_bound``.
     """
 
@@ -366,6 +365,10 @@ class WordStream:
 
     def exact_horizon(self, k: int) -> int:
         """A prefix length by which every length-``k`` factor has occurred."""
+        raise NotImplementedError
+
+    def _image(self, morphism: PureEpistandardMorphism) -> "WordStream":
+        """The image under ``morphism``, as a stream of this kind."""
         raise NotImplementedError
 
     def _kept_bound(self, k: int, look_up: Callable[[int], int]) -> int:
@@ -418,6 +421,9 @@ class LiteralPeriodicStream(WordStream):
         # Every factor starts at some position before the end of the first cycle.
         return len(self.head) + len(self.cycle) + k - 1
 
+    def _image(self, morphism: PureEpistandardMorphism) -> "LiteralPeriodicStream":
+        return LiteralPeriodicStream(morphism._checked_image(self.head), morphism._checked_image(self.cycle))
+
 
 class ConcatStream(WordStream):
     """A finite word followed by another stream."""
@@ -438,6 +444,9 @@ class ConcatStream(WordStream):
 
     def exact_horizon(self, k: int) -> int:
         return len(self.head) + self.tail.exact_horizon(k)
+
+    def _image(self, morphism: PureEpistandardMorphism) -> "ConcatStream":
+        return ConcatStream(morphism._checked_image(self.head), self.tail._image(morphism))
 
 
 def factors(w: Word, k: int) -> set[Word]:

@@ -41,7 +41,8 @@ def test_every_module_all_entry_resolves():
 def test_every_exported_stream_kind_states_its_bound():
     # Each stream kind the package exports states an exact bound, and defines
     # its own ``_extend`` and ``exact_horizon``, which tools that wrap a kind
-    # through ``cls.__dict__`` rely on.  A kind missing from this table fails.
+    # through ``cls.__dict__`` rely on, and its own ``_image`` under a
+    # morphism.  A kind missing from this table fails.
     from epilex.textio import parse_directive
 
     abc = epilex.Alphabet.of("a", "b", "c")
@@ -60,7 +61,7 @@ def test_every_exported_stream_kind_states_its_bound():
     }
     assert kinds <= factories.keys(), kinds - factories.keys()
     for kind in kinds:
-        assert "_extend" in kind.__dict__ and "exact_horizon" in kind.__dict__, kind
+        assert all(name in kind.__dict__ for name in ("_extend", "exact_horizon", "_image")), kind
         for stream in factories[kind]():
             assert type(stream) is kind
             for k in range(1, 21):

@@ -217,6 +217,13 @@ def test_verify_link_count_below_one_exits_one(capsys):
         assert err.startswith("error:") and "--i" in err
 
 
+def test_verify_directive_on_no_letters_exits_one(capsys):
+    # a shift chain checked within no letters compares empty texts: refused
+    code, out, err = run(capsys, "verify", "--alphabet", "a,b", "--directive", "(ab)", "--i", "3", "--horizon", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "horizon" in err
+
+
 def test_verify_link_count_times_horizon_is_capped(capsys):
     import time
 

@@ -257,9 +257,11 @@ def test_streams_state_their_directive():
     once = psi(ABC, "c").apply(t)
     twice = MorphicImageStream(PureEpistandardMorphism(ABC, (0, 2)), once)
     assert str(once.directive()) == "cb(ab)" and str(twice.directive()) == "accb(ab)"
-    for image in (once, twice):
-        # the stated directive generates the image itself
-        assert standard_word(image.directive()).raw(300) == image.raw(300)
+    for m, inner, image in ((psi(ABC, "c"), t, once), (twice.morphism, once, twice)):
+        # the image and the word its stated directive generates are the
+        # inner stream mapped letter by letter
+        want = m.apply_word(inner.prefix(300))[:300]
+        assert image.prefix(300) == want == standard_word(image.directive()).prefix(300)
     # an image of a purely periodic directive word states a preperiod
     image = psi(ABC, "c").apply(standard_word(parse_directive(ABC, "(ab)")))
     assert str(image.directive()) == "c(ab)"

@@ -402,13 +402,14 @@ def test_exactness_for_skew_streams():
 
 
 def test_exactness_for_morphic_images_of_non_directive_streams():
-    # psi_c(c . Fib) has no composed directive; its bound is the longest letter
-    # image (2) times the inner concatenation's bound
+    # psi_c(c . Fib) states no directive; it is the concatenation
+    # psi_c(c) . s_{c(ab)}, so its bound is |psi_c(c)| plus that of c(ab)
     core = standard_word(parse_directive(ABC, "(ab)"))
     t = psi(ABC, "c").apply(ConcatStream(ABC.word("c"), core))
+    assert t.directive() is None
     for k in (1, 2, 4, 9):
         bound = t.exact_horizon(k)
-        assert bound == 2 * (1 + core.exact_horizon(k))
+        assert bound == 1 + exact_horizon(parse_directive(ABC, "c(ab)"), k)
         deeper = t.prefix(20 * bound)
         for order in all_orders(ABC):
             lo = min_factor(t, k, order, bound)

@@ -1,12 +1,13 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from epilex import (
     Alphabet,
     ConcatStream,
-    DirectiveStream,
     DirectiveWord,
+    LengthError,
     LiteralPeriodicStream,
     MorphicImageStream,
     PureEpistandardMorphism,
@@ -51,28 +52,30 @@ def test_apply_to_streams():
 
 _LETTERS = st.lists(st.integers(0, 2), max_size=4)
 _PERIOD = st.lists(st.integers(0, 2), min_size=1, max_size=4)
+_DIRECTIVE_STREAMS = st.builds(
+    lambda pre, per: standard_word(DirectiveWord(ABC, tuple(pre), tuple(per))), _LETTERS, _PERIOD
+)
+_LITERAL_STREAMS = st.builds(
+    lambda u, v: LiteralPeriodicStream(Word(ABC, tuple(u)), Word(ABC, tuple(v))), _LETTERS, _PERIOD
+)
+_BASE_STREAMS = st.one_of(
+    _DIRECTIVE_STREAMS,
+    _LITERAL_STREAMS,
+    st.builds(lambda head, tail: ConcatStream(Word(ABC, tuple(head)), tail), _LETTERS, _DIRECTIVE_STREAMS),
+    st.builds(lambda head, tail: ConcatStream(Word(ABC, tuple(head)), tail), _LETTERS, _LITERAL_STREAMS),
+)
 _INNER_STREAMS = st.one_of(
-    st.builds(
-        lambda pre, per: standard_word(DirectiveWord(ABC, tuple(pre), tuple(per))),
-        _LETTERS, _PERIOD,
-    ),
-    st.builds(
-        lambda u, v: LiteralPeriodicStream(Word(ABC, tuple(u)), Word(ABC, tuple(v))),
-        _LETTERS, _PERIOD,
-    ),
-    st.builds(
-        lambda head, pre, per: ConcatStream(
-            Word(ABC, tuple(head)), standard_word(DirectiveWord(ABC, tuple(pre), tuple(per)))
-        ),
-        _LETTERS, _LETTERS, _PERIOD,
-    ),
+    _BASE_STREAMS,
+    st.builds(lambda gens, inner: MorphicImageStream(PureEpistandardMorphism(ABC, tuple(gens)), inner),
+              _LETTERS, _BASE_STREAMS),
 )
 
 
 @settings(deadline=None, max_examples=60)
 @given(_LETTERS, _INNER_STREAMS, st.lists(st.integers(1, 9000), min_size=1, max_size=6))
 def test_morphic_image_grown_in_uneven_steps(gens, inner, steps):
-    # steps up to 9000 letters cross both the 64- and the 4096-letter chunk edges
+    # Every kind of inner stream, an image among them, against the image of
+    # its prefix mapped letter by letter.
     m = PureEpistandardMorphism(ABC, tuple(gens))
     image = MorphicImageStream(m, inner)
     n = 0
@@ -80,44 +83,40 @@ def test_morphic_image_grown_in_uneven_steps(gens, inner, steps):
         n += step
         # images are non-empty, so n inner letters map to at least n letters
         assert image.prefix(n) == m.apply_word(inner.prefix(n))[:n]
+    # The bound the image states holds every factor of a long mapped prefix.
+    for k in (1, 2, 5, 13):
+        bound = image.exact_horizon(k)
+        text = m.apply_word(inner.prefix(8 * bound + 8 * k)).text
+        seen = {text[i : i + k] for i in range(bound - k + 1)}
+        assert all(text[i : i + k] in seen for i in range(len(text) - k + 1)), (k, bound)
 
 
-def test_morphic_image_reads_each_inner_letter_once():
-    source = standard_word(parse_directive(ABC, "(ab)"))
-    read = []
-
-    class Counting(DirectiveStream):
-        # A morphic image reads its inner stream through the private
-        # range reader, which every public reader goes through too.
-        def _letters(self, start, stop):
-            out = super()._letters(start, stop)
-            read.append((start, start + len(out)))
-            return out
-
-    m = PureEpistandardMorphism(ABC, (2, 0))
-    image = MorphicImageStream(m, Counting(source.directive()))
-    lengths = [len(m.images[c]) for c in source.raw(400000)]
-    longest, had = max(lengths), 0
-    for n in (1, 100, 5000, 5001, 60000, 60100, 200000):
-        image.prefix(n)
-        # The ranges read follow one another from 0: no letter is read twice.
-        assert read[0][0] == 0 and all(stop == start for (_, stop), (start, _) in zip(read, read[1:]))
-        # The memo is the image of exactly the letters read, so none is
-        # skipped or read and dropped.
-        assert len(image._buf) == sum(lengths[: read[-1][1]])
-        # It grows to n or to twice its length, whichever is more, and passes
-        # that by less than one letter's image.
-        assert n <= len(image._buf) < max(n, 2 * had) + longest
-        had = len(image._buf)
+def test_morphic_image_maps_no_letter_as_it_grows(monkeypatch):
+    # An image reads the stream its inner stream states; a literal or a
+    # concatenation maps its finite parts once, when the image is built.
+    m = PureEpistandardMorphism(ABC, (2, 0, 1))
+    literal = LiteralPeriodicStream(ABC.word("c"), ABC.word("ab"))
+    images = [m.apply(inner) for inner in (fib(ABC), literal, ConcatStream(ABC.word("cc"), literal))]
+    images.append(psi(ABC, "b").apply(images[-1]))
+    monkeypatch.setattr(PureEpistandardMorphism, "_map_text", lambda self, text: pytest.fail("a letter was mapped"))
+    for image in images:
+        assert len(image.prefix(100_000)) == 100_000
 
 
-def test_morphic_image_builds_no_letter_image():
-    # The longest letter image sizes the image's reads and its bound; it is
-    # taken from letter counts, and no image of a letter is built for it.
-    m = PureEpistandardMorphism(AB, (0, 1) * 12)
-    image = MorphicImageStream(m, fib())
-    assert "images" not in vars(m)
-    assert image._longest == max(map(len, m.images)) == 121393
+def test_oversized_finite_images_are_refused_before_they_are_built(monkeypatch):
+    m = PureEpistandardMorphism(AB, (0, 1) * 20)  # every letter image is past MAX_LETTERS
+
+    def mapped(self, text):
+        assert not text, "an image was built"
+        return text
+
+    monkeypatch.setattr(PureEpistandardMorphism, "_map_text", mapped)
+    for inner in (LiteralPeriodicStream(AB.empty(), AB.word("b")), ConcatStream(AB.word("a"), fib())):
+        with pytest.raises(LengthError, match="exceeds the limit"):
+            m.apply(inner)
+    # a standard word's image is a standard word, generated as it is read:
+    # here (ab)^20 prepended to the directive (ab) directs the same word
+    assert m.apply(fib()).prefix(1000) == fib().prefix(1000)
 
 
 def test_compose():
