@@ -247,6 +247,8 @@ def _cmd_verify(args) -> int:
         for i, letter in enumerate(shift_chain(d, args.i, args.horizon), start=1):
             checks.append({"check": "shift-chain", "i": i, "letter": letter, "ok": True})
     elif args.skew is not None:
+        if args.depth < 1:
+            raise CLIError(f"--depth must be >= 1, got {args.depth}")
         spec = parse_skew(alphabet, args.skew)
         _check_scan(spec.exact_horizon(args.depth), args.depth)
         stream = construct_skew(spec)

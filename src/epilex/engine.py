@@ -58,6 +58,12 @@ class DirectiveWord:
         if not self.period:
             raise ValueError("directive period must be non-empty")
         _check_indices(self.alphabet, self.preperiod + self.period)
+        # The hash, computed once: :func:`exact_horizon`'s cache hashes its
+        # key on every lookup, and three tuples cost more than the lookup.
+        object.__setattr__(self, "_hash", hash((self.alphabet, self.preperiod, self.period)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, alphabet: Alphabet, preperiod: str | Sequence[str], period: str | Sequence[str]) -> "DirectiveWord":
@@ -154,8 +160,8 @@ class DirectiveStream(WordStream):
     appends whole q-letter blocks, as many as reach the read or fit in twice
     the memo (:func:`~epilex.words._grow_by`).
 
-    The stream keeps each bound :func:`exact_horizon` gives
-    (``WordStream._kept_bound``), so a warm stream asks the engine once per k.
+    Its bound is :func:`exact_horizon`'s, looked up in the engine's cache on
+    every call: the stream keeps no copy.
     """
 
     def __init__(self, directive: DirectiveWord) -> None:
@@ -190,7 +196,7 @@ class DirectiveStream(WordStream):
         return self._directive
 
     def exact_horizon(self, k: int) -> int:
-        return self._kept_bound(k, self._directive.exact_horizon)
+        return exact_horizon(self._directive, k)
 
     def _image(self, morphism: PureEpistandardMorphism) -> "DirectiveStream":
         """phi(s_D) = s_{gens.D} (Justin-Pirillo 2002, TCS 276): the standard

@@ -143,7 +143,7 @@ def construct_skew(spec: SkewSpec) -> ConcatStream:
 def skew_common_word(spec: SkewSpec) -> WordStream:
     """The word shared by all minimal factors of the skew word: the morphic
     core image, which the core states as a standard word (``DirectiveStream._image``)."""
-    return standard_word(spec.directive)._image(spec.morphism)
+    return spec.morphism.apply(standard_word(spec.directive))
 
 
 class Classification(Enum):

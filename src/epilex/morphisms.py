@@ -3,19 +3,19 @@
 The generator morphism for a letter ``a`` fixes ``a`` and prepends ``a`` to
 every other letter.  Compositions of these generators form a monoid acting on
 words and streams.  Every stream kind states its own image as a stream of
-the same kind (``WordStream._image``): a standard episturmian word's image
-is the standard word of its directive with the generators prepended, and a
-literal or concatenated word's image maps its finite parts.
+the same kind (``WordStream._image``), and ``apply`` returns it: a standard
+episturmian word's image is the standard word of its directive with the
+generators prepended, and a literal or concatenated word's image maps its
+finite parts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .words import MAX_LETTERS, Alphabet, AlphabetError, LengthError, Word, WordStream, _check_indices, _grow_by
+from .words import MAX_LETTERS, Alphabet, AlphabetError, LengthError, Word, WordStream, _check_indices
 
 if TYPE_CHECKING:
     from .engine import DirectiveWord
@@ -56,15 +56,6 @@ class PureEpistandardMorphism:
             return "Morphism(id)"
         return f"Morphism(psi:{','.join(self.generator_tokens())})"
 
-    @cached_property
-    def images(self) -> tuple[tuple[int, ...], ...]:
-        """The image of every letter, indexed by letter, computed once."""
-        images = [(c,) for c in range(self.alphabet.size)]
-        for z in self.letters:  # compose with the next inner generator
-            head = images[z]
-            images = [head if c == z else head + image for c, image in enumerate(images)]
-        return tuple(images)
-
     def apply_word(self, w: Word) -> Word:
         if w.alphabet != self.alphabet:
             raise AlphabetError("word alphabet does not match morphism alphabet")
@@ -92,10 +83,12 @@ class PureEpistandardMorphism:
         return self.apply_word(w)
 
     def apply(self, w: "Word | WordStream") -> "Word | WordStream":
-        """Letterwise image; a stream maps to a :class:`MorphicImageStream`."""
-        if isinstance(w, Word):
-            return self.apply_word(w)
-        return MorphicImageStream(self, w)
+        """The image of a word or stream, as its own kind states it (``_image``):
+        a word's is built letterwise and refused past ``MAX_LETTERS``, and a
+        stream's is a stream of the same kind."""
+        if w.alphabet != self.alphabet:
+            raise AlphabetError("the morphism's alphabet differs from its argument's")
+        return w._image(self)
 
     def compose(self, other: "PureEpistandardMorphism") -> "PureEpistandardMorphism":
         """``self`` after ``other``: generator sequences concatenate."""
@@ -129,22 +122,20 @@ def image_length(mu: PureEpistandardMorphism, y: int) -> int:
 
 class MorphicImageStream(WordStream):
     """Image of a stream under a morphism, read through from its source: the
-    image the inner stream states, a stream of its own kind (``_image``).
-    No letter is mapped here; the memo, directive and bound are the source's,
-    and the stream keeps each bound it looks up (``_kept_bound``).
+    image the inner stream states, a stream of its own kind (``_image``),
+    which is what :meth:`PureEpistandardMorphism.apply` returns.  No letter
+    is mapped here; the memo ``str``, directive and bound are the source's.
     """
 
     def __init__(self, morphism: PureEpistandardMorphism, inner: WordStream) -> None:
-        if morphism.alphabet != inner.alphabet:
-            raise AlphabetError("morphism and stream alphabets differ")
+        self._source = morphism.apply(inner)
         super().__init__(inner.alphabet)
         self.morphism = morphism
         self.inner = inner
-        self._source = inner._image(morphism)
 
     def _extend(self, n: int) -> None:
-        have = len(self._buf)
-        self._buf = self._source._text(have + _grow_by(have, n))
+        self._source._letters(n, n)  # grows the source to n letters and copies none
+        self._buf = self._source._buf
 
     def _image(self, morphism: PureEpistandardMorphism) -> WordStream:
         return self._source._image(morphism)
@@ -153,4 +144,4 @@ class MorphicImageStream(WordStream):
         return self._source.directive()
 
     def exact_horizon(self, k: int) -> int:
-        return self._kept_bound(k, self._source.exact_horizon)
+        return self._source.exact_horizon(k)

@@ -132,10 +132,10 @@ def _skew_int(key: str, text: str) -> int:
 def parse_skew(alphabet: Alphabet, text: str) -> SkewSpec:
     """``skew v=(ab) x=c p=4 mu=psi:c suffix=full``; mu defaults to id.
 
-    A ``p`` that is negative or not an integer, a ``suffix`` that is neither
-    ``full`` nor an integer, and a ``p``, letter image of ``mu`` or seed word
-    that may be longer than :data:`MAX_LETTERS` raise :class:`ParseError`
-    before any word is built.
+    A key other than these or given twice, a ``p`` that is negative or not
+    an integer, a ``suffix`` that is neither ``full`` nor an integer, and a
+    ``p``, letter image of ``mu`` or seed word that may be longer than
+    :data:`MAX_LETTERS` raise :class:`ParseError` before any word is built.
     """
     parts = text.split()
     if not parts or parts[0] != "skew":
@@ -145,6 +145,10 @@ def parse_skew(alphabet: Alphabet, text: str) -> SkewSpec:
         if "=" not in part:
             raise ParseError(f"expected key=value, got {part!r}")
         key, value = part.split("=", 1)
+        if key not in ("v", "x", "p", "mu", "suffix"):
+            raise ParseError(f"skew spec has an unknown key {key!r}; expected v, x, p, mu or suffix")
+        if key in fields:
+            raise ParseError(f"skew spec repeats the key {key!r}")
         fields[key] = value
     for key in ("v", "x"):
         if key not in fields:

@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .engine import DirectiveWord
@@ -224,6 +224,10 @@ class Word:
         """A finite word holds all its factors: the bound is its length."""
         return len(self.text)
 
+    def _image(self, morphism: PureEpistandardMorphism) -> "Word":
+        """The image under ``morphism``, refused past :data:`MAX_LETTERS` before it is built."""
+        return morphism._checked_image(self)
+
     def is_palindrome(self) -> bool:
         return self.text == self.text[::-1]
 
@@ -295,11 +299,12 @@ class WordStream:
     immutable values.  The internal prefix memo ``_buf`` is the prefix's
     ``chr`` text, a ``str`` replaced by a longer one on each growth: at least
     twice as long (:func:`_grow_by`), except where a directive stream steps
-    to its next palindromic prefix.
+    to its next palindromic prefix.  A stream read through from another one
+    (a morphic image) holds that source's memo ``str`` itself, not a copy.
     ``_letters(start, stop)`` is the one place it grows: it calls ``_extend``
     under a lock, so concurrent readers are safe, and returns a ``str`` slice,
-    which lets a stream built on another one (a concatenation, a morphic
-    image) read its source by range in time linear in what it consumes.
+    which lets a concatenation read its tail by range in time linear in what
+    it consumes.
     ``_text(n)`` is the prefix's text, what the scans read and what ``prefix``
     wraps in a :class:`Word`; ``raw`` gives the indices as a ``list``.
 
@@ -317,8 +322,8 @@ class WordStream:
     image under a morphism, as a stream of its own kind, through ``_image``.
     A word with no stated structure is not a stream: it is scanned as a
     finite :class:`Word` prefix, whose answers are exact for that prefix.  A
-    kind whose bound costs a lookup keeps it in ``_bounds``, by k, through
-    ``_kept_bound``.
+    stream keeps no bound: one that costs a lookup is kept in the engine's
+    cache (:func:`~epilex.engine.exact_horizon`), the one memo of bounds.
     """
 
     def __init__(self, alphabet: Alphabet) -> None:
@@ -326,7 +331,6 @@ class WordStream:
         self._buf = ""
         self._lock = threading.Lock()
         self._minima: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
-        self._bounds: dict[int, int] = {}
 
     def _extend(self, n: int) -> None:
         """Replace ``self._buf`` by a memo of at least ``n`` letters.  Called under the lock."""
@@ -370,16 +374,6 @@ class WordStream:
     def _image(self, morphism: PureEpistandardMorphism) -> "WordStream":
         """The image under ``morphism``, as a stream of this kind."""
         raise NotImplementedError
-
-    def _kept_bound(self, k: int, look_up: Callable[[int], int]) -> int:
-        """``look_up(k)``, looked up once per k and kept in ``_bounds``.
-
-        Threads that miss together store the same bound, so it takes no lock.
-        """
-        bound = self._bounds.get(k)
-        if bound is None:
-            bound = self._bounds[k] = look_up(k)
-        return bound
 
 
 def scan_length(w: Word | WordStream, k: int, horizon: int | None) -> tuple[int, bool]:

@@ -42,6 +42,16 @@ def brute_preimage_exists(morphism: PureEpistandardMorphism, w: Word) -> bool:
     return False
 
 
+def letter_images(morphism: PureEpistandardMorphism) -> tuple[tuple[int, ...], ...]:
+    """The image of every letter, indexed by letter: the generators composed
+    one at a time, outermost first, on index tuples rather than text."""
+    images = [(c,) for c in range(morphism.alphabet.size)]
+    for z in morphism.letters:  # compose with the next inner generator
+        head = images[z]
+        images = [head if c == z else head + image for c, image in enumerate(images)]
+    return tuple(images)
+
+
 def oracle_min(w: Word, k: int, order: LexOrder) -> Word:
     """Brute-force reference: sort every window and take the first."""
     if k > len(w):

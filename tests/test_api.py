@@ -52,7 +52,10 @@ def test_every_exported_stream_kind_states_its_bound():
         epilex.DirectiveStream: lambda: [fib, epilex.standard_word(parse_directive(abc, "ca(b)"))],
         epilex.LiteralPeriodicStream: lambda: [literal, epilex.LiteralPeriodicStream(abc.word(""), abc.word("a"))],
         epilex.ConcatStream: lambda: [epilex.ConcatStream(abc.word("c"), fib)],
-        epilex.MorphicImageStream: lambda: [epilex.psi(abc, "c").apply(fib), epilex.psi(abc, "c").apply(literal)],
+        epilex.MorphicImageStream: lambda: [
+            epilex.MorphicImageStream(epilex.psi(abc, "c"), fib),
+            epilex.MorphicImageStream(epilex.psi(abc, "c"), literal),
+        ],
     }
     kinds = {
         value
@@ -137,3 +140,22 @@ def test_src_reads_letters_through_one_chr_encoder():
                 assert not (isinstance(first, ast.Name) and first.id == "chr"), (path.name, node.lineno)
             if isinstance(func, ast.Attribute):
                 assert func.attr not in ("raw", "raw_range"), (path.name, node.lineno)
+
+
+# The number of ``isinstance`` calls in ``src/``.  A stream states its own
+# structure, so callers should dispatch on type less over time: lower this
+# when a site goes, and do not raise it.
+ISINSTANCE_SITES = 6
+
+
+def test_isinstance_sites_do_not_grow():
+    import ast
+    from pathlib import Path
+
+    sites = [
+        (path.name, node.lineno)
+        for path in sorted(Path(epilex.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+    ]
+    assert len(sites) <= ISINSTANCE_SITES, sites

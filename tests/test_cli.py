@@ -98,6 +98,9 @@ def test_skew_field_errors_name_the_field(capsys):
         ("p=-3 suffix=full", "skew p=-3 must be >= 0"),
         ("p=zz suffix=full", "skew p=zz is not an integer"),
         ("p=4 suffix=half", "skew suffix=half is not an integer"),
+        ("P=3", "skew spec has an unknown key 'P'"),
+        ("p=4 sufix=2", "skew spec has an unknown key 'sufix'"),
+        ("p=4 p=3 suffix=full", "skew spec repeats the key 'p'"),
     ):
         skew = f"skew v=(ab) x=c {fields} mu=psi:c"
         code, out, err = run(capsys, "construct", "--alphabet", "a,b,c", "--skew", skew, "--prefix", "5")
@@ -215,6 +218,17 @@ def test_verify_link_count_below_one_exits_one(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "--i" in err
+
+
+def test_skew_depth_below_one_exits_one(capsys):
+    # verify, as classify, refuses a fineness gate of no depth, not skip it
+    for command in ("verify", "classify"):
+        for depth in ("0", "-1"):
+            code, out, err = run(
+                capsys, command, "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c p=4 mu=psi:c", "--depth", depth
+            )
+            assert (code, out) == (1, ""), (command, depth)
+            assert err.startswith("error:") and "depth must be >= 1" in err, err
 
 
 def test_verify_directive_on_no_letters_exits_one(capsys):

@@ -30,7 +30,7 @@ from epilex.engine import (
 )
 from epilex.textio import parse_directive
 
-from helpers import as_text, brute_closure, directive_letters_by_steps, random_directive, run_limited
+from helpers import as_text, brute_closure, directive_letters_by_steps, letter_images, random_directive, run_limited
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -301,10 +301,10 @@ def test_exact_horizon_matches_closure_built_lengths(case):
     d, k = case
     if len(d.ult()) < 2:
         m = strictness(d).m
-        expected = len(prefix_morphism(d, m).images[d.letter(m + 1)]) + k - 1
+        expected = len(letter_images(prefix_morphism(d, m))[d.letter(m + 1)]) + k - 1
     else:
         n = 0
-        while min(len(prefix_morphism(d, n).images[x]) for x in d.shift(n).alph()) < k:
+        while min(len(letter_images(prefix_morphism(d, n))[x]) for x in d.shift(n).alph()) < k:
             n += 1
         y = d.letter(n + 1)
         need = Counter(d.shift(n).alph())
@@ -315,11 +315,11 @@ def test_exact_horizon_matches_closure_built_lengths(case):
             j += 1
             seen[d.letter(n + j)] += 1
         u = palindromic_prefixes(d.shift(n), j + 1)[j - 1 if d.letter(n + j) == y else j]
-        images = prefix_morphism(d, n).images
+        images = letter_images(prefix_morphism(d, n))
         expected = sum(len(images[x]) for x in u.indices) + k - 1
     assert exact_horizon(d, k) == expected
     mu = prefix_morphism(d, len(d.preperiod))
-    assert [image_length(mu, y) for y in range(d.alphabet.size)] == [len(w) for w in mu.images]
+    assert [image_length(mu, y) for y in range(d.alphabet.size)] == [len(w) for w in letter_images(mu)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -332,7 +332,7 @@ def test_image_length_matches_built_images(case):
     # any composition of generators, not only the prefix morphisms of directives
     k, letters, y = case
     mu = PureEpistandardMorphism(Alphabet(tuple("abcd"[:k])), tuple(letters))
-    assert image_length(mu, y) == len(mu.images[y])
+    assert image_length(mu, y) == len(letter_images(mu)[y])
 
 
 def test_exact_horizon_never_builds_the_word():
@@ -486,7 +486,7 @@ def test_constant_tail_is_filled_without_stepping(monkeypatch):
     word = standard_word(d).raw(10**5)
     assert len(steps) <= len(d.preperiod) + 3
     # the word is mu_m(y)^omega, mu_m the morphism of the preperiod
-    block = prefix_morphism(d, len(d.preperiod)).images[d.period[0]]
+    block = letter_images(prefix_morphism(d, len(d.preperiod)))[d.period[0]]
     assert word == (list(block) * (10**5 // len(block) + 1))[: 10**5]
 
 
@@ -507,7 +507,7 @@ def test_constant_tail_small_step_reads_grow_the_memo_geometrically(monkeypatch)
     # one growth per doubling of the memo, not one per read
     assert len(calls) <= 25
     assert len(t._buf) <= 2 * 10**6
-    block = prefix_morphism(d, len(d.preperiod)).images[d.period[0]]
+    block = letter_images(prefix_morphism(d, len(d.preperiod)))[d.period[0]]
     assert list(map(ord, text)) == (list(block) * (10**6 // len(block) + 1))[: 10**6]
 
 
@@ -550,28 +550,21 @@ def test_constant_tail_fill_is_shared_safely_across_threads():
         assert got == serial[q]
 
 
-def test_streams_keep_the_bounds_they_looked_up(monkeypatch):
-    import epilex.engine as engine
+def test_streams_keep_the_bounds_they_looked_up():
+    # A stream keeps no bound of its own: the engine's cache is the one memo
+    # of bounds, so a second exact query at the same k misses it no more.
     from epilex import LexOrder, MorphicImageStream, min_factor
 
-    calls = []
-    bound = engine.exact_horizon
-
-    def counting(directive, k):
-        calls.append(k)
-        return bound(directive, k)
-
-    monkeypatch.setattr(engine, "exact_horizon", counting)
     t = standard_word(parse_directive(ABC, "a(bca)"))
     image = MorphicImageStream(psi(ABC, "c"), t)
     order = LexOrder.default(ABC)
     for stream in (t, image):
         assert min_factor(stream, 9, order).exact
-        calls.clear()
-        for _ in range(2):  # a warm stream asks the engine nothing
+        misses = exact_horizon.cache_info().misses
+        for _ in range(2):
             assert min_factor(stream, 9, order).exact
-            assert stream.exact_horizon(9) == bound(stream.directive(), 9)
-        assert calls == []
+            assert stream.exact_horizon(9) == exact_horizon(stream.directive(), 9)
+        assert exact_horizon.cache_info().misses == misses
 
 
 def test_bounds_are_shared_safely_across_threads():
@@ -604,4 +597,3 @@ def test_bounds_are_shared_safely_across_threads():
     assert not any(th.is_alive() for th in threads)
     assert len(results) == 8 * len(ks)
     assert all(got == serial[k] for k, got in results)
-    assert shared._bounds == dict(zip(ks, serial))

@@ -36,6 +36,7 @@ from epilex.words import scan_length
 from helpers import (
     as_text,
     chain_mismatch_by_length,
+    letter_images,
     peel_by_splitting,
     random_canonical_skew,
     random_directive,
@@ -697,7 +698,7 @@ def test_two_letter_specs_match_the_sturmian_skew_pattern():
         spec = random_canonical_skew(rng, max_alpha=2)
         t = construct_skew(spec)
         y = next(iter(spec.directive.ult()))
-        cycle = list(spec.morphism.images[y])
+        cycle = list(letter_images(spec.morphism)[y])
         v = list(spec.suffix_word().indices)
         n = 600
         repeated = (cycle * (n // len(cycle) + 1))[: n - len(v)]

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from epilex import (
     Alphabet,
+    AlphabetError,
     ConcatStream,
     DirectiveWord,
     LengthError,
@@ -19,7 +20,7 @@ from epilex import (
 from epilex.fine import _separates_text
 from epilex.textio import parse_directive
 
-from helpers import all_words, as_text, brute_preimage_exists, separates_by_pairs
+from helpers import all_words, as_text, brute_preimage_exists, letter_images, separates_by_pairs
 
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
@@ -91,6 +92,34 @@ def test_morphic_image_grown_in_uneven_steps(gens, inner, steps):
         assert all(text[i : i + k] in seen for i in range(len(text) - k + 1)), (k, bound)
 
 
+def test_apply_returns_the_image_each_kind_states():
+    # ``apply`` returns the stream its argument states as its image, of the
+    # argument's own kind; a MorphicImageStream reads through to the same
+    # letters, bounds and directive, and holds its source's memo itself.
+    m = PureEpistandardMorphism(ABC, (2, 0))
+    literal = LiteralPeriodicStream(ABC.word("c"), ABC.word("ab"))
+    sources = {
+        "directive": fib(ABC),
+        "literal": literal,
+        "concatenation over a directive": ConcatStream(ABC.word("cb"), fib(ABC)),
+        "concatenation over a literal": ConcatStream(ABC.word("cc"), literal),
+        "image of an image": psi(ABC, "b").apply(psi(ABC, "c").apply(fib(ABC))),
+        "image of an image of a literal": psi(ABC, "a").apply(psi(ABC, "b").apply(literal)),
+        "wrapped image": MorphicImageStream(psi(ABC, "c"), literal),
+    }
+    n = 10**4
+    for name, s in sources.items():
+        image, wrapped = m.apply(s), MorphicImageStream(m, s)
+        assert type(image) is type(getattr(s, "_source", s)) and type(image) is not MorphicImageStream, name
+        assert image._text(n) == wrapped._text(n) == m.apply_word(s.prefix(n)).text[:n], name
+        assert wrapped._buf is wrapped._source._buf, name
+        bounds = [image.exact_horizon(k) for k in range(1, 31)]
+        assert bounds == [wrapped.exact_horizon(k) for k in range(1, 31)], name
+        assert image.directive() == wrapped.directive(), name
+    with pytest.raises(AlphabetError):
+        m.apply(fib(AB))
+
+
 def test_morphic_image_maps_no_letter_as_it_grows(monkeypatch):
     # An image reads the stream its inner stream states; a literal or a
     # concatenation maps its finite parts once, when the image is built.
@@ -111,7 +140,7 @@ def test_oversized_finite_images_are_refused_before_they_are_built(monkeypatch):
         return text
 
     monkeypatch.setattr(PureEpistandardMorphism, "_map_text", mapped)
-    for inner in (LiteralPeriodicStream(AB.empty(), AB.word("b")), ConcatStream(AB.word("a"), fib())):
+    for inner in (AB.word("b"), LiteralPeriodicStream(AB.empty(), AB.word("b")), ConcatStream(AB.word("a"), fib())):
         with pytest.raises(LengthError, match="exceeds the limit"):
             m.apply(inner)
     # a standard word's image is a standard word, generated as it is read:
@@ -143,7 +172,7 @@ def test_images_are_nonerasing_and_start_with_outer_generator():
         gens = tuple(rng.randrange(3) for _ in range(rng.randint(1, 5)))
         m = PureEpistandardMorphism(ABC, gens)
         for i in range(3):
-            img = m.images[i]
+            img = letter_images(m)[i]
             assert len(img) >= 1
             assert img[0] == gens[0]
         w = Word(ABC, tuple(rng.randrange(3) for _ in range(rng.randint(0, 10))))

@@ -25,6 +25,8 @@ from epilex import (
 from epilex.textio import ParseError, parse_directive, parse_literal, parse_skew
 from epilex.words import MAX_LETTERS, LengthError, _chr_text
 
+from helpers import letter_images
+
 AB = Alphabet.of("a", "b")
 ABC = Alphabet.of("a", "b", "c")
 
@@ -162,10 +164,11 @@ def test_text_is_the_chr_join_for_every_index_chr_takes():
     image = MorphicImageStream(m, literal)
     directive = DirectiveWord(wide, (0xD800, 300), (0xDFFF, 256))
     letters = head_idx + cycle_idx * 70
+    images = letter_images(m)
     expected = {
         literal: letters,
         ConcatStream(cycle, literal): cycle_idx + letters,
-        image: tuple(x for c in letters for x in m.images[c]),
+        image: tuple(x for c in letters for x in images[c]),
         DirectiveStream(directive): palindromic_prefixes(directive, 12)[-1].indices,
     }
     for t, want in expected.items():
@@ -190,7 +193,11 @@ def test_memo_growth_is_geometric(monkeypatch):
     def literal():
         return LiteralPeriodicStream(ABC.word("ab"), ABC.word("cab"))
 
-    makers = (literal, lambda: ConcatStream(ABC.word("ba"), literal()), lambda: psi(ABC, "c").apply(literal()))
+    makers = (
+        literal,
+        lambda: ConcatStream(ABC.word("ba"), literal()),
+        lambda: MorphicImageStream(psi(ABC, "c"), literal()),
+    )
     grown: dict[WordStream, list[int]] = {}
     for kind in (LiteralPeriodicStream, ConcatStream, MorphicImageStream):
         extend = kind._extend
@@ -284,7 +291,7 @@ def test_concurrent_stream_extension_is_safe():
         DirectiveStream: trib,
         LiteralPeriodicStream: lambda: LiteralPeriodicStream(ABC.word("ab"), ABC.word("cab")),
         ConcatStream: lambda: construct_skew(parse_skew(ABC, "skew v=(ab) x=c p=4 mu=psi:c suffix=full")),
-        MorphicImageStream: lambda: psi(ABC, "c").apply(trib()),
+        MorphicImageStream: lambda: MorphicImageStream(psi(ABC, "c"), trib()),
     }
     kinds = {
         value
