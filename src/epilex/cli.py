@@ -236,9 +236,11 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
     checks: list[dict[str, Any]] = []
+    if args.i < 1:
+        raise CLIError(f"--i must be >= 1, got {args.i}")
+    if args.depth < 1:
+        raise CLIError(f"--depth must be >= 1, got {args.depth}")
     if args.directive is not None:
-        if args.i < 1:
-            raise CLIError(f"--i must be >= 1, got {args.i}")
         if args.i * args.horizon > MAX_LETTERS:
             raise CLIError(
                 f"--i {args.i} times horizon {args.horizon} exceeds the limit of {MAX_LETTERS} letters"
@@ -247,8 +249,6 @@ def _cmd_verify(args) -> int:
         for i, letter in enumerate(shift_chain(d, args.i, args.horizon), start=1):
             checks.append({"check": "shift-chain", "i": i, "letter": letter, "ok": True})
     elif args.skew is not None:
-        if args.depth < 1:
-            raise CLIError(f"--depth must be >= 1, got {args.depth}")
         spec = parse_skew(alphabet, args.skew)
         _check_scan(spec.exact_horizon(args.depth), args.depth)
         stream = construct_skew(spec)

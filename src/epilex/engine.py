@@ -66,7 +66,7 @@ class DirectiveWord:
         return self._hash
 
     @classmethod
-    def parse(cls, alphabet: Alphabet, preperiod: str | Sequence[str], period: str | Sequence[str]) -> "DirectiveWord":
+    def parse(cls, alphabet: Alphabet, preperiod: str, period: str) -> "DirectiveWord":
         pre, per = alphabet.word(preperiod), alphabet.word(period)
         return cls(alphabet, tuple(map(ord, pre.text)), tuple(map(ord, per.text)))
 
@@ -249,7 +249,7 @@ def builder_word(directive: DirectiveWord, n: int) -> Word:
     if n < 0:
         raise ValueError("builder index must be >= 0")
     mu = prefix_morphism(directive, n)
-    return mu.apply_word(Word(directive.alphabet, (directive.letter(n + 1),)))
+    return mu.apply(Word(directive.alphabet, (directive.letter(n + 1),)))
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ class SkewSpec:
         core = standard_word(self.directive)
         mirrored = core.prefix(self.p).reversal()
         marker = Word(self.alphabet, (self.alphabet.index(self.x),))
-        return self.morphism.apply_word(mirrored + marker)
+        return self.morphism.apply(mirrored + marker)
 
     def seed_length(self) -> int:
         """``len(self.seed_word())``, from the core prefix's letter counts and

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .words import MAX_LETTERS, Alphabet, AlphabetError, LengthError, Word, WordStream, _check_indices
+from .words import Alphabet, AlphabetError, Word, WordStream, _check_indices
 
 if TYPE_CHECKING:
     from .engine import DirectiveWord
@@ -56,11 +56,6 @@ class PureEpistandardMorphism:
             return "Morphism(id)"
         return f"Morphism(psi:{','.join(self.generator_tokens())})"
 
-    def apply_word(self, w: Word) -> Word:
-        if w.alphabet != self.alphabet:
-            raise AlphabetError("word alphabet does not match morphism alphabet")
-        return Word._trusted(self.alphabet, self._map_text(w.text))
-
     def _map_text(self, text: str) -> str:
         """The image of a ``chr`` text, one pass per generator, innermost
         first: the generator of ``z`` is ``text.replace(y, z + y)`` for each
@@ -76,16 +71,11 @@ class PureEpistandardMorphism:
         """The image length of a ``chr`` text, from letter counts: no image is built."""
         return sum(n * image_length(self, ord(c)) for c, n in Counter(text).items())
 
-    def _checked_image(self, w: Word) -> Word:
-        """``apply_word(w)``, refused with :class:`LengthError` before it is built past ``MAX_LETTERS``."""
-        if self._image_size(w.text) > MAX_LETTERS:
-            raise LengthError(f"an image exceeds the limit of {MAX_LETTERS} letters")
-        return self.apply_word(w)
-
     def apply(self, w: "Word | WordStream") -> "Word | WordStream":
         """The image of a word or stream, as its own kind states it (``_image``):
-        a word's is built letterwise and refused past ``MAX_LETTERS``, and a
-        stream's is a stream of the same kind."""
+        a word's is its mapped text (:meth:`Word._image`, refused past
+        ``MAX_LETTERS`` before it is built), and a stream's is a stream of
+        the same kind.  This is the one way to map a word."""
         if w.alphabet != self.alphabet:
             raise AlphabetError("the morphism's alphabet differs from its argument's")
         return w._image(self)

@@ -29,7 +29,6 @@ __all__ = [
     "format_morphism",
     "result_to_dict",
     "skew_to_dict",
-    "skew_from_dict",
     "strictness_to_dict",
     "verdict_to_dict",
 ]
@@ -185,16 +184,6 @@ def skew_to_dict(spec: SkewSpec) -> dict[str, Any]:
         "morphism": format_morphism(spec.morphism),
         "suffix_len": spec.suffix_len,
     }
-
-
-def skew_from_dict(alphabet: Alphabet, data: dict[str, Any]) -> SkewSpec:
-    return SkewSpec(
-        directive=parse_directive(alphabet, data["directive"]),
-        x=data["x"],
-        p=int(data["p"]),
-        morphism=parse_morphism(alphabet, data["morphism"]),
-        suffix_len=int(data["suffix_len"]),
-    )
 
 
 def _witness_to_dict(w: Witness) -> dict[str, Any]:

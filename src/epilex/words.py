@@ -127,15 +127,10 @@ class Alphabet:
         except ValueError:
             raise AlphabetError(f"letter {token!r} not in alphabet {self.letters}") from None
 
-    def word(self, text_or_tokens: "str | Sequence[str]") -> "Word":
-        """Build a word from a contiguous string (single-char letters) or token sequence."""
-        if isinstance(text_or_tokens, str):
-            if all(len(t) == 1 for t in self.letters):
-                tokens: Sequence[str] = list(text_or_tokens)
-            else:
-                tokens = [t for t in text_or_tokens.split(",") if t]
-        else:
-            tokens = text_or_tokens
+    def word(self, text: str) -> "Word":
+        """Build a word from its text: letters written contiguously when every
+        letter is one character, comma-separated otherwise."""
+        tokens = text if all(len(t) == 1 for t in self.letters) else [t for t in text.split(",") if t]
         return Word(self, tuple(self.index(t) for t in tokens))
 
     def empty(self) -> "Word":
@@ -148,7 +143,9 @@ class Word:
 
     ``text`` is the format stream memos and scans use, so a stream prefix, a
     slice, a concatenation or a mirror image is one ``str`` operation.
-    ``indices``, the letter indices as a tuple, is derived on each read.
+    ``raw(n)`` gives the first ``n`` letter indices as a list, as
+    :meth:`WordStream.raw` does, and ``_image`` is the one map of a finite
+    word through a morphism.
     """
 
     alphabet: Alphabet
@@ -171,10 +168,6 @@ class Word:
         object.__setattr__(w, "alphabet", alphabet)
         object.__setattr__(w, "text", text)
         return w
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(map(ord, self.text))
 
     def __len__(self) -> int:
         return len(self.text)
@@ -225,8 +218,11 @@ class Word:
         return len(self.text)
 
     def _image(self, morphism: PureEpistandardMorphism) -> "Word":
-        """The image under ``morphism``, refused past :data:`MAX_LETTERS` before it is built."""
-        return morphism._checked_image(self)
+        """The image under ``morphism``, refused past :data:`MAX_LETTERS` from
+        letter counts, before it is built."""
+        if morphism._image_size(self.text) > MAX_LETTERS:
+            raise LengthError(f"an image exceeds the limit of {MAX_LETTERS} letters")
+        return Word._trusted(self.alphabet, morphism._map_text(self.text))
 
     def is_palindrome(self) -> bool:
         return self.text == self.text[::-1]
@@ -261,12 +257,9 @@ class LexOrder:
             ranks[alphabet.index(tok)] = pos
         return cls(alphabet, tuple(ranks))
 
-    def letters_ascending(self) -> tuple[str, ...]:
-        pairs = sorted(range(self.alphabet.size), key=lambda i: self.ranks[i])
-        return tuple(self.alphabet.letters[i] for i in pairs)
-
     def describe(self) -> str:
-        return "<".join(self.letters_ascending())
+        """The letters from least to greatest, as ``a<b<c``."""
+        return "<".join(t for _, t in sorted(zip(self.ranks, self.alphabet.letters)))
 
     def reversed(self) -> "LexOrder":
         return LexOrder(self.alphabet, self._reversed_ranks)
@@ -416,7 +409,7 @@ class LiteralPeriodicStream(WordStream):
         return len(self.head) + len(self.cycle) + k - 1
 
     def _image(self, morphism: PureEpistandardMorphism) -> "LiteralPeriodicStream":
-        return LiteralPeriodicStream(morphism._checked_image(self.head), morphism._checked_image(self.cycle))
+        return LiteralPeriodicStream(self.head._image(morphism), self.cycle._image(morphism))
 
 
 class ConcatStream(WordStream):
@@ -440,7 +433,7 @@ class ConcatStream(WordStream):
         return len(self.head) + self.tail.exact_horizon(k)
 
     def _image(self, morphism: PureEpistandardMorphism) -> "ConcatStream":
-        return ConcatStream(morphism._checked_image(self.head), self.tail._image(morphism))
+        return ConcatStream(self.head._image(morphism), self.tail._image(morphism))
 
 
 def factors(w: Word, k: int) -> set[Word]:

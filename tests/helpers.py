@@ -8,7 +8,7 @@ Expected values frozen in the tests were produced by these oracles.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 from epilex import (
     Alphabet,
@@ -25,19 +25,21 @@ LETTERS = "abcd"
 
 def brute_closure(w: Word) -> Word:
     """Shortest palindrome with prefix w: try candidates from shortest up."""
+    idx = w.raw(len(w))
     for d in range(len(w) + 1):
-        tail = w.indices[d:]
+        tail = idx[d:]
         if tail == tail[::-1]:
-            return Word(w.alphabet, w.indices + w.indices[:d][::-1])
+            return Word(w.alphabet, idx + idx[:d][::-1])
     raise AssertionError("unreachable: the doubled word is always a candidate")
 
 
 def brute_preimage_exists(morphism: PureEpistandardMorphism, w: Word) -> bool:
-    """Exhaustively search for a positive preimage of w."""
-    k = w.alphabet.size
+    """Exhaustively search for a positive preimage of w, each candidate's
+    image concatenated from :func:`letter_images`, not the library's map."""
+    images, target = letter_images(morphism), tuple(w.raw(len(w)))
     for n in range(len(w) + 1):
-        for combo in product(range(k), repeat=n):
-            if morphism.apply_word(Word(w.alphabet, combo)) == w:
+        for combo in product(images, repeat=n):
+            if sum(combo, ()) == target:
                 return True
     return False
 
@@ -58,11 +60,28 @@ def oracle_min(w: Word, k: int, order: LexOrder) -> Word:
         raise LengthError(f"factor length {k} exceeds word length {len(w)}")
     if k == 0:
         return Word(w.alphabet, ())
-    ranks, idx = order.ranks, w.indices
+    ranks, idx = order.ranks, w.raw(len(w))
     windows = [tuple(ranks[c] for c in idx[i : i + k]) for i in range(len(w) - k + 1)]
     least = sorted(windows)[0]
     inverse = {r: i for i, r in enumerate(ranks)}
     return Word(w.alphabet, tuple(inverse[r] for r in least))
+
+
+def fine_by_sorting(seq, starts: int, depth: int) -> bool:
+    """Whether an infinite word is fine to ``depth``, from its windows alone.
+
+    ``seq`` holds the word's letter indices, and every length-``depth``
+    factor starts before ``starts`` in it.  Least factors of an infinite word
+    nest, so under each order on its letters the least of those windows is
+    min(t)[:depth], sorted here by rank; the word is fine to ``depth`` when
+    every order's least window has the same tail past its first letter.
+    """
+    windows = {tuple(seq[i : i + depth]) for i in range(starts)}
+    tails = set()
+    for perm in permutations(sorted(set(seq))):
+        rank = {c: r for r, c in enumerate(perm)}
+        tails.add(min(windows, key=lambda w: [rank[c] for c in w])[1:])
+    return len(tails) == 1
 
 
 def oracle_max(w: Word, k: int, order: LexOrder) -> Word:

@@ -7,6 +7,7 @@ an independent brute-force oracle.
 
 import random
 import time
+from itertools import product
 
 from epilex import (
     Alphabet,
@@ -14,6 +15,7 @@ from epilex import (
     ConcatStream,
     DirectiveWord,
     LiteralPeriodicStream,
+    NotSkewForm,
     Word,
     all_orders,
     builder_word,
@@ -37,6 +39,7 @@ from epilex.textio import parse_directive, parse_skew
 from helpers import (
     as_text,
     chain_words,
+    fine_by_sorting,
     oracle_max,
     oracle_min,
     random_canonical_skew,
@@ -444,8 +447,8 @@ def test_criterion_8_oracle_agreement_and_chain():
                     lo = min_factor(stream, k, order, 4000).word
                     hi = max_factor(stream, k, order, 4000).word
                     if prev_min is not None:
-                        assert lo.indices[: k - 1] == prev_min.indices
-                        assert hi.indices[: k - 1] == prev_max.indices
+                        assert lo.raw(k - 1) == prev_min.raw(k - 1)
+                        assert hi.raw(k - 1) == prev_max.raw(k - 1)
                     prev_min, prev_max = lo, hi
         ok = True
     finally:
@@ -474,3 +477,70 @@ def test_criterion_9_reconstruction_round_trip():
         ok = True
     finally:
         _report(9, ok, "50 skew specs reconstruct: same shape, identical 2000-letter prefix", time.perf_counter() - start)
+
+
+# --- criterion 10: the theorem, exhaustively at small sizes -----------------------------
+
+
+def _primitive(v: tuple[int, ...]) -> bool:
+    n = len(v)
+    return all(v != v[d:] + v[:d] for d in range(1, n) if n % d == 0)
+
+
+def test_criterion_10_theorem_exhaustive_at_small_sizes():
+    # Fine <=> strict episturmian or strict skew, on every canonical literal
+    # u(v) over {a, b, c} with |u| <= 3 and |v| <= 4 (v primitive; u empty or
+    # not ending in v's last letter) and every directive with
+    # |pre| + |per| <= 4, against an oracle that sorts windows.  A change in
+    # the pinned counts is a correctness change.
+    ok = False
+    start = time.perf_counter()
+    depth = 24
+    literal_counts = dict.fromkeys(Classification, 0)
+    directive_counts = {True: 0, False: 0}
+    try:
+        for v in (v for n in range(1, 5) for v in product(range(3), repeat=n) if _primitive(v)):
+            for u in (u for n in range(4) for u in product(range(3), repeat=n) if not u or u[-1] != v[-1]):
+                t = LiteralPeriodicStream(Word(ABC, u), Word(ABC, v))
+                verdict = classify(t, depth)
+                literal_counts[verdict.classification] += 1
+                # every length-depth factor starts before |u| + |v|
+                seq = (u + v * (depth // len(v) + 2))[: len(u) + len(v) + depth - 1]
+                fine = fine_by_sorting(seq, len(u) + len(v), depth)
+                structural = verdict.classification in (Classification.STRICT_EPISTURMIAN, Classification.SKEW_EPISTURMIAN)
+                assert fine == structural, (u, v, verdict.classification)
+                # The peel horizon 2|u| + 8|v| is a claim, not a derived bound:
+                # a spec exactly for the fine words with two letters, whose
+                # word is the literal's far past the letters peeled.
+                horizon = 2 * len(u) + 8 * len(v)
+                try:
+                    peeled = reconstruct_skew(t, 0, horizon)
+                except NotSkewForm:
+                    peeled = None
+                assert (peeled is not None) == (fine and len({*u, *v}) == 2), (u, v)
+                for spec in (peeled, verdict.skew):
+                    if spec is not None:
+                        assert construct_skew(spec)._text(20 * horizon) == t._text(20 * horizon), (u, v, spec)
+        assert [literal_counts[c] for c in Classification] == [3, 108, 2724, 0], literal_counts
+
+        for n in range(1, 5):
+            for letters in product(range(3), repeat=n):
+                for q in range(1, n + 1):
+                    d = DirectiveWord(ABC, letters[: n - q], letters[n - q :])
+                    bound = exact_horizon(d, depth)
+                    fine = fine_by_sorting(standard_word(d).raw(bound), bound - depth + 1, depth)
+                    strict = classify(d, depth).classification is Classification.STRICT_EPISTURMIAN
+                    assert fine == strict == strictness(d).strict, str(d)
+                    directive_counts[strict] += 1
+        assert (directive_counts[True], directive_counts[False]) == (228, 198), directive_counts
+        ok = True
+    finally:
+        elapsed = time.perf_counter() - start
+        print(
+            "[criterion 10] literals |u|<=3 |v|<=4: "
+            + " / ".join(f"{n} {c.name}" for c, n in literal_counts.items())
+            + "; 2-letter fine words peel at 2|u|+8|v|"
+        )
+        print(f"[criterion 10] directives |pre|+|per|<=4: {directive_counts[True]} strict and fine / "
+              f"{directive_counts[False]} neither")
+        _report(10, ok, "fine <=> strict or skew, exhaustively at small sizes", elapsed)

@@ -18,6 +18,27 @@ PUBLIC_NAMES = [
 ]
 
 
+# The public methods and properties of each exported class, its own and
+# those it inherits from the package's classes; a class not listed has none.
+# An added or deleted method changes this.
+STREAM_METHODS = ["directive", "exact_horizon", "prefix", "raw"]
+PUBLIC_METHODS = {
+    "Alphabet": ["empty", "index", "of", "size", "word"],
+    "ConcatStream": STREAM_METHODS,
+    "DirectiveStream": ["directive", "exact_horizon", "palindromic_prefix_lengths", "prefix", "raw"],
+    "DirectiveWord": ["alph", "exact_horizon", "letter", "parse", "shift", "ult"],
+    "FinenessVerdict": ["fine_to_depth"],
+    "LexOrder": ["default", "describe", "from_letters", "reversed"],
+    "LiteralPeriodicStream": STREAM_METHODS,
+    "MorphicImageStream": STREAM_METHODS,
+    "PureEpistandardMorphism": ["apply", "compose", "generator_tokens", "is_identity"],
+    "SkewSpec": ["alphabet", "exact_horizon", "seed_length", "seed_word", "suffix_word", "validate"],
+    "StrictnessReport": ["strict"],
+    "Word": ["exact_horizon", "is_palindrome", "prefix", "raw", "reversal"],
+    "WordStream": STREAM_METHODS,
+}
+
+
 def test_public_surface_is_pinned():
     names = sorted(
         name
@@ -25,6 +46,24 @@ def test_public_surface_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_public_methods_are_pinned():
+    def methods(cls):
+        return sorted({
+            name
+            for klass in cls.__mro__
+            if klass.__module__.startswith("epilex")
+            for name, value in vars(klass).items()
+            if not name.startswith("_") and isinstance(value, (types.FunctionType, property, classmethod, staticmethod))
+        })
+
+    found = {
+        name: methods(value)
+        for name, value in vars(epilex).items()
+        if isinstance(value, type) and not name.startswith("_") and methods(value)
+    }
+    assert found == PUBLIC_METHODS
 
 
 def test_every_module_all_entry_resolves():
@@ -117,8 +156,8 @@ def test_src_reads_letters_through_one_chr_encoder():
     # a stream memoises it, the scans read it (``WordStream._text``) and a
     # ``Word`` holds it.  ``words._chr_text`` is the one encoder from letter
     # indices; no module builds its own (``map(chr, ...)``) or reads the list
-    # copies ``raw``/``raw_range``.  Outside ``words.py`` no module reads the
-    # derived index tuple ``Word.indices`` or builds an ``array``.
+    # copies ``raw``/``raw_range``.  Outside ``words.py`` no module reads an
+    # ``indices`` attribute or builds an ``array``.
     import ast
     from pathlib import Path
 
@@ -145,7 +184,7 @@ def test_src_reads_letters_through_one_chr_encoder():
 # The number of ``isinstance`` calls in ``src/``.  A stream states its own
 # structure, so callers should dispatch on type less over time: lower this
 # when a site goes, and do not raise it.
-ISINSTANCE_SITES = 6
+ISINSTANCE_SITES = 5
 
 
 def test_isinstance_sites_do_not_grow():

@@ -4,7 +4,7 @@ import pytest
 
 from epilex.cli import DEFAULT_HORIZON, MAX_LETTERS, main
 from epilex import Alphabet
-from epilex.textio import parse_directive, parse_morphism, parse_skew, skew_from_dict
+from epilex.textio import parse_directive, parse_morphism, parse_skew
 
 # The skew cap cases' core is the Fibonacci word, whose bound at depth k is a
 # few times k, so only a depth in the millions scans past MAX_LETTERS.
@@ -51,7 +51,7 @@ def test_classify_skew_json_round_trips(capsys):
     data = json.loads(out)
     assert data["classification"] == "SkewEpisturmian"
     alphabet = Alphabet.of("a", "b", "c")
-    spec = skew_from_dict(alphabet, data["skew"])
+    spec = parse_skew(alphabet, "skew v={directive} x={x} p={p} mu={morphism} suffix={suffix_len}".format(**data["skew"]))
     assert spec == parse_skew(alphabet, "skew v=(ab) x=c p=4 mu=psi:c suffix=9")
 
 
@@ -229,6 +229,18 @@ def test_skew_depth_below_one_exits_one(capsys):
             )
             assert (code, out) == (1, ""), (command, depth)
             assert err.startswith("error:") and "depth must be >= 1" in err, err
+
+
+def test_verify_range_flags_exit_one_whatever_the_input_kind(capsys):
+    # --i and --depth are checked before verify branches on the input kind,
+    # so a flag the chosen check does not read is still refused out of range
+    for argv, flag in (
+        (("--directive", "(ab)", "--depth", "-5"), "--depth"),
+        (("--skew", "skew v=(ab) x=c p=4 mu=psi:c", "--i", "0"), "--i"),
+    ):
+        code, out, err = run(capsys, "verify", "--alphabet", "a,b,c", *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and f"{flag} must be >= 1" in err, err
 
 
 def test_verify_directive_on_no_letters_exits_one(capsys):

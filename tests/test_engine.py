@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from epilex import (
     Alphabet,
     DirectiveWord,
+    LengthError,
     LiteralPeriodicStream,
     NothingToDecompose,
     PureEpistandardMorphism,
@@ -29,6 +30,7 @@ from epilex.engine import (
     recover_directive_letters,
 )
 from epilex.textio import parse_directive
+from epilex.words import MAX_LETTERS
 
 from helpers import as_text, brute_closure, directive_letters_by_steps, letter_images, random_directive, run_limited
 
@@ -50,7 +52,7 @@ def test_closure_matches_brute_oracle(indices):
     got = palindromic_closure(w)
     assert got == brute_closure(w)
     assert got.is_palindrome()
-    assert got.indices[: len(w)] == w.indices
+    assert got.raw(len(w)) == w.raw(len(w))
 
 
 @given(st.lists(st.integers(0, 2), max_size=12))
@@ -62,7 +64,7 @@ def test_closure_is_minimal(indices):
     got = palindromic_closure(w)
     for n in range(len(w), len(got)):
         for extra in product(range(3), repeat=n - len(w)):
-            c = w.indices + extra
+            c = tuple(indices) + extra
             assert c != c[::-1]
 
 
@@ -105,6 +107,20 @@ def test_builder_words():
     assert str(builder_word(d, 0)) == "a"
     assert str(builder_word(d, 1)) == "ab"
     assert str(builder_word(d, 2)) == "aba"
+
+
+def test_builder_word_past_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # A builder word is a morphic image, refused from letter counts as every
+    # image of a finite word is: mu_36(a) over (ab) has 39,088,169 letters.
+    d = parse_directive(AB, "(ab)")
+    assert image_length(prefix_morphism(d, 36), d.letter(37)) == 39_088_169 > MAX_LETTERS
+
+    def unbuilt(self, text):
+        raise AssertionError("the image was built")
+
+    monkeypatch.setattr(PureEpistandardMorphism, "_map_text", unbuilt)
+    with pytest.raises(LengthError):
+        builder_word(d, 36)
 
 
 def test_builder_recurrences():
@@ -260,7 +276,7 @@ def test_streams_state_their_directive():
     for m, inner, image in ((psi(ABC, "c"), t, once), (twice.morphism, once, twice)):
         # the image and the word its stated directive generates are the
         # inner stream mapped letter by letter
-        want = m.apply_word(inner.prefix(300))[:300]
+        want = m.apply(inner.prefix(300))[:300]
         assert image.prefix(300) == want == standard_word(image.directive()).prefix(300)
     # an image of a purely periodic directive word states a preperiod
     image = psi(ABC, "c").apply(standard_word(parse_directive(ABC, "(ab)")))
@@ -316,7 +332,7 @@ def test_exact_horizon_matches_closure_built_lengths(case):
             seen[d.letter(n + j)] += 1
         u = palindromic_prefixes(d.shift(n), j + 1)[j - 1 if d.letter(n + j) == y else j]
         images = letter_images(prefix_morphism(d, n))
-        expected = sum(len(images[x]) for x in u.indices) + k - 1
+        expected = sum(len(images[x]) for x in u.raw(len(u))) + k - 1
     assert exact_horizon(d, k) == expected
     mu = prefix_morphism(d, len(d.preperiod))
     assert [image_length(mu, y) for y in range(d.alphabet.size)] == [len(w) for w in letter_images(mu)]
@@ -427,7 +443,7 @@ def test_constant_tail_fill_matches_closure_iteration(d, reads):
     while len(ups[-1]) < need:
         count *= 2
         ups = palindromic_prefixes(d, count)
-    letters = ups[-1].indices
+    letters = ups[-1].raw(len(ups[-1]))
     t = standard_word(d)
     reached = read = 0
     for kind, a, b in reads:
@@ -462,7 +478,7 @@ def test_constant_tail_fill_matches_closure_iteration(d, reads):
 def test_literal_fill_matches_repeated_cycle(word, reads):
     head, cycle = (Word(Alphabet.of("a", "b", "c", "d"), tuple(part)) for part in word)
     t = LiteralPeriodicStream(head, cycle)
-    letters = list(head.indices) + list(cycle.indices) * 301
+    letters = head.raw(len(head)) + cycle.raw(len(cycle)) * 301
     for a, b in reads:
         start, stop = sorted((a, b))
         assert list(map(ord, t._letters(start, stop))) == letters[start:stop]

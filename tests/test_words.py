@@ -165,18 +165,19 @@ def test_text_is_the_chr_join_for_every_index_chr_takes():
     directive = DirectiveWord(wide, (0xD800, 300), (0xDFFF, 256))
     letters = head_idx + cycle_idx * 70
     images = letter_images(m)
+    closed = palindromic_prefixes(directive, 12)[-1]
     expected = {
         literal: letters,
         ConcatStream(cycle, literal): cycle_idx + letters,
         image: tuple(x for c in letters for x in images[c]),
-        DirectiveStream(directive): palindromic_prefixes(directive, 12)[-1].indices,
+        DirectiveStream(directive): closed.raw(len(closed)),
     }
     for t, want in expected.items():
         assert len(want) >= 333
         for n in (0, 1, 7, 333):
             assert t._text(n) == "".join(map(chr, want[:n]))
             assert t.raw(n) == list(want[:n]) and t.prefix(n) == Word(wide, want[:n])
-    assert image.prefix(333) == image.morphism.apply_word(literal.prefix(333))[:333]
+    assert image.prefix(333) == image.morphism.apply(literal.prefix(333))[:333]
 
 
 def _block(stream):
@@ -305,7 +306,7 @@ def test_concurrent_stream_extension_is_safe():
 
     def ask(t, kind, a, b):
         if kind == "prefix":
-            return t.prefix(a).indices
+            return t.prefix(a).raw(a)
         if kind == "range":
             return list(map(ord, t._letters(a, b)))
         return [ord(c) for c in t._text(a)]
