@@ -447,8 +447,8 @@ def test_criterion_8_oracle_agreement_and_chain():
                     lo = min_factor(stream, k, order, 4000).word
                     hi = max_factor(stream, k, order, 4000).word
                     if prev_min is not None:
-                        assert lo.raw(k - 1) == prev_min.raw(k - 1)
-                        assert hi.raw(k - 1) == prev_max.raw(k - 1)
+                        assert lo[: k - 1] == prev_min
+                        assert hi[: k - 1] == prev_max
                     prev_min, prev_max = lo, hi
         ok = True
     finally:

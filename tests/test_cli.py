@@ -213,34 +213,34 @@ def test_morphism_text_variants():
 
 
 def test_verify_link_count_below_one_exits_one(capsys):
-    for i in ("0", "-3"):
-        code, out, err = run(capsys, "verify", "--alphabet", "a,b", "--directive", "(ab)", "--i", i)
-        assert code == 1
+    # --i is checked before verify branches on the input kind, so a skew
+    # check, which does not read it, still refuses it out of range
+    for source, i in (
+        (("--directive", "(ab)"), "0"),
+        (("--directive", "(ab)"), "-3"),
+        (("--skew", "skew v=(ab) x=c p=4 mu=psi:c"), "0"),
+    ):
+        code, out, err = run(capsys, "verify", "--alphabet", "a,b,c", *source, "--i", i)
+        assert code == 1, (source, i)
         assert out == ""
-        assert err.startswith("error:") and "--i" in err
+        assert err.startswith("error:") and "--i must be >= 1" in err, err
 
 
 def test_skew_depth_below_one_exits_one(capsys):
-    # verify, as classify, refuses a fineness gate of no depth, not skip it
-    for command in ("verify", "classify"):
-        for depth in ("0", "-1"):
-            code, out, err = run(
-                capsys, command, "--alphabet", "a,b,c", "--skew", "skew v=(ab) x=c p=4 mu=psi:c", "--depth", depth
-            )
-            assert (code, out) == (1, ""), (command, depth)
-            assert err.startswith("error:") and "depth must be >= 1" in err, err
-
-
-def test_verify_range_flags_exit_one_whatever_the_input_kind(capsys):
-    # --i and --depth are checked before verify branches on the input kind,
-    # so a flag the chosen check does not read is still refused out of range
-    for argv, flag in (
-        (("--directive", "(ab)", "--depth", "-5"), "--depth"),
-        (("--skew", "skew v=(ab) x=c p=4 mu=psi:c", "--i", "0"), "--i"),
+    # verify, as classify, refuses a fineness gate of no depth, not skip it;
+    # verify checks --depth before it branches on the input kind, so a
+    # directive check, which does not read it, still refuses it out of range
+    skew = ("--skew", "skew v=(ab) x=c p=4 mu=psi:c")
+    for command, source, depth in (
+        ("verify", skew, "0"),
+        ("verify", skew, "-1"),
+        ("classify", skew, "0"),
+        ("classify", skew, "-1"),
+        ("verify", ("--directive", "(ab)"), "-5"),
     ):
-        code, out, err = run(capsys, "verify", "--alphabet", "a,b,c", *argv)
-        assert (code, out) == (1, ""), argv
-        assert err.startswith("error:") and f"{flag} must be >= 1" in err, err
+        code, out, err = run(capsys, command, "--alphabet", "a,b,c", *source, "--depth", depth)
+        assert (code, out) == (1, ""), (command, source, depth)
+        assert err.startswith("error:") and "depth must be >= 1" in err, err
 
 
 def test_verify_directive_on_no_letters_exits_one(capsys):
