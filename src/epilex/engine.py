@@ -381,7 +381,9 @@ def exact_horizon(directive: DirectiveWord, k: int) -> int:
 
     Both are read off palindromic-prefix lengths and letter counts
     (:func:`image_length`); no word and no letter image is built, and a
-    lookup takes n + J steps of the rule.  The brute-force test
+    lookup takes n + J steps of the rule, each O(1) unless the letter with
+    the least image vanishes: step 1 tracks that image as it steps, rather
+    than re-testing every letter.  The brute-force test
     ``tests/test_extremal.py::test_exact_horizons_hold_every_factor`` and
     the Droubay-Justin-Pirillo complexity test try to falsify it.
     """
@@ -393,13 +395,21 @@ def exact_horizon(directive: DirectiveWord, k: int) -> int:
     pre, ult = directive.preperiod, directive.ult()
     lengths: list[int] = [0]
     last: dict[int, int] = {}
-    n = 0
-    while any(
-        lengths[n] + 1 < k if x not in last else lengths[n] - lengths[last[x] - 1] < k
-        for x in ult.union(pre[n:])  # the letters of T^n D
-    ):
+    # Step 1 tracks the least |mu_n(x)| over the letters x of T^n D: that of
+    # the one whose last position j among d_1..d_n is latest, |u_n| - |u_{j-1}|,
+    # or |u_n| + 1 (j = 0) while none of them has occurred.  d_n is that
+    # letter when it recurs in T^n D.  Otherwise it vanishes, and the letter
+    # of j stays the latest unless it was d_n itself: then j is recounted.
+    final = {x: i for i, x in enumerate(pre, start=1)}  # last preperiod position
+    n = j = 0
+    while (lengths[n] + 1 if j == 0 else lengths[n] - lengths[j - 1]) < k:
         n += 1
-        _next_prefix_length(lengths, last, directive.letter(n))
+        x = directive.letter(n)
+        _next_prefix_length(lengths, last, x)
+        if x in ult or final[x] > n:
+            j = n
+        elif j and directive.letter(j) == x:
+            j = max((i for y, i in last.items() if y in ult or final[y] > n), default=0)
     y = directive.letter(n + 1)
     need = dict.fromkeys(ult.union(pre[n:]), 1)
     need[y] = 2 if y in ult.union(pre[n + 1 :]) else 1

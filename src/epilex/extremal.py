@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import AlphabetError, LengthError, LexOrder, Word, WordStream, scan_length
+from .words import AlphabetError, LengthError, LexOrder, Word, WordStream, _slot_setters, scan_length
 
 __all__ = [
     "ExtremalResult",
@@ -25,13 +25,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtremalResult:
     """An extremal factor together with the scan parameters that produced it.
 
     ``exact`` says whether the scanned prefix reached the bound
     ``exact_horizon(k)``, so that ``word`` is the extremal factor of the
-    whole word and not only of its first ``horizon`` letters.
+    whole word and not only of its first ``horizon`` letters.  The fields
+    are slots, and the queries write them through their setters
+    (:func:`~epilex.words._slot_setters`), not through ``__init__``, whose
+    five ``object.__setattr__`` calls cost more than reading a warm answer
+    from the memo does.
     """
 
     word: Word
@@ -39,6 +43,10 @@ class ExtremalResult:
     order: LexOrder
     horizon: int
     exact: bool
+
+
+_new = object.__new__
+_set_word, _set_k, _set_order, _set_horizon, _set_exact = _slot_setters(ExtremalResult)
 
 
 def minimal_window_positions(text: str, rank: Sequence[int], k_max: int) -> list[int]:
@@ -142,8 +150,14 @@ def _held_within(w: WordStream, rank: tuple[int, ...], k: int, n: int) -> str | 
     return None
 
 
-def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, invert: bool) -> ExtremalResult:
-    """Check a query's arguments, then answer it from the one :func:`scan_length` of it."""
+def _extreme_text(
+    w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, invert: bool
+) -> tuple[str, int, bool]:
+    """Check a query's arguments, then answer it from the one :func:`scan_length` of it.
+
+    Returns the extremal factor's ``chr`` text, the prefix length ``n`` the
+    scan stops at, and whether that prefix reached the bound.
+    """
     if k < 0:
         raise ValueError("factor length must be >= 0")
     if w.alphabet is not order.alphabet and w.alphabet != order.alphabet:
@@ -151,12 +165,8 @@ def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None
     if horizon is not None and horizon < k:
         raise LengthError(f"horizon {horizon} is smaller than factor length {k}")
     n, exact = scan_length(w, k, horizon)
-    if horizon is None:
-        horizon = n
     if k == 0:
-        return ExtremalResult(
-            word=Word._trusted(w.alphabet, ""), k=0, order=order, horizon=horizon, exact=True
-        )
+        return "", n, True
     # The greatest factors are the least under the reversed order.
     rank = order._reversed_ranks if invert else order.ranks
     letters = None
@@ -171,13 +181,20 @@ def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None
         if len(text) < k:
             raise LengthError(f"factor length {k} exceeds word length {len(text)}")
         letters = _least_window(text, rank, k)[0]
-    return ExtremalResult(
-        word=Word._trusted(w.alphabet, letters),
-        k=k,
-        order=order,
-        horizon=horizon,
-        exact=exact,
-    )
+    return letters, n, exact
+
+
+def _extremal(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None, invert: bool) -> ExtremalResult:
+    """The answer of :func:`_extreme_text` as an :class:`ExtremalResult`,
+    which reports the requested horizon, or the bound when none was asked."""
+    letters, n, exact = _extreme_text(w, k, order, horizon, invert)
+    r = _new(ExtremalResult)
+    _set_word(r, Word._trusted(w.alphabet, letters))
+    _set_k(r, k)
+    _set_order(r, order)
+    _set_horizon(r, n if horizon is None else horizon)
+    _set_exact(r, exact)
+    return r
 
 
 def min_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | None = None) -> ExtremalResult:
@@ -208,7 +225,7 @@ def max_factor(w: Word | WordStream, k: int, order: LexOrder, horizon: int | Non
 def _limit_word(w: WordStream, order: LexOrder, horizon: int, invert: bool) -> Word:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return _extremal(w, max(1, horizon // 2), order, None, invert).word
+    return Word._trusted(w.alphabet, _extreme_text(w, max(1, horizon // 2), order, None, invert)[0])
 
 
 def min_stream(w: WordStream, order: LexOrder, horizon: int) -> Word:

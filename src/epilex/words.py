@@ -11,7 +11,7 @@ answered relative to a horizon, and each stream kind states through
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import permutations
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -137,7 +137,19 @@ class Alphabet:
         return Word._trusted(self, "")
 
 
-@dataclass(frozen=True, init=False)
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field's slot of a slotted frozen dataclass, in field order.
+
+    The one way the library fills a :class:`Word` or an
+    :class:`~epilex.extremal.ExtremalResult` it builds: a slot's member
+    descriptor writes past the frozen ``__setattr__`` in one C call, where
+    ``object.__setattr__`` looks the descriptor up by name on every write.
+    Bound once per class, at import.
+    """
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class Word:
     """A finite word: an immutable ``chr`` text over an alphabet.
 
@@ -145,7 +157,8 @@ class Word:
     slice, a concatenation or a mirror image is one ``str`` operation.
     ``raw(n)`` gives the first ``n`` letter indices as a list, as
     :meth:`WordStream.raw` does, and ``_image`` is the one map of a finite
-    word through a morphism.
+    word through a morphism.  Its two fields are slots: a ``Word`` has no
+    per-instance ``__dict__``.
     """
 
     alphabet: Alphabet
@@ -153,8 +166,8 @@ class Word:
 
     def __init__(self, alphabet: Alphabet, indices: Sequence[int]) -> None:
         _check_indices(alphabet, indices)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "text", _chr_text(indices))
+        _set_alphabet(self, alphabet)
+        _set_text(self, _chr_text(indices))
 
     @classmethod
     def _trusted(cls, alphabet: Alphabet, text: str) -> "Word":
@@ -162,11 +175,13 @@ class Word:
 
         Skips ``__init__``'s per-letter check and encoding: for slices,
         images, closures and stream prefixes, whose text comes from checked
-        words, directives, morphism images or stream memos.
+        words, directives, morphism images or stream memos.  The fields are
+        written through their slots' setters (:func:`_slot_setters`); the
+        result equals, hashes and pickles as ``Word(alphabet, indices)``.
         """
-        w = object.__new__(cls)
-        object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "text", text)
+        w = _new(cls)
+        _set_alphabet(w, alphabet)
+        _set_text(w, text)
         return w
 
     def __len__(self) -> int:
@@ -226,6 +241,10 @@ class Word:
 
     def is_palindrome(self) -> bool:
         return self.text == self.text[::-1]
+
+
+_new = object.__new__
+_set_alphabet, _set_text = _slot_setters(Word)
 
 
 @dataclass(frozen=True)

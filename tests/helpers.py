@@ -229,6 +229,57 @@ def directive_letters_by_steps(seq: list[int]) -> list[int]:
     return letters
 
 
+def exact_horizon_by_steps(d: DirectiveWord, k: int) -> int:
+    """``engine.exact_horizon(d, k)`` transcribed from its derivation, step by step.
+
+    Step 1 tests |mu_n(x)| >= k for every letter x of T^n D at each n in
+    turn.  The letter images' lengths come from composing generators,
+    mu_n = mu_{n-1} psi_{d_n}, and the palindromic prefixes' lengths from
+    u_n = mu_{n-1}(d_n) u_{n-1}, not from the last-occurrence rule.  With one
+    recurring letter the bound is |mu_m(d_{m+1})| + k - 1, with m the last
+    position of a vanishing letter.
+    """
+    if k <= 0:
+        return 1
+    pre, per = d.preperiod, d.period
+    # d_1 d_2 ...: each period grows every recurring letter's image, so
+    # step 1 ends within k periods past the preperiod, and step 2 within 3 more.
+    letters = pre + per * (k + 4)
+    images = [1] * d.alphabet.size  # |mu_n(x)| for every letter x
+    u = [0]  # |u_0|, ..., |u_n|
+
+    def step() -> None:
+        x = letters[len(u) - 1]
+        u.append(u[-1] + images[x])
+        images[:] = [m if c == x else images[x] + m for c, m in enumerate(images)]
+
+    def tail_letters(n: int) -> set[int]:  # the letters of T^n D
+        return set(pre[n:]) | set(per)
+
+    if len(set(per)) < 2:
+        m = max((i for i, x in enumerate(pre, start=1) if x not in per), default=0)
+        for _ in range(m):
+            step()
+        return images[letters[m]] + k - 1
+    n = 0
+    while min(images[x] for x in tail_letters(n)) < k:
+        step()
+        n += 1
+    # Step 2: J is the first index at which d_{n+1}..d_{n+J} holds every
+    # letter of T^n D, and y = d_{n+1} twice when y recurs in T^{n+1} D.
+    y = letters[n]
+    need = dict.fromkeys(tail_letters(n), 1)
+    if y in tail_letters(n + 1):
+        need[y] = 2
+    j = 0
+    while any(need.values()):
+        need[letters[n + j]] = max(0, need[letters[n + j]] - 1)
+        j += 1
+    while len(u) <= n + j:
+        step()
+    return u[n + j - 1 if letters[n + j - 1] == y else n + j] - u[n] + k - 1
+
+
 def chain_mismatch_by_length(seq: list[int], chain: list[int], expected: list[int]):
     """The first k with ``seq[chain[k-1]:][:k] != expected[:k]``, with that window, or None."""
     for k, p in enumerate(chain, start=1):

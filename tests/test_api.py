@@ -198,3 +198,37 @@ def test_isinstance_sites_do_not_grow():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
     ]
     assert len(sites) <= ISINSTANCE_SITES, sites
+
+
+def test_slotted_values_have_one_build_path():
+    # ``Word`` and ``ExtremalResult`` are slotted frozen dataclasses that the
+    # library fills through their slots' setters (``words._slot_setters``).
+    # ``object.__setattr__`` stays in ``__init__`` and ``__post_init__``
+    # bodies, where a frozen value sets what it derives, so no second, slower
+    # build path grows; and neither class gets a per-instance dict back.
+    import ast
+    from pathlib import Path
+
+    def calls(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+            yield getattr(node.value, "id", None), function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from calls(child, function)
+
+    slotted = {}
+    for path in sorted(Path(epilex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner, function, line in calls(tree, None):
+            assert owner == "object" and function in ("__init__", "__post_init__"), (path.name, line)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in ("Word", "ExtremalResult"):
+                slotted[node.name] = any(
+                    kw.arg == "slots" and getattr(kw.value, "value", None) is True
+                    for deco in node.decorator_list
+                    for kw in getattr(deco, "keywords", ())
+                )
+    assert slotted == {"Word": True, "ExtremalResult": True}, slotted
+    for cls in (epilex.Word, epilex.ExtremalResult):
+        assert "__slots__" in cls.__dict__ and "__dict__" not in cls.__dict__, cls

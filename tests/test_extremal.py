@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from functools import cache
 from itertools import groupby
@@ -11,6 +14,7 @@ from epilex import (
     Classification,
     ConcatStream,
     DirectiveWord,
+    ExtremalResult,
     LengthError,
     LexOrder,
     LiteralPeriodicStream,
@@ -846,6 +850,49 @@ def test_exact_queries_within_the_memo_run_no_chain(monkeypatch):
     depths.clear()
     assert str(min_factor(u, 5, under, 20).word) == "bbbbb"
     assert depths == [5]
+
+
+def _same_value(built, public):
+    # A value the library builds through its slots' setters behaves as the
+    # one its public constructor builds, and has no per-instance dict.
+    assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
+    assert not hasattr(built, "__dict__") and "__slots__" in type(built).__dict__
+    for name in built.__slots__:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, getattr(public, name))
+    for twin in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+        assert type(twin) is type(built) and twin == public and repr(twin) == repr(public)
+
+
+def test_values_built_through_slots_equal_the_public_constructors(monkeypatch):
+    import epilex.extremal as extremal
+
+    t = trib()
+    order = LexOrder.from_letters(ABC, "bca")
+    min_factor(t, 20, order)  # fills the memo
+    starts = t._minima[order.ranks][1]
+    scans = []
+    chain = extremal.minimal_window_positions
+    monkeypatch.setattr(extremal, "minimal_window_positions", lambda *a: scans.append(a) or chain(*a))
+    results = [
+        min_factor(t, 0, order, 7),  # the k == 0 branch
+        max_factor(ABC.word("abcacb"), 3, order),  # a finite word, scanned
+        min_factor(t, 5, order, starts[4] + 5),  # horizon-limited, from the memo
+        min_factor(t, 12, order),  # exact, from the memo
+    ]
+    assert len(scans) == 1 and [r.exact for r in results] == [True, True, False, True]
+    for r in results:
+        word = Word(ABC, r.word.raw(len(r.word)))
+        public = ExtremalResult(word=word, k=r.k, order=r.order, horizon=r.horizon, exact=r.exact)
+        _same_value(r, public)
+        _same_value(r.word, word)
+        # A Word's constructor takes letter indices, so only the result
+        # is rebuilt field by field.
+        assert dataclasses.replace(r) == public
+        assert dataclasses.replace(r, horizon=100) == dataclasses.replace(public, horizon=100)
+    limit = min_stream(t, order, 41)
+    _same_value(limit, Word(ABC, limit.raw(len(limit))))
+    assert limit == min_factor(t, 20, order).word
 
 
 def test_memo_is_shared_safely_across_threads(monkeypatch):
